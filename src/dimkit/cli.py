@@ -4,8 +4,14 @@ Verbs: solve, verify, oracle, check, explain, gen (planted / random /
 corpus), cross-check, bench.  Exit codes: solve and oracle use 0 =
 solution found, 1 = provably none, 2 = undecided; verify uses 0 = valid,
 1 = invalid; cross-check returns 1 on any solver/oracle disagreement;
-every input problem (unreadable file, bad flag, malformed matching)
-exits 3.
+every input problem (unreadable file, bad flag, malformed matching, a
+graph header above ``graph.MAX_VERTICES``) exits 3; any other failure,
+out-of-memory included, exits 4 (internal error) with its traceback on
+standard error, so a crash never reads as a verdict.
+
+``--oracle-max-n`` on solve and cross-check is a hidden no-op kept so
+older scripts run unchanged: solve() has no oracle fallback, and the
+complete search settles every component the engine leaves undecided.
 
 cross-check and bench fan whole instances out to a process pool sized by
 DIMKIT_THREADS (default: all cores); an instance is never split.
@@ -20,6 +26,7 @@ import multiprocessing
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import click
@@ -79,6 +86,10 @@ def _map_jobs(fn, jobs: list):
         return pool.map(fn, jobs)
 
 
+# accepted and ignored (see the module docstring)
+_IGNORED_ORACLE_MAX_N = click.option("--oracle-max-n", type=int, hidden=True, expose_value=False)
+
+
 @click.group()
 def cli():
     """Dominating-induced-matching toolkit."""
@@ -94,16 +105,14 @@ def cli():
               help="scan for a nine-vertex induced path before trusting class-specific rules")
 @click.option("--budget-branches", type=int, default=None, help="branch cap per component")
 @click.option("--budget-seeds", type=int, default=None, help="seed-coloring cap per trial")
-@click.option("--oracle-max-n", type=int, default=18, show_default=True,
-              help="exact-search fallback size limit for undecided components")
-def solve_cmd(graph_path, as_json, check_p9, budget_branches, budget_seeds, oracle_max_n):
+@_IGNORED_ORACLE_MAX_N
+def solve_cmd(graph_path, as_json, check_p9, budget_branches, budget_seeds):
     """Decide whether GRAPH_PATH has a dominating induced matching."""
     g = _load_graph(graph_path)
     cfg = SolveConfig(
         check_p9=check_p9,
         branch_budget=budget_branches,
         seed_budget=budget_seeds,
-        fallback_oracle_max_n=oracle_max_n,
     )
     out = solve(g, cfg)
     if as_json:
@@ -367,10 +376,10 @@ def gen_corpus_cmd(max_n, out_dir):
 
 
 def _xcheck_one(job):
-    n, p, seed, oracle_max_n = job
+    n, p, seed = job
     draw = gen_random(n, p, seed)
     g = draw.graph
-    out = solve(g, SolveConfig(fallback_oracle_max_n=oracle_max_n))
+    out = solve(g)
     rep = oracle_dim(g)
     verified = True
     if out.status == "dim":
@@ -383,8 +392,8 @@ def _xcheck_one(job):
 @click.option("--max-n", type=int, default=12, show_default=True)
 @click.option("--count", type=int, default=200, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--oracle-max-n", type=int, default=18, show_default=True)
-def cross_check_cmd(max_n, count, seed, oracle_max_n):
+@_IGNORED_ORACLE_MAX_N
+def cross_check_cmd(max_n, count, seed):
     """Differential run: solver vs exhaustive oracle on random graphs."""
     if max_n < 2:
         raise InputError("--max-n must be at least 2")
@@ -392,7 +401,7 @@ def cross_check_cmd(max_n, count, seed, oracle_max_n):
     jobs = []
     for i in range(count):
         n = 2 + (seed + i) % (max_n - 1)
-        jobs.append((n, ps[i % len(ps)], seed + i, oracle_max_n))
+        jobs.append((n, ps[i % len(ps)], seed + i))
     results = _map_jobs(_xcheck_one, jobs)
     disagreements = [r for r in results if not r[6] or not r[5]]
     inconclusive = sum(1 for r in results if r[3] == "inconclusive")
@@ -469,6 +478,10 @@ def main(argv=None) -> int:
         return exc.exit_code
     except click.exceptions.Abort:
         return 3
+    except Exception:
+        traceback.print_exc()
+        click.echo("internal error", err=True)
+        return 4
     return rv if isinstance(rv, int) else 0
 
 

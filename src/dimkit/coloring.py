@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from .graph import Edge, Graph, bits
 
@@ -234,6 +235,41 @@ def is_complete_feasible(c: Coloring, scope: int | None = None) -> bool:
         if c.mate[v] != next(bits(nb)):
             return False
     return True
+
+
+def search(
+    c: Coloring, scope: int, pick: Callable[[Coloring], int], budget: int
+) -> tuple[str, int]:
+    """Backtracking over vertex colors within `scope`, black tried first.
+
+    `pick` names the next vertex to branch on, or -1 when nothing is left
+    to branch on; such a leaf is accepted when the coloring of `scope` is
+    complete and feasible.  Returns (status, branches) with status
+    "colored" (c holds the completion), "infeasible" (every branch failed)
+    or "budget" (more than `budget` branches were needed).
+    """
+    v = pick(c)
+    if v < 0:
+        return ("colored" if is_complete_feasible(c, scope) else "infeasible"), 0
+    branches = 0
+    stack = [(c.snapshot(), v, BLACK)]
+    while stack:
+        snap, v, color = stack.pop()
+        c.restore(snap)
+        if color == BLACK:
+            stack.append((snap, v, WHITE))
+        branches += 1
+        if branches > budget:
+            return "budget", branches
+        if assign_and_propagate(c, v, color) is not None:
+            continue
+        u = pick(c)
+        if u < 0:
+            if is_complete_feasible(c, scope):
+                return "colored", branches
+            continue
+        stack.append((c.snapshot(), u, BLACK))
+    return "infeasible", branches
 
 
 def extract_matching(c: Coloring, scope: int | None = None) -> tuple[Edge, ...]:

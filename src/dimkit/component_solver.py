@@ -23,8 +23,9 @@ backtracking search:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .coloring import BLACK, WHITE, Coloring, assign_and_propagate, force_pair
+from .coloring import BLACK, WHITE, Coloring, assign_and_propagate, force_pair, search
 from .decomposition import XyDecomposition
 from .graph import bits, connected_components
 from .patterns import ScanBudget, enumerate_short_induced_cycles
@@ -384,6 +385,7 @@ def solve_component(
             return ComponentResult("assumption", detail)
 
     seeds, capped = _build_seeds(dec, task, c)
+    pick = partial(_pick_branch_vertex, dec, comp)
     base = c.snapshot()
     branches = 0
     for seed in seeds:
@@ -395,7 +397,7 @@ def solve_component(
                 break
         if bad:
             continue
-        status, used = _complete(dec, comp, c, task.branch_budget - branches)
+        status, used = search(c, comp, pick, task.branch_budget - branches)
         branches += used
         if status == "colored":
             return ComponentResult("colored", branches=branches)
@@ -412,33 +414,3 @@ def solve_component(
     return ComponentResult(
         "infeasible", "every seed assignment failed", branches
     )
-
-
-def _complete(
-    dec: XyDecomposition, comp: int, c: Coloring, budget: int
-) -> tuple[str, int]:
-    """Backtracking completion of the component; black is tried first."""
-    v = _pick_branch_vertex(dec, comp, c)
-    if v < 0:
-        if c.unmated_black_mask(comp):
-            return "infeasible", 0
-        return "colored", 0
-    branches = 0
-    stack = [(c.snapshot(), v, BLACK)]
-    while stack:
-        snap, v, color = stack.pop()
-        c.restore(snap)
-        if color == BLACK:
-            stack.append((snap, v, WHITE))
-        branches += 1
-        if branches > budget:
-            return "budget", branches
-        if assign_and_propagate(c, v, color) is not None:
-            continue
-        u = _pick_branch_vertex(dec, comp, c)
-        if u < 0:
-            if c.unmated_black_mask(comp):
-                continue
-            return "colored", branches
-        stack.append((c.snapshot(), u, BLACK))
-    return "infeasible", branches

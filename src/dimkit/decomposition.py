@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .coloring import BLACK, WHITE, Coloring, Contradiction, force_pair
-from .graph import Edge, Graph, bits
+from .graph import Edge, Graph, bfs_layers, bits
 
 MAX_RADIUS = 4
 
@@ -102,20 +102,10 @@ def build_levels(g: Graph, scope: int, x: int, y: int, coloring: Coloring) -> Xy
     the solver's graph class, or the center was not central)."""
     seed = (1 << x) | (1 << y)
     levels = [seed]
-    visited = seed
-    frontier = seed
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.rows[v]
-        nxt &= scope & ~visited
-        if not nxt:
-            break
+    for layer in bfs_layers(g, seed, scope):
         if len(levels) > MAX_RADIUS:
-            raise RadiusExceeded(x, y, next(bits(nxt)))
-        levels.append(nxt)
-        visited |= nxt
-        frontier = nxt
+            raise RadiusExceeded(x, y, next(bits(layer)))
+        levels.append(layer)
     return XyDecomposition(g=g, x=x, y=y, scope=scope, levels=levels, coloring=coloring)
 
 

@@ -8,9 +8,10 @@ decomposition.  A successful trial colors the whole piece.  If every edge
 at x is proven infeasible, x is unmatched in any solution, so x turns
 white and the loop continues on the shrunken remainder.  Trials that end
 undecided (budget, radius, or shape surprises) make the component
-inconclusive; small inconclusive components are settled by the exact
-search oracle, larger ones by a budgeted complete search that branches
-on vertex colors and lets propagation prune.
+inconclusive; an inconclusive component goes to a budgeted complete
+search that branches on vertex colors and lets propagation prune.  That
+search needs no assumption about the graph class, so its verdicts stand
+on any input.
 
 Verdict soundness: every forcing used is valid in any graph, so "dim" and
 "no-dim" are certificates.  The extra reduction rules that are only
@@ -24,20 +25,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 from .coloring import (
-    BLACK,
     WHITE,
     Coloring,
     assign_and_propagate,
     extract_matching,
     force_pair,
-    is_complete_feasible,
+    search,
 )
 from .component_solver import ComponentTask, solve_component
 from .decomposition import AssumptionViolated, RadiusExceeded, build_levels, apply_initial_facts, normalize_T
 from .graph import Edge, Graph, bits, central_vertex, connected_components
-from .oracle import oracle_dim, verify_dim
+from .oracle import verify_dim
 from .patterns import PatternHit, ScanBudget, find_induced_path, find_k4, scan_forced_patterns
 
 LONG_PATH_VERTICES = 9
@@ -49,8 +50,6 @@ class SolveConfig:
     p9_scan_limit: int = 5_000_000
     branch_budget: int | None = None   # per component; default size**2
     seed_budget: int | None = None     # per component; default max(3, family size)
-    fallback_oracle_max_n: int = 18
-    oracle_node_limit: int = 2_000_000
     cycle_scan_limit: int = 50_000
     complete_search_budget: int | None = None  # fallback search; default scales with size
 
@@ -187,8 +186,9 @@ def _commit(master: Coloring, c: Coloring) -> None:
     master.dirty.clear()
 
 
-def _pick_unknown(g: Graph, c: Coloring, comp: int) -> int:
+def _pick_unknown(comp: int, c: Coloring) -> int:
     """Most-constrained unknown: colored-neighbor count, then degree."""
+    g = c.g
     unknown = c.unknown_mask(comp)
     colored = comp & ~unknown
     best = -1
@@ -202,7 +202,7 @@ def _pick_unknown(g: Graph, c: Coloring, comp: int) -> int:
 
 
 def _complete_search(
-    g: Graph, comp: int, master: Coloring, budget: int, stats: dict
+    comp: int, master: Coloring, budget: int, stats: dict
 ) -> tuple[str, tuple[Edge, ...] | None, str | None]:
     """Exact decision for one component by branching on vertex colors.
 
@@ -214,34 +214,14 @@ def _complete_search(
     bad = c.propagate()
     if bad:
         return "no-dim", None, f"committed facts are contradictory: {bad}"
-    branches = 0
-    if not c.unknown_mask(comp):
-        if not is_complete_feasible(c, comp):
-            raise AssertionError("internal error: propagation left an infeasible completion")
-        _commit(master, c)
-        return "dim", extract_matching(master, comp), None
-    v = _pick_unknown(g, c, comp)
-    stack = [(c.snapshot(), v, WHITE), (c.snapshot(), v, BLACK)]
-    while stack:
-        snap, v, color = stack.pop()
-        branches += 1
-        if branches > budget:
-            stats["branches"] += branches
-            return "budget", None, "complete-search branch budget exhausted"
-        c.restore(snap)
-        if assign_and_propagate(c, v, color):
-            continue
-        if not c.unknown_mask(comp):
-            if is_complete_feasible(c, comp):
-                stats["branches"] += branches
-                _commit(master, c)
-                return "dim", extract_matching(master, comp), None
-            continue
-        w = _pick_unknown(g, c, comp)
-        stack.append((c.snapshot(), w, WHITE))
-        stack.append((c.snapshot(), w, BLACK))
+    status, branches = search(c, comp, partial(_pick_unknown, comp), budget)
     stats["branches"] += branches
-    return "no-dim", None, "exhaustive color search over the component"
+    if status == "budget":
+        return "budget", None, "complete-search branch budget exhausted"
+    if status == "infeasible":
+        return "no-dim", None, "exhaustive color search over the component"
+    _commit(master, c)
+    return "dim", extract_matching(master, comp), None
 
 
 def solve_top_component(
@@ -326,16 +306,6 @@ def solve_top_component(
     return "dim", extract_matching(master, comp), None
 
 
-def _sub_graph(g: Graph, comp: int) -> tuple[Graph, list[int]]:
-    verts = list(bits(comp))
-    index = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for u in verts:
-        for v in bits(g.rows[u] & comp >> (u + 1) << (u + 1)):
-            edges.append((index[u], index[v]))
-    return Graph.from_edges(len(verts), edges), verts
-
-
 def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveOutcome:
     cfg = cfg or SolveConfig()
     stats = {"edges_tried": 0, "forced_edges": 0, "branches": 0, "millis": 0}
@@ -361,24 +331,12 @@ def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveOutcome:
             # policy: engine negatives are withheld once a long path is seen
             status = "inconclusive"
             reason = f"negative verdict withheld (nine-vertex induced path present): {reason}"
-        if status == "inconclusive" and comp.bit_count() <= cfg.fallback_oracle_max_n:
-            sub, verts = _sub_graph(g, comp)
-            report = oracle_dim(sub, node_limit=cfg.oracle_node_limit)
-            if report.status == "dim":
-                status, reason = "dim", None
-                piece = tuple(
-                    (verts[a], verts[b]) if verts[a] < verts[b] else (verts[b], verts[a])
-                    for a, b in report.matching
-                )
-            elif report.status == "no-dim":
-                # exhaustive verdicts need no long-path guarantee
-                status, reason = "no-dim", f"exact search exhausted component of vertex {verts[0]}"
         if status == "inconclusive":
             size = comp.bit_count()
             budget = cfg.complete_search_budget
             if budget is None:
                 budget = max(4096, 8 * size)
-            status2, piece2, reason2 = _complete_search(g, comp, master, budget, stats)
+            status2, piece2, reason2 = _complete_search(comp, master, budget, stats)
             if status2 == "dim":
                 status, piece, reason = "dim", piece2, None
             elif status2 == "no-dim":

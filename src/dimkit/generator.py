@@ -21,8 +21,6 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-import networkx as nx
-
 from .graph import Edge, Graph, bits, serialize_graph
 from .oracle import oracle_dim, verify_dim
 from .patterns import (
@@ -253,13 +251,6 @@ def _invariant_key(g: Graph) -> tuple:
     return (g.n, g.m, tuple(sorted(col)), tuple(edge_prof))
 
 
-def _to_nx(g: Graph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
-
-
 def _extend(parent: Graph, mask: int) -> Graph:
     edges = parent.edges()
     v_new = parent.n
@@ -279,6 +270,9 @@ def iter_small_corpus(max_n: int):
     """
     if not 2 <= max_n <= 8:
         raise ValueError(f"max_n must be in 2..8, got {max_n}")
+    # imported here so that solving never loads networkx
+    import networkx as nx
+
     layer = [Graph.from_edges(2, [(0, 1)])]
     yield layer[0]
     for n in range(3, max_n + 1):
@@ -288,7 +282,7 @@ def iter_small_corpus(max_n: int):
             for mask in range(1, 1 << (n - 1)):
                 cand = _extend(parent, mask)
                 bucket = seen.setdefault(_invariant_key(cand), [])
-                cand_nx = _to_nx(cand)
+                cand_nx = nx.Graph(cand.edges())  # connected: every vertex has an edge
                 if any(nx.is_isomorphic(cand_nx, other) for other in bucket):
                     continue
                 bucket.append(cand_nx)

@@ -4,6 +4,10 @@ Vertices are dense ints 0..n-1.  Adjacency is one Python int per vertex
 (bit i set iff i is a neighbor), which makes neighborhood algebra cheap:
 intersection is ``&``, spread is ``|``, popcount is ``int.bit_count``.
 Edges are normalized (u, v) tuples with u < v.
+
+Bit-rows cost about n**2 / 8 bytes on a dense graph, so the text parser
+refuses headers with more than MAX_VERTICES vertices (about 512 MB of rows
+at the cap) before it allocates anything.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
+
+MAX_VERTICES = 65_536
 
 
 class GraphFormatError(ValueError):
@@ -142,6 +148,8 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError(lineno, f"non-integer header {line!r}") from None
             if n < 0 or m < 0:
                 raise GraphFormatError(lineno, "negative counts in header")
+            if n > MAX_VERTICES:
+                raise GraphFormatError(lineno, f"{n} vertices exceed the limit of {MAX_VERTICES}")
             header = (n, m)
             rows = [0] * n
             continue
@@ -189,6 +197,23 @@ def save_graph(g: Graph, path: str) -> None:
 # -- traversal ------------------------------------------------------------
 
 
+def bfs_layers(g: Graph, seed: int, scope: int) -> Iterator[int]:
+    """Yield the BFS layer masks at distance 1, 2, ... from the seed mask,
+    restricted to `scope`; the seed itself is not yielded."""
+    visited = seed
+    frontier = seed
+    while True:
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= g.rows[v]
+        nxt &= scope & ~visited
+        if not nxt:
+            return
+        yield nxt
+        visited |= nxt
+        frontier = nxt
+
+
 def bfs_levels(g: Graph, seeds: Iterable[int], within: int | None = None) -> tuple[list[int], int]:
     """BFS layer masks from a seed set, restricted to `within`.
 
@@ -204,18 +229,10 @@ def bfs_levels(g: Graph, seeds: Iterable[int], within: int | None = None) -> tup
     if not seed_mask:
         return [], scope
     levels = [seed_mask]
-    visited = seed_mask
-    frontier = seed_mask
-    while True:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.rows[v]
-        nxt &= scope & ~visited
-        if not nxt:
-            break
-        levels.append(nxt)
-        visited |= nxt
-        frontier = nxt
+    levels.extend(bfs_layers(g, seed_mask, scope))
+    visited = 0
+    for layer in levels:
+        visited |= layer
     return levels, scope & ~visited
 
 
@@ -225,16 +242,9 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
     comps = []
     rest = scope
     while rest:
-        seed = rest & -rest
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.rows[v]
-            nxt &= scope & ~comp
-            comp |= nxt
-            frontier = nxt
+        comp = rest & -rest
+        for layer in bfs_layers(g, comp, scope):
+            comp |= layer
         comps.append(comp)
         rest &= ~comp
     return comps
@@ -245,18 +255,10 @@ def eccentricity(g: Graph, v: int, within: int | None = None, cap: int | None = 
     make the result cap+1 (early exit).  Unreachable vertices raise."""
     scope = g.full_mask() if within is None else within
     visited = 1 << v
-    frontier = visited
     ecc = 0
-    while True:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= g.rows[u]
-        nxt &= scope & ~visited
-        if not nxt:
-            break
+    for layer in bfs_layers(g, visited, scope):
         ecc += 1
-        visited |= nxt
-        frontier = nxt
+        visited |= layer
         if cap is not None and ecc > cap:
             return ecc
     if visited != scope:

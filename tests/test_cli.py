@@ -1,6 +1,10 @@
 """CLI contract: exit codes, report shapes, and the files gen writes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ from dimkit.driver import SolveOutcome
 from dimkit.graph import load_graph, save_graph
 from dimkit.oracle import verify_dim
 from conftest import complete_graph, cycle_graph, path_graph
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -44,7 +50,7 @@ def test_solve_no_dim_exit_one(graph_file, capsys):
 
 
 def test_solve_undecided_exit_two(graph_file, capsys, monkeypatch):
-    # the shipped pipeline ends in exact fallbacks, so no graph small
+    # the shipped pipeline ends in an exact fallback, so no graph small
     # enough for a test fixture stays undecided; stub the driver to pin
     # the status -> exit-code mapping
     canned = SolveOutcome(
@@ -76,6 +82,30 @@ def test_solve_flag_plumbing(graph_file, capsys):
                "--oracle-max-n", "0"])
     assert rc == 0
     assert "p9_checked: false" in capsys.readouterr().out
+
+
+def test_solve_oversized_header_exit_three(tmp_path, capsys):
+    path = tmp_path / "huge.graph"
+    path.write_text("100000000000 0\n")
+    assert main(["solve", str(path)]) == 3
+    assert "exceed the limit" in capsys.readouterr().err
+
+
+def test_solve_internal_error_exit_four(graph_file, capsys, monkeypatch):
+    def crash(g, cfg):
+        raise MemoryError("simulated")
+
+    monkeypatch.setattr(cli, "solve", crash)
+    assert main(["solve", graph_file(cycle_graph(6))]) == 4
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_import_leaves_networkx_unloaded():
+    code = "import sys, dimkit.cli; print('networkx' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_solve_missing_file_exit_three(tmp_path, capsys):

@@ -10,9 +10,10 @@ from dimkit.coloring import (
     force_pair,
     is_complete_feasible,
     parse_matching,
+    search,
     serialize_matching,
 )
-from dimkit.graph import Graph
+from dimkit.graph import Graph, bits
 from conftest import cycle_graph, path_graph, star_graph
 
 
@@ -190,6 +191,31 @@ def test_scoped_feasibility_ignores_outside():
     assert force_pair(c, 0, 1) is None
     assert is_complete_feasible(c, scope=0b00011)
     assert extract_matching(c, scope=0b00011) == ((0, 1),)
+
+
+def _first_unknown(c):
+    return next(bits(c.unknown_mask()), -1)
+
+
+def test_search_colors_a_path():
+    g = path_graph(5)  # its only d.i.m. is (0,1), (3,4)
+    c = Coloring(g)
+    assert search(c, g.full_mask(), _first_unknown, 100) == ("colored", 1)
+    assert is_complete_feasible(c)
+    assert extract_matching(c) == ((0, 1), (3, 4))
+
+
+def test_search_exhausts_a_square():
+    g = cycle_graph(4)
+    c = Coloring(g)
+    status, branches = search(c, g.full_mask(), _first_unknown, 100)
+    assert status == "infeasible"
+    assert branches >= 2  # both colors of the first vertex were tried
+
+
+def test_search_stops_past_the_budget():
+    g = path_graph(5)
+    assert search(Coloring(g), g.full_mask(), _first_unknown, 0) == ("budget", 1)
 
 
 def test_matching_roundtrip():

@@ -50,6 +50,7 @@ def test_branching_piece_colored():
     assert is_complete_feasible(c, dec.scope)
     got = extract_matching(c, dec.scope)
     assert got in [m for m in all_dims(BRANCHY) if (4, 5) in m]
+    assert got == ((0, 6), (3, 10), (4, 5))  # black-first branching order
 
 
 def test_branch_budget_reports_budget():

@@ -14,10 +14,11 @@ from dimkit.driver import (
 )
 from dimkit.generator import gen_c4_augmented, gen_planted
 from dimkit.graph import Graph
+import dimkit.oracle
 from dimkit.oracle import count_dims, oracle_dim, verify_dim
 from conftest import complete_graph, cycle_graph, disjoint_union, path_graph
 
-ENGINE_ONLY = SolveConfig(fallback_oracle_max_n=0, complete_search_budget=0)
+ENGINE_ONLY = SolveConfig(complete_search_budget=0)
 
 
 def test_hexagon():
@@ -120,19 +121,19 @@ def test_try_edge_radius_blowup_is_undecided_when_untrusted():
 
 def test_downgrade_policy_withholds_engine_negative():
     # square (engine-refutable) disjoint from a nine-path: with a long
-    # path present and both exact fallbacks off, negatives are withheld
+    # path present and the complete search off, negatives are withheld
     g = disjoint_union(cycle_graph(4), path_graph(9))
     out = solve(g, ENGINE_ONLY)
     assert out.status == "inconclusive"
     assert "withheld" in out.reason
     assert out.p9_checked
-    # the exact fallbacks settle it without any long-path guarantee
+    # the complete search settles it without any long-path guarantee
     out = solve(g)
     assert out.status == "no-dim"
 
 
 def test_no_downgrade_without_p9():
-    out = solve(cycle_graph(4), SolveConfig(check_p9=False, fallback_oracle_max_n=0))
+    out = solve(cycle_graph(4), SolveConfig(check_p9=False))
     assert out.status == "no-dim"
     assert not out.p9_checked
 
@@ -140,7 +141,7 @@ def test_no_downgrade_without_p9():
 def test_complete_search_settles_midsize_reject():
     g = gen_c4_augmented(14, 3, 10, seed=5)
     assert g.n == 18
-    out = solve(g, SolveConfig(fallback_oracle_max_n=0))
+    out = solve(g)
     assert out.status == "no-dim"
     assert oracle_dim(g).status == "no-dim"
 
@@ -153,7 +154,7 @@ def test_complete_search_budget_zero_stays_inconclusive():
 
 def test_complete_search_finds_planted():
     inst = gen_planted(40, 8, 30, seed=11)
-    out = solve(inst.graph, SolveConfig(fallback_oracle_max_n=0))
+    out = solve(inst.graph)
     assert out.status == "dim"
     assert verify_dim(inst.graph, out.matching).ok
 
@@ -189,9 +190,31 @@ def test_matches_oracle_on_random_graphs():
 
 
 def test_matches_oracle_engine_only_when_conclusive(corpus7):
-    # without fallbacks the engine must never contradict the oracle
+    # without the complete search the engine must never contradict the oracle
     for g in corpus7:
         out = solve(g, ENGINE_ONLY)
         if out.status == "inconclusive":
             continue
         assert out.status == oracle_dim(g).status
+
+
+def test_solve_never_consults_the_oracle(corpus7, monkeypatch):
+    rng = random.Random(99)
+    graphs = list(corpus7)
+    for _ in range(300):
+        n = rng.randint(2, 18)
+        p = rng.choice((0.1, 0.2, 0.3, 0.5))
+        graphs.append(Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        ))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve() consulted the oracle")
+
+    monkeypatch.setattr(dimkit.oracle, "_search", refuse)
+    outcomes = [solve(g) for g in graphs]
+    monkeypatch.undo()
+    for g, out in zip(graphs, outcomes):
+        assert out.status == oracle_dim(g).status, (g.edges(), out.reason)
+        if out.status == "dim":
+            assert verify_dim(g, out.matching).ok

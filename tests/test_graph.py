@@ -56,6 +56,7 @@ def test_parse_accepts_comments_and_blank_lines():
         "2 1\n0 2\n",            # out of range
         "3 2\n0 1\n0 1\n",       # duplicate
         "a b\n",                 # non-integer header
+        "100000000000 0\n",      # vertex count above MAX_VERTICES
     ],
 )
 def test_parse_rejects_malformed(text):
