@@ -35,16 +35,16 @@ from .coloring import Coloring, parse_matching, serialize_matching
 from .decomposition import RadiusExceeded, apply_initial_facts, build_levels, normalize_T
 from .driver import SolveConfig, solve
 from .generator import (
-    classify_p9,
     emit_small_corpus,
     gen_c4_augmented,
     gen_planted,
     gen_random,
+    p9_label,
     RANDOM_FILTERS,
 )
 from .graph import Graph, GraphFormatError, bits, connected_components, load_graph, serialize_graph
 from .oracle import oracle_dim, verify_dim
-from .patterns import ScanBudget, find_induced_path, find_k4, iter_butterflies, iter_diamonds
+from .patterns import classify_p9, find_k4, iter_butterflies, iter_diamonds
 
 BENCH_SIZES = (250, 500, 1000, 2000)
 
@@ -190,11 +190,7 @@ def check_cmd(graph_path, as_json):
     k4 = find_k4(g)
     diamonds = sum(1 for _ in iter_diamonds(g))
     butterflies = sum(1 for _ in iter_butterflies(g))
-    try:
-        p9 = find_induced_path(g, 9, node_limit=5_000_000)
-        p9_state = "violated" if p9 else "verified"
-    except ScanBudget:
-        p9, p9_state = None, "unchecked"
+    p9_state, p9 = classify_p9(g)
     info = {
         "n": g.n,
         "m": g.m,
@@ -352,7 +348,7 @@ def gen_random_cmd(n, p, seed, count, filters, attempt_cap, out_dir):
             continue
         stem = f"random_n{n}_p{p}_s{s}"
         row = {"path": f"{stem}.graph", "n": n, "m": draw.graph.m, "label": None,
-               "p9_free": classify_p9(draw.graph), "seed": s}
+               "p9_free": p9_label(draw.graph), "seed": s}
         _write_instance(out, stem, draw.graph, row)
         click.echo(f"wrote {stem}.graph ({draw.graph.m} edges, {draw.attempts} attempts)")
     return 1 if failures == count and count > 0 else 0

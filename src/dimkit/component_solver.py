@@ -30,13 +30,15 @@ from .decomposition import XyDecomposition
 from .graph import bits, connected_components
 from .patterns import ScanBudget, enumerate_short_induced_cycles
 
+# DFS steps allowed to each short-cycle scan
+CYCLE_SCAN_LIMIT = 50_000
+
 
 @dataclass
 class ComponentTask:
     mask: int
     seed_budget: int
     branch_budget: int
-    cycle_scan_limit: int = 50_000
 
 
 @dataclass
@@ -53,10 +55,10 @@ def _anchor_mask(dec: XyDecomposition) -> int:
     return mask
 
 
-def _collect_cycles(dec: XyDecomposition, scan: int, limit: int) -> list[tuple[int, ...]]:
+def _collect_cycles(dec: XyDecomposition, scan: int) -> list[tuple[int, ...]]:
     found: list[tuple[int, ...]] = []
     try:
-        for cyc in enumerate_short_induced_cycles(dec.g, scan, 9, limit):
+        for cyc in enumerate_short_induced_cycles(dec.g, scan, 9, CYCLE_SCAN_LIMIT):
             found.append(cyc)
     except ScanBudget:
         pass  # partial scan only weakens the reductions, never soundness
@@ -64,7 +66,7 @@ def _collect_cycles(dec: XyDecomposition, scan: int, limit: int) -> list[tuple[i
 
 
 def reduce_cycles_anchor_l3(
-    dec: XyDecomposition, comp: int, p9_trusted: bool, node_limit: int = 50_000
+    dec: XyDecomposition, comp: int, p9_trusted: bool
 ) -> tuple[str, str | None]:
     """Forcings from short induced cycles in the anchor/L3 part.
 
@@ -78,7 +80,7 @@ def reduce_cycles_anchor_l3(
     scan = amask | (dec.l3 & comp)
     if not scan:
         return "ok", None
-    for cyc in _collect_cycles(dec, scan, node_limit):
+    for cyc in _collect_cycles(dec, scan):
         size = len(cyc)
         apos = [i for i, v in enumerate(cyc) if amask >> v & 1]
         if len(apos) == 1:
@@ -139,7 +141,7 @@ def reduce_cycles_anchor_l3(
 
 
 def reduce_l4(
-    dec: XyDecomposition, comp: int, p9_trusted: bool, node_limit: int = 50_000
+    dec: XyDecomposition, comp: int, p9_trusted: bool
 ) -> tuple[str, str | None]:
     """Local rules on the L4 part, run to a fixpoint."""
     g, c = dec.g, dec.coloring
@@ -148,7 +150,7 @@ def reduce_l4(
 
     # structural one-shot rules first: five-cycles with a single L4-L4 edge
     if l3c | l4c:
-        for cyc in _collect_cycles(dec, l3c | l4c, node_limit):
+        for cyc in _collect_cycles(dec, l3c | l4c):
             if len(cyc) != 5:
                 continue
             inner = [
@@ -369,10 +371,10 @@ def solve_component(
     c = dec.coloring
     comp = task.mask
 
-    status, detail = reduce_cycles_anchor_l3(dec, comp, p9_trusted, task.cycle_scan_limit)
+    status, detail = reduce_cycles_anchor_l3(dec, comp, p9_trusted)
     if status != "ok":
         return ComponentResult(status, detail)
-    status, detail = reduce_l4(dec, comp, p9_trusted, task.cycle_scan_limit)
+    status, detail = reduce_l4(dec, comp, p9_trusted)
     if status != "ok":
         return ComponentResult(status, detail)
 

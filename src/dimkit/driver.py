@@ -24,7 +24,7 @@ the universal rules would support it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from .coloring import (
@@ -39,18 +39,16 @@ from .component_solver import ComponentTask, solve_component
 from .decomposition import AssumptionViolated, RadiusExceeded, build_levels, apply_initial_facts, normalize_T
 from .graph import Edge, Graph, bits, central_vertex, connected_components
 from .oracle import verify_dim
-from .patterns import PatternHit, ScanBudget, find_induced_path, find_k4, scan_forced_patterns
-
-LONG_PATH_VERTICES = 9
+from .patterns import (
+    P9_UNCHECKED, P9_VERIFIED, P9_VIOLATED, PatternHit, classify_p9, find_k4, scan_forced_patterns,
+)
 
 
 @dataclass
 class SolveConfig:
     check_p9: bool = True
-    p9_scan_limit: int = 5_000_000
     branch_budget: int | None = None   # per component; default size**2
     seed_budget: int | None = None     # per component; default max(3, family size)
-    cycle_scan_limit: int = 50_000
     complete_search_budget: int | None = None  # fallback search; default scales with size
 
 
@@ -159,12 +157,7 @@ def try_edge(
             seed_budget = cfg.seed_budget or max(3, fam_cap)
             size = piece.bit_count()
             branch_budget = cfg.branch_budget or max(64, size * size)
-            task = ComponentTask(
-                mask=piece,
-                seed_budget=seed_budget,
-                branch_budget=branch_budget,
-                cycle_scan_limit=cfg.cycle_scan_limit,
-            )
+            task = ComponentTask(mask=piece, seed_budget=seed_budget, branch_budget=branch_budget)
             res = solve_component(dec, task, trusted)
             stats["branches"] += res.branches
             if res.status == "infeasible":
@@ -245,35 +238,24 @@ def solve_top_component(
 
     e = trivial_dim(g, comp)
     if e is not None:
-        bad = force_pair(master, e[0], e[1])
-        if bad is None:
-            bad = master.propagate()
-        if bad is None and not master.unknown_mask(comp):
-            stats["forced_edges"] += 1
-            return "dim", extract_matching(master, comp), None
-        # fall through to the full machinery on the odd failure
-        return "inconclusive", None, "single dominating edge did not propagate cleanly"
+        # every edge touches e, so propagation whitens the rest of the
+        # component without a clash
+        force_pair(master, e[0], e[1])
+        stats["forced_edges"] += 1
+        return "dim", extract_matching(master, comp), None
 
     reason = preprocess_component(g, comp, master, patterns, stats)
     if reason:
         return "no-dim", None, reason
 
+    # after propagation an unknown vertex has only unknown or unpartnered
+    # black neighbors, so every piece but an untouched comp holds an
+    # unpartnered black, and comp itself failed the single-edge test above
     work = []
     active = master.unknown_mask(comp) | master.unmated_black_mask(comp)
     work.extend(connected_components(g, active))
     while work:
         sub = work.pop(0)
-        if not master.unmated_black_mask(sub):
-            # fresh all-unknown piece: the cheap single-edge test applies
-            e = trivial_dim(g, sub)
-            if e is not None:
-                bad = force_pair(master, e[0], e[1])
-                if bad:
-                    return "no-dim", None, str(bad)
-                stats["forced_edges"] += 1
-                if master.unknown_mask(sub):
-                    return "inconclusive", None, "single dominating edge left a gap"
-                continue
         x = central_vertex(g, sub)
         undecided: str | None = None
         found = False
@@ -310,15 +292,9 @@ def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveOutcome:
     cfg = cfg or SolveConfig()
     stats = {"edges_tried": 0, "forced_edges": 0, "branches": 0, "millis": 0}
 
-    p9_checked = False
-    p9_present = False
-    if cfg.check_p9:
-        try:
-            p9_present = find_induced_path(g, LONG_PATH_VERTICES, cfg.p9_scan_limit) is not None
-            p9_checked = True
-        except ScanBudget:
-            p9_checked = False
-    p9_trusted = p9_checked and not p9_present
+    p9_state = classify_p9(g)[0] if cfg.check_p9 else P9_UNCHECKED
+    p9_checked = p9_state != P9_UNCHECKED
+    p9_trusted = p9_state == P9_VERIFIED
 
     patterns = scan_forced_patterns(g)
     master = Coloring(g)
@@ -327,7 +303,7 @@ def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveOutcome:
         status, piece, reason = solve_top_component(
             g, comp, master, patterns, cfg, stats, p9_trusted
         )
-        if status == "no-dim" and p9_checked and p9_present:
+        if status == "no-dim" and p9_state == P9_VIOLATED:
             # policy: engine negatives are withheld once a long path is seen
             status = "inconclusive"
             reason = f"negative verdict withheld (nine-vertex induced path present): {reason}"

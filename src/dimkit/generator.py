@@ -6,9 +6,11 @@ Three sources of test graphs:
                          induced matching, arbitrary size.
 * ``gen_random``      -- G(n, p) rejection sampling with optional
                          structural filters.
-* ``emit_small_corpus`` -- every connected graph up to a small vertex
-                         count, one representative per isomorphism
-                         class, labeled by the exact oracle.
+* ``iter_small_corpus`` / ``emit_small_corpus`` -- every connected graph
+                         on up to eight vertices, one representative per
+                         isomorphism class (told apart by an exact
+                         canonical form, no isomorphism library needed),
+                         written out with oracle labels.
 
 All generators are deterministic in (parameters, seed): the same call
 produces byte-identical graph files on every run.
@@ -23,26 +25,15 @@ from pathlib import Path
 
 from .graph import Edge, Graph, bits, serialize_graph
 from .oracle import oracle_dim, verify_dim
-from .patterns import (
-    ScanBudget,
-    find_induced_path,
-    find_k4,
-    iter_butterflies,
-    iter_diamonds,
-)
+from .patterns import P9_VERIFIED, classify_p9, find_k4, iter_butterflies, iter_diamonds
 
-P9_VERIFIED = "verified"
-P9_VIOLATED = "violated"
-P9_UNCHECKED = "unchecked"
+# generated instances are labeled under a smaller scan budget than solve()'s
+GEN_P9_SCAN_LIMIT = 2_000_000
 
 
-def classify_p9(g: Graph, node_limit: int | None = 2_000_000) -> str:
-    """Scan for an induced nine-vertex path; budget overrun means unchecked."""
-    try:
-        hit = find_induced_path(g, 9, node_limit=node_limit)
-    except ScanBudget:
-        return P9_UNCHECKED
-    return P9_VIOLATED if hit is not None else P9_VERIFIED
+def p9_label(g: Graph) -> str:
+    """The manifest's p9_free state of a generated graph."""
+    return classify_p9(g, GEN_P9_SCAN_LIMIT)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +111,7 @@ def gen_planted(n: int, k: int, extra: int, seed: int) -> PlantedInstance:
     g = Graph.from_edges(n, edges)
     check = verify_dim(g, planted)
     assert check.ok, f"planted matching failed verification: {check.reason}"
-    return PlantedInstance(graph=g, planted=planted, seed=seed, p9_free=classify_p9(g))
+    return PlantedInstance(graph=g, planted=planted, seed=seed, p9_free=p9_label(g))
 
 
 def gen_c4_augmented(n: int, k: int, extra: int, seed: int) -> Graph:
@@ -179,7 +170,7 @@ def _first_failed_filter(g: Graph, filters: tuple[str, ...]) -> str | None:
             if next(iter_butterflies(g), None) is not None:
                 return f
         elif f == "p9_free":
-            if classify_p9(g) != P9_VERIFIED:
+            if p9_label(g) != P9_VERIFIED:
                 return f
     return None
 
@@ -215,40 +206,54 @@ def gen_random(
 # ---------------------------------------------------------------------------
 
 
-def _invariant_key(g: Graph) -> tuple:
-    """Cheap isomorphism invariant: neighbor-profile refinement run to a
-    fixpoint, seeded with degrees and triangle counts, plus a profile of
-    endpoint classes and common-neighbor counts over the edges.  Strong
-    enough that bucket collisions are almost always true duplicates."""
-    rows = g.rows
-    tri = [0] * g.n
-    for v in range(g.n):
-        tri[v] = sum((rows[v] & rows[u]).bit_count() for u in bits(rows[v]))
-    base = [(rows[v].bit_count(), tri[v]) for v in range(g.n)]
-    rank = {val: i for i, val in enumerate(sorted(set(base)))}
-    col = tuple(rank[b] for b in base)
+def _refine(nbrs: list[list[int]], col: list[int]) -> list[int]:
+    """Recolor every vertex by the rank of (its color, its sorted neighbor
+    colors) until no cell splits.  Ranks keep the old cell order."""
+    cells = len(set(col))
     while True:
-        raw = [
-            (
-                col[v],
-                tuple(sorted(
-                    (col[u], (rows[v] & rows[u]).bit_count()) for u in bits(rows[v])
-                )),
-            )
-            for v in range(g.n)
-        ]
-        rank = {val: i for i, val in enumerate(sorted(set(raw)))}
-        new = tuple(rank[r] for r in raw)
-        if len(set(new)) == len(set(col)):
-            # no class split this round; refinement has stabilized
-            col = new
-            break
-        col = new
-    edge_prof = sorted(
-        (min(col[u], col[v]), max(col[u], col[v]), (rows[u] & rows[v]).bit_count())
-        for u, v in g.edges()
-    )
-    return (g.n, g.m, tuple(sorted(col)), tuple(edge_prof))
+        sig = [(col[v], tuple(sorted(col[u] for u in nb))) for v, nb in enumerate(nbrs)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        col = [rank[s] for s in sig]
+        if len(rank) == cells:
+            return col
+        cells = len(rank)
+
+
+def _canonical_form(g: Graph) -> tuple[int, ...]:
+    """Exact canonical code: equal for two graphs iff they are isomorphic.
+
+    Individualization-refinement: refine the coloring to a fixpoint, then
+    branch on each vertex of the first non-singleton cell, given a color of
+    its own, and refine again.  Each leaf is a discrete coloring, i.e. a
+    relabeling, and the code is the smallest relabeled adjacency-row tuple
+    over all leaves.  Only one vertex per twin class is tried in a cell:
+    swapping two twins is an automorphism that keeps the coloring, so
+    their subtrees give the same codes.
+    """
+    rows = g.rows
+    nbrs = [list(bits(row)) for row in rows]
+
+    def visit(col: list[int]) -> tuple[int, ...]:
+        col = _refine(nbrs, col)
+        cells = len(set(col))
+        if cells == g.n:
+            code = [0] * g.n
+            for v, nb in enumerate(nbrs):
+                code[col[v]] = sum(1 << col[u] for u in nb)
+            return tuple(code)
+        target = min(c for c in range(cells) if col.count(c) > 1)
+        tried: list[int] = []
+        codes = []
+        for v in range(g.n):
+            if col[v] != target or any(rows[v] & ~(1 << u) == rows[u] & ~(1 << v) for u in tried):
+                continue
+            tried.append(v)
+            split = [2 * c for c in col]
+            split[v] -= 1  # v alone, just below the rest of its cell
+            codes.append(visit(split))
+        return min(codes)
+
+    return visit([0] * g.n)
 
 
 def _extend(parent: Graph, mask: int) -> Graph:
@@ -264,28 +269,24 @@ def iter_small_corpus(max_n: int):
 
     Every connected graph on n >= 3 vertices has a vertex whose removal
     leaves it connected, so extending each (n-1)-vertex representative by
-    one vertex with every nonempty neighborhood reaches every class.
-    Duplicates are rejected exactly: candidates are bucketed by a
-    refinement invariant and compared within buckets.
+    one vertex with every nonempty neighborhood reaches every class.  A
+    candidate is kept when its canonical form is new to its layer, so the
+    representative of a class is its first candidate in that order.
     """
     if not 2 <= max_n <= 8:
         raise ValueError(f"max_n must be in 2..8, got {max_n}")
-    # imported here so that solving never loads networkx
-    import networkx as nx
-
     layer = [Graph.from_edges(2, [(0, 1)])]
     yield layer[0]
     for n in range(3, max_n + 1):
         nxt: list[Graph] = []
-        seen: dict[tuple, list[nx.Graph]] = {}
+        seen: set[tuple[int, ...]] = set()
         for parent in layer:
             for mask in range(1, 1 << (n - 1)):
                 cand = _extend(parent, mask)
-                bucket = seen.setdefault(_invariant_key(cand), [])
-                cand_nx = nx.Graph(cand.edges())  # connected: every vertex has an edge
-                if any(nx.is_isomorphic(cand_nx, other) for other in bucket):
+                code = _canonical_form(cand)
+                if code in seen:
                     continue
-                bucket.append(cand_nx)
+                seen.add(code)
                 nxt.append(cand)
                 yield cand
         layer = nxt

@@ -114,6 +114,25 @@ def find_induced_path(g: Graph, k: int, node_limit: int | None = None) -> tuple[
     return None
 
 
+P9_VERIFIED = "verified"
+P9_VIOLATED = "violated"
+P9_UNCHECKED = "unchecked"
+P9_SCAN_LIMIT = 5_000_000
+
+
+def classify_p9(g: Graph, node_limit: int | None = P9_SCAN_LIMIT) -> tuple[str, tuple[int, ...] | None]:
+    """(state, witness) of a scan for an induced nine-vertex path.
+
+    The state is P9_VIOLATED with the path as witness, P9_VERIFIED, or
+    P9_UNCHECKED when the scan ran out of its node_limit steps.
+    """
+    try:
+        hit = find_induced_path(g, 9, node_limit=node_limit)
+    except ScanBudget:
+        return P9_UNCHECKED, None
+    return (P9_VIOLATED, hit) if hit is not None else (P9_VERIFIED, None)
+
+
 def enumerate_short_induced_cycles(
     g: Graph,
     within: int | None = None,

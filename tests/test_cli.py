@@ -101,7 +101,9 @@ def test_solve_internal_error_exit_four(graph_file, capsys, monkeypatch):
 
 
 def test_import_leaves_networkx_unloaded():
-    code = "import sys, dimkit.cli; print('networkx' in sys.modules)"
+    # the corpus builder too: networkx is a test-only dependency
+    code = ("import sys, dimkit.cli; list(dimkit.generator.iter_small_corpus(5)); "
+            "print('networkx' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
     assert done.returncode == 0, done.stderr

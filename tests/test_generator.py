@@ -1,11 +1,13 @@
+import hashlib
 import json
+import random
 
 import networkx as nx
 import pytest
 
 from dimkit.generator import (
     RANDOM_FILTERS,
-    classify_p9,
+    _canonical_form,
     emit_small_corpus,
     gen_c4_augmented,
     gen_planted,
@@ -14,14 +16,17 @@ from dimkit.generator import (
 )
 from dimkit.graph import Graph, connected_components, parse_graph, serialize_graph
 from dimkit.oracle import oracle_dim, verify_dim
-from dimkit.patterns import find_k4, scan_forced_patterns
+from dimkit.patterns import classify_p9, find_k4, scan_forced_patterns
 from conftest import cycle_graph, path_graph
+
+# sha256 of the concatenated serialize_graph output of iter_small_corpus(7)
+CORPUS7_SHA256 = "96904f9d0c7bc70ec5b63874cca39fdd1ba4005c76a7f1e169c2d9cead8a466e"
 
 
 def test_classify_p9():
-    assert classify_p9(path_graph(9)) == "violated"
-    assert classify_p9(path_graph(8)) == "verified"
-    assert classify_p9(cycle_graph(12), node_limit=1) == "unchecked"
+    assert classify_p9(path_graph(9)) == ("violated", tuple(range(9)))
+    assert classify_p9(path_graph(8)) == ("verified", None)
+    assert classify_p9(cycle_graph(12), node_limit=1) == ("unchecked", None)
 
 
 # -- planted instances --------------------------------------------------------
@@ -149,6 +154,25 @@ def test_corpus_counts(corpus7):
 def test_corpus_members_connected(corpus7):
     for g in corpus7:
         assert len(connected_components(g)) == 1
+
+
+def test_corpus_sequence_pinned(corpus7):
+    digest = hashlib.sha256("".join(serialize_graph(g) for g in corpus7).encode())
+    assert digest.hexdigest() == CORPUS7_SHA256
+
+
+def test_canonical_form_relabeling_invariant(corpus7):
+    rng = random.Random(2014)
+    forms = set()
+    for g in corpus7:
+        form = _canonical_form(g)
+        forms.add(form)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert _canonical_form(h) == form
+    assert len(forms) == len(corpus7)
 
 
 def test_corpus_pairwise_nonisomorphic_small():
