@@ -7,7 +7,9 @@ Edges are normalized (u, v) tuples with u < v.
 
 Bit-rows cost about n**2 / 8 bytes on a dense graph, so the text parser
 refuses headers with more than MAX_VERTICES vertices (about 512 MB of rows
-at the cap) before it allocates anything.
+at the cap) before it allocates anything.  Centre selection holds two more
+ints of up to n bits per vertex of its scope, about |scope| * n / 4 bytes
+while it runs.
 """
 
 from __future__ import annotations
@@ -250,35 +252,40 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
     return comps
 
 
-def eccentricity(g: Graph, v: int, within: int | None = None, cap: int | None = None) -> int:
-    """Eccentricity of v in the induced subgraph; vertices beyond `cap` hops
-    make the result cap+1 (early exit).  Unreachable vertices raise."""
-    scope = g.full_mask() if within is None else within
-    visited = 1 << v
-    ecc = 0
-    for layer in bfs_layers(g, visited, scope):
-        ecc += 1
-        visited |= layer
-        if cap is not None and ecc > cap:
-            return ecc
-    if visited != scope:
-        raise ValueError("graph is disconnected within scope")
-    return ecc
-
-
 def central_vertex(g: Graph, within: int | None = None) -> int:
     """Vertex of minimum eccentricity, smallest id on ties.
 
     Raises ValueError when the (induced) graph is disconnected or empty.
-    BFS from every vertex; a running best caps later searches early.
+    Grows every vertex's BFS ball in the same round: the new ball of v is
+    its old ball OR'd with the old balls of its neighbours in scope, so
+    after round r each ball holds the vertices within distance r.  The
+    first round in which some ball covers the scope is the radius, and its
+    smallest such vertex is the answer; a ball that stops growing short of
+    the scope means the scope is disconnected.  That costs radius *
+    (|scope| + m) big-int ORs.  The two ball lists hold one int of up to n
+    bits per vertex of the scope, about |scope| * n / 4 bytes at peak.
     """
     scope = g.full_mask() if within is None else within
     if not scope:
         raise ValueError("empty scope has no central vertex")
-    best_v = -1
-    best_ecc = None
-    for v in bits(scope):
-        ecc = eccentricity(g, v, scope, cap=best_ecc)
-        if best_ecc is None or ecc < best_ecc:
-            best_v, best_ecc = v, ecc
-    return best_v
+    verts = list(bits(scope))
+    nbrs: list[list[int]] = [[]] * g.n
+    ball = [0] * g.n
+    for v in verts:
+        nbrs[v] = list(bits(g.rows[v] & scope))
+        ball[v] = 1 << v
+    grown = ball[:]
+    first = verts[0]
+    while True:
+        for v in verts:
+            if ball[v] == scope:
+                return v
+        for v in verts:
+            b = ball[v]
+            for u in nbrs[v]:
+                b |= ball[u]
+            grown[v] = b
+        # in a connected scope a ball short of the scope always grows
+        if grown[first] == ball[first]:
+            raise ValueError("graph is disconnected within scope")
+        ball, grown = grown, ball

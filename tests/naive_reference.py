@@ -5,6 +5,7 @@ path enumeration, no shared logic with the library's detectors, so a bug
 would have to appear twice to slip through.
 """
 
+from collections import deque
 from itertools import combinations
 
 from dimkit.coloring import Coloring
@@ -72,6 +73,32 @@ def butterfly_hits_naive(g: Graph) -> set[tuple[frozenset, frozenset]]:
         if len(periph) == 2:
             out.add((frozenset(five), periph))
     return out
+
+
+def central_vertex_naive(g: Graph, within: int) -> int:
+    """Vertex of minimum eccentricity in the subgraph induced by `within`,
+    smallest id on ties, by one plain BFS per vertex; raises ValueError on
+    an empty or disconnected scope."""
+    verts = [v for v in range(g.n) if within >> v & 1]
+    if not verts:
+        raise ValueError("empty scope")
+    adj = {v: [u for u in verts if g.has_edge(u, v)] for v in verts}
+    best_v, best_ecc = None, None
+    for s in verts:
+        dist = {s: 0}
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for u in adj[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        if len(dist) != len(verts):
+            raise ValueError("disconnected scope")
+        ecc = max(dist.values())
+        if best_ecc is None or ecc < best_ecc:
+            best_v, best_ecc = s, ecc
+    return best_v
 
 
 def _is_induced_path(g: Graph, seq) -> bool:

@@ -218,3 +218,22 @@ def test_solve_never_consults_the_oracle(corpus7, monkeypatch):
         assert out.status == oracle_dim(g).status, (g.edges(), out.reason)
         if out.status == "dim":
             assert verify_dim(g, out.matching).ok
+
+
+def test_centre_tie_break_pinned_end_to_end():
+    # Both graphs have radius 11 with six vertices at that eccentricity, so
+    # another tie-break or a centre one round off changes the trials and the
+    # search; the expected outputs were recorded from one BFS per vertex.
+    g = gen_planted(600, 150, 600, 0).graph
+    assert json.loads(solve(g).to_json()) == {
+        "status": "dim",
+        "matching": [[2 * i, 2 * i + 1] for i in range(150)],
+        "reason": None,
+        "stats": {"edges_tried": 4, "forced_edges": 0, "branches": 74, "millis": 0},
+        "p9_checked": True,
+    }
+    assert solve(gen_c4_augmented(600, 150, 600, 0)).to_json() == (
+        '{"status": "no-dim", "matching": [], "reason": "exhaustive color search over '
+        'the component", "stats": {"edges_tried": 4, "forced_edges": 0, "branches": 62, '
+        '"millis": 0}, "p9_checked": true}'
+    )

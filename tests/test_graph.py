@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,11 +10,11 @@ from dimkit.graph import (
     bits,
     central_vertex,
     connected_components,
-    eccentricity,
     parse_graph,
     serialize_graph,
 )
-from conftest import cycle_graph, disjoint_union, path_graph
+from conftest import cycle_graph, disjoint_union, path_graph, star_graph
+from naive_reference import central_vertex_naive
 
 
 def test_from_edges_basic():
@@ -96,17 +98,82 @@ def test_components_order_and_partition():
 
 def test_eccentricity_and_central_vertex():
     g = path_graph(7)
-    assert eccentricity(g, 0) == 6
-    assert eccentricity(g, 3) == 3
-    assert central_vertex(g, g.full_mask()) == 3
+    assert central_vertex(g, g.full_mask()) == central_vertex_naive(g, g.full_mask()) == 3
+    # the scope {0, 1, 2} is the path 0-1-2, centred at 1
+    assert central_vertex(g, 0b111) == central_vertex_naive(g, 0b111) == 1
+    assert central_vertex(g, 1 << 5) == 5
     c6 = cycle_graph(6)
     # every vertex ties at eccentricity 3; smallest id wins
-    assert central_vertex(c6, c6.full_mask()) == 0
+    assert central_vertex(c6, c6.full_mask()) == central_vertex_naive(c6, c6.full_mask()) == 0
+    for scope in (0, 0b101):
+        for fn in (central_vertex, central_vertex_naive):
+            with pytest.raises(ValueError):
+                fn(g, scope)
 
 
-def test_eccentricity_cap_early_exit():
-    g = path_graph(9)
-    assert eccentricity(g, 0, cap=3) == 4  # anything past the cap reads cap+1
+def _grid_graph(k: int) -> Graph:
+    edges = []
+    for v in range(k * k):
+        if v % k + 1 < k:
+            edges.append((v, v + 1))
+        if v + k < k * k:
+            edges.append((v, v + k))
+    return Graph.from_edges(k * k, edges)
+
+
+def _same_centre(g: Graph, within: int) -> bool:
+    """Assert both implementations agree on (g, within); True when the scope
+    has a centre, False when both raise."""
+    try:
+        want = central_vertex_naive(g, within)
+    except ValueError:
+        with pytest.raises(ValueError):
+            central_vertex(g, within)
+        return False
+    assert central_vertex(g, within) == want, (g.edges(), within)
+    return True
+
+
+def test_central_vertex_matches_naive_on_random_scopes():
+    rng = random.Random(20261018)
+    centred = raised = 0
+    for _ in range(2000):
+        n = rng.randint(1, 30)
+        p = rng.choice((0.05, 0.1, 0.2, 0.35, 0.6, 0.9))
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        mode = rng.randrange(4)
+        if mode == 0:
+            within = g.full_mask()
+        elif mode == 1:
+            within = rng.getrandbits(n)
+        else:
+            # one component of a random subset: connected, so a centre exists
+            comps = connected_components(g, rng.getrandbits(n) or g.full_mask())
+            within = rng.choice(comps)
+        if _same_centre(g, within):
+            centred += 1
+        else:
+            raised += 1
+    assert not _same_centre(g, 0)
+    # the mix must exercise both outcomes, not only one
+    assert centred > 1000 and raised > 200
+
+
+@pytest.mark.parametrize(
+    "g, connected_without_1",
+    [
+        (path_graph(301), False),
+        (cycle_graph(256), True),
+        (_grid_graph(15), True),
+        (star_graph(200), True),
+    ],
+    ids=["path", "cycle", "grid", "star"],
+)
+def test_central_vertex_matches_naive_on_large_shapes(g, connected_without_1):
+    assert _same_centre(g, g.full_mask())
+    assert _same_centre(g, g.full_mask() & ~0b10) == connected_without_1
 
 
 edge_lists = st.integers(min_value=2, max_value=9).flatmap(
