@@ -9,10 +9,6 @@ graph header above ``graph.MAX_VERTICES``) exits 3; any other failure,
 out-of-memory included, exits 4 (internal error) with its traceback on
 standard error, so a crash never reads as a verdict.
 
-``--oracle-max-n`` on solve and cross-check is a hidden no-op kept so
-older scripts run unchanged: solve() has no oracle fallback, and the
-complete search settles every component the engine leaves undecided.
-
 cross-check and bench fan whole instances out to a process pool sized by
 DIMKIT_THREADS (default: all cores); an instance is never split.
 """
@@ -86,10 +82,6 @@ def _map_jobs(fn, jobs: list):
         return pool.map(fn, jobs)
 
 
-# accepted and ignored (see the module docstring)
-_IGNORED_ORACLE_MAX_N = click.option("--oracle-max-n", type=int, hidden=True, expose_value=False)
-
-
 @click.group()
 def cli():
     """Dominating-induced-matching toolkit."""
@@ -104,16 +96,10 @@ def cli():
 @click.option("--check-p9/--no-check-p9", default=True, show_default=True,
               help="scan for a nine-vertex induced path before trusting class-specific rules")
 @click.option("--budget-branches", type=int, default=None, help="branch cap per component")
-@click.option("--budget-seeds", type=int, default=None, help="seed-coloring cap per trial")
-@_IGNORED_ORACLE_MAX_N
-def solve_cmd(graph_path, as_json, check_p9, budget_branches, budget_seeds):
+def solve_cmd(graph_path, as_json, check_p9, budget_branches):
     """Decide whether GRAPH_PATH has a dominating induced matching."""
     g = _load_graph(graph_path)
-    cfg = SolveConfig(
-        check_p9=check_p9,
-        branch_budget=budget_branches,
-        seed_budget=budget_seeds,
-    )
+    cfg = SolveConfig(check_p9=check_p9, branch_budget=budget_branches)
     out = solve(g, cfg)
     if as_json:
         click.echo(out.to_json())
@@ -388,7 +374,6 @@ def _xcheck_one(job):
 @click.option("--max-n", type=int, default=12, show_default=True)
 @click.option("--count", type=int, default=200, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@_IGNORED_ORACLE_MAX_N
 def cross_check_cmd(max_n, count, seed):
     """Differential run: solver vs exhaustive oracle on random graphs."""
     if max_n < 2:

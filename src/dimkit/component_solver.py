@@ -3,8 +3,8 @@
 After the level decomposition and family normalization, the still-active
 vertices (unknowns plus unpartnered blacks) split into independent
 components.  Each is shrunk further by cycle-pattern forcings on the
-anchor/L3 part and local rules on the L4 part, then finished by a seeded
-backtracking search:
+anchor/L3 part and local rules on the L4 part, then finished by the
+backtracking search of `coloring.search`:
 
   * short induced cycles through anchors pin colors (an anchor's partner
     must sit on any odd cycle through it whose other edges cannot match);
@@ -15,9 +15,10 @@ backtracking search:
     degree >= 3 means white; a four-cycle with one L3 corner pins that
     corner as its anchor's partner) and surviving L4 components must be
     short paths or cycles of length 3, 6 or 9;
-  * seeds: either the feasible colorings of the first live L4 component,
-    or one black member of a designated family; branching completes the
-    rest under a budget.
+  * one pick rule steers the branching: the first live L4 component is
+    colored first, then one family at a time (the tightest first, its
+    members with outside contacts before the rest); a branch budget caps
+    the search.
 """
 
 from __future__ import annotations
@@ -25,20 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .coloring import BLACK, WHITE, Coloring, assign_and_propagate, force_pair, search
+from .coloring import BLACK, WHITE, Coloring, force_pair, search
 from .decomposition import XyDecomposition
 from .graph import bits, connected_components
 from .patterns import ScanBudget, enumerate_short_induced_cycles
 
 # DFS steps allowed to each short-cycle scan
 CYCLE_SCAN_LIMIT = 50_000
-
-
-@dataclass
-class ComponentTask:
-    mask: int
-    seed_budget: int
-    branch_budget: int
 
 
 @dataclass
@@ -257,119 +251,40 @@ def _family_state(dec: XyDecomposition, comp: int, c: Coloring):
     return out
 
 
-def _enumerate_l4_colorings(
-    dec: XyDecomposition, piece: int, cap: int
-) -> tuple[list[list[tuple[int, int]]], bool]:
-    """All locally consistent colorings of one live L4 component, as
-    assignment lists over its unknown vertices; capped."""
-    g, c = dec.g, dec.coloring
-    verts = list(bits(piece))
-    colorings: list[list[tuple[int, int]]] = []
-    assign: dict[int, int] = {}
-    capped = False
-
-    def local_color(v: int) -> int:
-        if v in assign:
-            return assign[v]
-        return c.color_of(v)
-
-    def consistent(v: int, color: int) -> bool:
-        row = g.rows[v] & piece
-        if color == WHITE:
-            for u in bits(row):
-                cu = local_color(u)
-                if cu == WHITE:
-                    return False
-            return True
-        blacks = [u for u in bits(row) if local_color(u) == BLACK]
-        return len(blacks) <= 1
-
-    def finished_ok() -> bool:
-        for v in verts:
-            if local_color(v) != BLACK:
-                continue
-            row = g.rows[v] & piece
-            blacks = [u for u in bits(row) if local_color(u) == BLACK]
-            if len(blacks) != 1:
-                return False
-        return True
-
-    def rec(idx: int) -> bool:
-        nonlocal capped
-        if len(colorings) >= cap:
-            capped = True
-            return False
-        if idx == len(verts):
-            if finished_ok():
-                colorings.append([(v, assign[v]) for v in verts if v in assign])
-            return True
-        v = verts[idx]
-        if c.color_of(v) != 0:
-            return rec(idx)
-        for color in (BLACK, WHITE):
-            if consistent(v, color):
-                assign[v] = color
-                if not rec(idx + 1):
-                    del assign[v]
-                    return False
-                del assign[v]
-        return True
-
-    rec(0)
-    return colorings, capped
-
-
-def _build_seeds(
-    dec: XyDecomposition, task: ComponentTask, c: Coloring
-) -> tuple[list[list[tuple[int, int]]], bool]:
-    """Seed assignments covering every completion of the component.
-
-    Returns (seeds, capped); capped means exhausting the seeds must report
-    a budget stop, not infeasibility.
-    """
-    comp = task.mask
-    active4 = dec.l4 & comp & (c.unknown_mask() | c.unmated_black_mask(comp))
-    if active4:
-        piece = connected_components(dec.g, active4)[0]
-        cap = max(3, task.seed_budget)
-        return _enumerate_l4_colorings(dec, piece, cap)
-
-    fams = _family_state(dec, comp, c)
-    if not fams:
-        return [], False
-    strong = [
-        (fam, alive)
-        for fam, alive in fams
-        if (alive & fam.out_mask).bit_count() >= 2
-    ]
-    pool = strong if strong else fams
-    fam, alive = min(pool, key=lambda fa: (fa[1].bit_count(), fa[0].anchor))
-    pinned = alive & (fam.out_mask | fam.internal_edge)
-    free = alive & ~pinned
-    order = list(bits(pinned))
-    if free:
-        # interchangeable members: trying the lowest one covers them all
-        order.append(next(bits(free)))
-    return [[(t, BLACK)] for t in order], False
-
-
 def _pick_branch_vertex(dec: XyDecomposition, comp: int, c: Coloring) -> int:
+    """The one branching rule: the lowest unknown vertex of the first live
+    L4 component; else a member of the family with the fewest live members
+    (families with two or more live members in outside contact first,
+    anchor id on ties), its lowest pinned member if any; else the lowest
+    unknown vertex of the component, or -1 when none is left."""
+    unknown = c.unknown_mask()
+    active4 = dec.l4 & comp & (unknown | c.unmated_black_mask(comp))
+    if active4:
+        first = connected_components(dec.g, active4)[0] & unknown
+        if first:
+            return next(bits(first))
     fams = _family_state(dec, comp, c)
     if fams:
-        fam, alive = min(fams, key=lambda fa: (fa[1].bit_count(), fa[0].anchor))
-        return next(bits(alive))
-    rest = c.unknown_mask(comp)
+        strong = [
+            (fam, alive)
+            for fam, alive in fams
+            if (alive & fam.out_mask).bit_count() >= 2
+        ]
+        fam, alive = min(strong or fams, key=lambda fa: (fa[1].bit_count(), fa[0].anchor))
+        pinned = alive & (fam.out_mask | fam.internal_edge)
+        return next(bits(pinned or alive))
+    rest = unknown & comp
     if rest:
         return next(bits(rest))
     return -1
 
 
 def solve_component(
-    dec: XyDecomposition, task: ComponentTask, p9_trusted: bool
+    dec: XyDecomposition, comp: int, branch_budget: int, p9_trusted: bool
 ) -> ComponentResult:
-    """Color one active component completely, or report why not."""
+    """Color one active component completely, or report why not; a
+    component left uncolored keeps the coloring it came with."""
     c = dec.coloring
-    comp = task.mask
 
     status, detail = reduce_cycles_anchor_l3(dec, comp, p9_trusted)
     if status != "ok":
@@ -386,33 +301,11 @@ def solve_component(
         if not ok:
             return ComponentResult("assumption", detail)
 
-    seeds, capped = _build_seeds(dec, task, c)
-    pick = partial(_pick_branch_vertex, dec, comp)
     base = c.snapshot()
-    branches = 0
-    for seed in seeds:
-        c.restore(base)
-        bad = None
-        for v, color in seed:
-            bad = assign_and_propagate(c, v, color)
-            if bad:
-                break
-        if bad:
-            continue
-        status, used = search(c, comp, pick, task.branch_budget - branches)
-        branches += used
-        if status == "colored":
-            return ComponentResult("colored", branches=branches)
-        if status == "budget":
-            c.restore(base)
-            return ComponentResult(
-                "budget", f"branch budget {task.branch_budget} exhausted", branches
-            )
+    status, branches = search(c, comp, partial(_pick_branch_vertex, dec, comp), branch_budget)
+    if status == "colored":
+        return ComponentResult("colored", branches=branches)
     c.restore(base)
-    if capped:
-        return ComponentResult(
-            "budget", f"seed budget {task.seed_budget} exhausted", branches
-        )
-    return ComponentResult(
-        "infeasible", "every seed assignment failed", branches
-    )
+    if status == "budget":
+        return ComponentResult("budget", f"branch budget {branch_budget} exhausted", branches)
+    return ComponentResult("infeasible", "every branch failed", branches)

@@ -15,7 +15,7 @@ structure forces a cascade of facts:
 Each anchor u owns a family T(u): the L3 vertices whose only anchor
 neighbor is u.  Exactly one member of each family is black (u's partner),
 which drives both the normalization rules here and the component solver's
-seeding.
+choice of branching vertex.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from .coloring import (
     force_pair,
     search,
 )
-from .component_solver import ComponentTask, solve_component
+from .component_solver import solve_component
 from .decomposition import AssumptionViolated, RadiusExceeded, build_levels, apply_initial_facts, normalize_T
 from .graph import Edge, Graph, bits, central_vertex, connected_components
 from .oracle import verify_dim
@@ -48,7 +48,6 @@ from .patterns import (
 class SolveConfig:
     check_p9: bool = True
     branch_budget: int | None = None   # per component; default size**2
-    seed_budget: int | None = None     # per component; default max(3, family size)
     complete_search_budget: int | None = None  # fallback search; default scales with size
 
 
@@ -150,15 +149,9 @@ def try_edge(
 
         active = c.unknown_mask(scope) | c.unmated_black_mask(scope)
         for piece in connected_components(g, active):
-            fam_cap = 0
-            for fam in dec.families:
-                if piece >> fam.anchor & 1:
-                    fam_cap = max(fam_cap, fam.members.bit_count())
-            seed_budget = cfg.seed_budget or max(3, fam_cap)
             size = piece.bit_count()
             branch_budget = cfg.branch_budget or max(64, size * size)
-            task = ComponentTask(mask=piece, seed_budget=seed_budget, branch_budget=branch_budget)
-            res = solve_component(dec, task, trusted)
+            res = solve_component(dec, piece, branch_budget, trusted)
             stats["branches"] += res.branches
             if res.status == "infeasible":
                 return "infeasible", res.detail

@@ -82,12 +82,15 @@ def find_induced_path(g: Graph, k: int, node_limit: int | None = None) -> tuple[
     """First induced path on k vertices found by DFS, or None.
 
     Extension prunes with bit-rows: a new tip may touch only the current
-    tip.  node_limit bounds DFS steps and raises ScanBudget when exhausted.
+    tip.  node_limit bounds DFS steps and raises ScanBudget when exhausted;
+    a graph with fewer than k vertices is answered without a step.
     """
     if k <= 0:
         raise ValueError("k must be positive")
+    if g.n < k:
+        return None
     if k == 1:
-        return (0,) if g.n else None
+        return (0,)
     full = g.full_mask()
     steps = [0]
 

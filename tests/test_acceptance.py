@@ -289,7 +289,7 @@ def test_acceptance_8_deterministic_json_reports(tmp_path, capsys):
         ("planted.graph", gen_planted(40, 10, 40, 3).graph, []),
         ("random.graph", gen_random(12, 0.3, 5).graph, []),
         ("ring9.graph", cycle_graph(9), []),
-        ("ring9b.graph", cycle_graph(9), ["--no-check-p9", "--oracle-max-n", "0"]),
+        ("ring9b.graph", cycle_graph(9), ["--no-check-p9"]),
         ("square.graph", cycle_graph(4), []),
     ]
     pairs = 0

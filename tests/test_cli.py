@@ -78,8 +78,7 @@ def test_solve_json_schema_and_byte_stability(graph_file, capsys):
 
 def test_solve_flag_plumbing(graph_file, capsys):
     rc = main(["solve", graph_file(cycle_graph(6)), "--no-check-p9",
-               "--budget-branches", "64", "--budget-seeds", "8",
-               "--oracle-max-n", "0"])
+               "--budget-branches", "64"])
     assert rc == 0
     assert "p9_checked: false" in capsys.readouterr().out
 

@@ -3,11 +3,7 @@ covered by the driver tests; here we freeze a few instances whose trials
 survive the propagation stages with real work left."""
 
 from dimkit.coloring import Coloring, extract_matching, is_complete_feasible
-from dimkit.component_solver import (
-    ComponentTask,
-    solve_component,
-    validate_l4_shape,
-)
+from dimkit.component_solver import solve_component, validate_l4_shape
 from dimkit.decomposition import apply_initial_facts, build_levels, normalize_T
 from dimkit.graph import Graph, connected_components
 from dimkit.oracle import all_dims
@@ -24,8 +20,8 @@ DOOMED = Graph.from_edges(9, [
     (0, 3), (0, 5), (0, 8), (1, 2), (1, 5), (2, 8), (3, 6), (4, 5), (4, 8), (6, 7),
 ])
 
-# two anchors whose families hang an L4 path between them; solved by the
-# cycle reductions without any branching
+# two anchors whose families hang an L4 path between them; the search
+# branches on the L4 path first: 10 black fails, 10 white colors the rest
 BRIDGED = Graph.from_edges(13, [
     (0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (4, 7), (5, 8), (5, 9),
     (6, 10), (7, 11), (8, 12), (10, 11), (11, 12),
@@ -44,7 +40,7 @@ def _prepared_trial(g, x, y):
 def test_branching_piece_colored():
     dec, c, pieces = _prepared_trial(BRANCHY, 4, 5)
     assert len(pieces) == 1
-    res = solve_component(dec, ComponentTask(pieces[0], 8, 512), p9_trusted=False)
+    res = solve_component(dec, pieces[0], 512, p9_trusted=False)
     assert res.status == "colored"
     assert res.branches >= 1
     assert is_complete_feasible(c, dec.scope)
@@ -55,7 +51,7 @@ def test_branching_piece_colored():
 
 def test_branch_budget_reports_budget():
     dec, _, pieces = _prepared_trial(BRANCHY, 4, 5)
-    res = solve_component(dec, ComponentTask(pieces[0], 8, 0), p9_trusted=False)
+    res = solve_component(dec, pieces[0], 0, p9_trusted=False)
     assert res.status == "budget"
     assert "branch budget" in res.detail
 
@@ -64,21 +60,21 @@ def test_doomed_piece_reports_infeasible():
     assert not [m for m in all_dims(DOOMED) if (6, 7) in m]
     dec, _, pieces = _prepared_trial(DOOMED, 6, 7)
     statuses = {
-        solve_component(dec, ComponentTask(p, 8, 512), p9_trusted=False).status
+        solve_component(dec, p, 512, p9_trusted=False).status
         for p in pieces
     }
     assert "infeasible" in statuses
 
 
-def test_bridged_families_solved_by_reductions():
+def test_bridged_families_colored_by_l4_first_branch():
     assert [m for m in all_dims(BRIDGED) if (0, 1) in m] == [
         ((0, 1), (4, 6), (5, 9), (11, 12))
     ]
     dec, c, pieces = _prepared_trial(BRIDGED, 0, 1)
     assert len(pieces) == 1
-    res = solve_component(dec, ComponentTask(pieces[0], 8, 512), p9_trusted=False)
+    res = solve_component(dec, pieces[0], 512, p9_trusted=False)
     assert res.status == "colored"
-    assert res.branches == 0
+    assert res.branches == 2
     assert extract_matching(c, dec.scope) == ((0, 1), (4, 6), (5, 9), (11, 12))
 
 
@@ -87,7 +83,7 @@ def test_interchangeable_family_members():
     g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6)])
     dec, c, pieces = _prepared_trial(g, 0, 1)
     assert pieces == [0b1110000]
-    res = solve_component(dec, ComponentTask(pieces[0], 8, 256), p9_trusted=False)
+    res = solve_component(dec, pieces[0], 256, p9_trusted=False)
     assert res.status == "colored"
     assert is_complete_feasible(c, dec.scope)
     assert c.mate[4] in (5, 6)
@@ -123,3 +119,26 @@ def test_l4_shape_accepts_short_path():
     dec = build_levels(g, g.full_mask(), 0, 1, c)
     ok, why = validate_l4_shape(dec, g.full_mask())
     assert ok, why
+
+
+def _comb(teeth):
+    """Edge 01 with 0-2-3 hanging off it; vertex 3 sees every tooth 4+i,
+    each tooth holds one vertex of an induced path: the path fills L4."""
+    edges = [(0, 1), (0, 2), (2, 3)]
+    for i in range(teeth):
+        edges += [(3, 4 + i), (4 + i, 4 + teeth + i)]
+    edges += [(4 + teeth + i, 5 + teeth + i) for i in range(teeth - 1)]
+    return Graph.from_edges(4 + 2 * teeth, edges)
+
+
+def test_long_l4_path_refuted_without_recursion():
+    # the trial (0,1) has no completion: 3's partner is one tooth, every
+    # other tooth is white, so the path is black but for one vertex
+    assert not [m for m in all_dims(_comb(6)) if (0, 1) in m]
+    for teeth in (6, 1200):
+        g = _comb(teeth)
+        dec, _, pieces = _prepared_trial(g, 0, 1)
+        assert dec.l4 == sum(1 << (4 + teeth + i) for i in range(teeth))
+        assert len(pieces) == 1
+        res = solve_component(dec, pieces[0], (4 + 2 * teeth) ** 2, p9_trusted=False)
+        assert res.status == "infeasible"

@@ -13,10 +13,11 @@ from dimkit.driver import (
     verify_outcome,
 )
 from dimkit.generator import gen_c4_augmented, gen_planted
-from dimkit.graph import Graph
+from dimkit.graph import Graph, connected_components
 import dimkit.oracle
-from dimkit.oracle import count_dims, oracle_dim, verify_dim
+from dimkit.oracle import all_dims, count_dims, oracle_dim, verify_dim
 from conftest import complete_graph, cycle_graph, disjoint_union, path_graph
+from naive_reference import induced_paths_naive
 
 ENGINE_ONLY = SolveConfig(complete_search_budget=0)
 
@@ -237,3 +238,67 @@ def test_centre_tie_break_pinned_end_to_end():
         'the component", "stats": {"edges_tried": 4, "forced_edges": 0, "branches": 62, '
         '"millis": 0}, "p9_checked": true}'
     )
+
+
+def _false_twin_expansion(host, classes, n, rng):
+    """host grown to n vertices by false twins of the vertices in classes,
+    dealt round-robin, then relabelled at random."""
+    edges = host.edges()
+    for i in range(n - host.n):
+        v = classes[i % len(classes)]
+        edges += [(u, host.n + i) for u in range(host.n) if host.has_edge(u, v)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_false_twin_expansions_at_size():
+    # A false twin of degree >= 2 is unmatched in every d.i.m. (matched to
+    # a, its twin would be white and force a second black neighbour onto
+    # it), so the expansion has a d.i.m. iff some host d.i.m. leaves every
+    # expanded vertex unmatched.  Induced paths on 4+ vertices meet a twin
+    # class at most once, so the expansions stay P9-free like their hosts.
+    # The engine reaches its family branching here, on families made of
+    # many interchangeable twins.
+    rng = random.Random(6)
+    todo = {"dim": 6, "no-dim": 6}
+    seed = 0
+    while any(todo.values()):
+        seed += 1
+        host = gen_planted(14, 4, 10, seed).graph
+        if len(connected_components(host)) != 1 or induced_paths_naive(host, 9):
+            continue
+        matched = [{v for e in m for v in e} for m in all_dims(host)]
+        pool = [v for v in range(host.n) if host.rows[v].bit_count() >= 2]
+        rng.shuffle(pool)
+        size = rng.randint(1, 2)
+        classes = []
+        for v in pool:
+            if len(classes) < size and not any(host.has_edge(v, u) for u in classes):
+                classes.append(v)
+        expected = "dim" if any(not m & set(classes) for m in matched) else "no-dim"
+        if not todo[expected]:
+            continue
+        todo[expected] -= 1
+        n = rng.randint(40, 80)
+        g = _false_twin_expansion(host, classes, n, rng)
+        out = solve(g)
+        assert out.status == expected, (seed, classes, n, out.reason)
+        assert out.p9_checked
+        assert out.stats["branches"] <= n * n  # one component of n vertices
+        if out.status == "dim":
+            assert verify_dim(g, out.matching).ok
+        assert solve(g, ENGINE_ONLY).status == expected
+
+
+def test_family_branch_tries_pinned_members_first():
+    # one trial leaves a family whose members with outside contacts are
+    # tried before its lowest live member; branching on the lowest live
+    # member instead finds ((0,1),(2,3),(4,5),(6,7))
+    g = Graph.from_edges(14, [
+        (0, 1), (0, 8), (0, 11), (1, 11), (1, 12), (2, 3), (2, 9), (2, 12), (4, 5),
+        (4, 12), (5, 11), (5, 13), (6, 7), (6, 9), (7, 10), (7, 11), (7, 12), (7, 13),
+    ])
+    out = solve(g)
+    assert out.matching == ((0, 1), (2, 9), (4, 5), (7, 10))
+    assert out.stats == {"edges_tried": 1, "forced_edges": 2, "branches": 1, "millis": 0}

@@ -4,7 +4,9 @@ import pytest
 
 from dimkit.graph import Graph
 from dimkit.patterns import (
+    P9_VERIFIED,
     ScanBudget,
+    classify_p9,
     enumerate_short_induced_cycles,
     find_induced_path,
     find_k4,
@@ -85,6 +87,19 @@ def test_find_induced_path():
 def test_find_induced_path_budget():
     with pytest.raises(ScanBudget):
         find_induced_path(cycle_graph(9), 9, node_limit=2)
+
+
+def test_p9_scan_answers_small_graphs_without_a_step():
+    # fewer than nine vertices cannot hold a P9, so even a zero step budget
+    # settles them; at nine vertices the DFS runs and spends the budget
+    k8_minus_pm = Graph.from_edges(8, [
+        (u, v) for u in range(8) for v in range(u + 1, 8) if not (u % 2 == 0 and v == u + 1)
+    ])
+    for g in (k8_minus_pm, path_graph(8), Graph.from_edges(0, [])):
+        assert find_induced_path(g, 9, node_limit=0) is None
+        assert classify_p9(g, node_limit=0) == (P9_VERIFIED, None)
+    with pytest.raises(ScanBudget):
+        find_induced_path(path_graph(9), 9, node_limit=0)
 
 
 def test_cycle_enumeration_shapes():
