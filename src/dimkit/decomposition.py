@@ -70,7 +70,6 @@ class XyDecomposition:
     forced: list[Edge] = field(default_factory=list)
     anchors: list[int] = field(default_factory=list)
     families: list[Family] = field(default_factory=list)
-    fam_of: dict[int, int] = field(default_factory=dict)  # anchor -> index
     s3_mask: int = 0
 
     @property
@@ -88,12 +87,6 @@ class XyDecomposition:
     @property
     def l4(self) -> int:
         return self.levels[4] if len(self.levels) > 4 else 0
-
-    def family_union(self) -> int:
-        mask = 0
-        for fam in self.families:
-            mask |= fam.members
-        return mask
 
 
 def build_levels(g: Graph, scope: int, x: int, y: int, coloring: Coloring) -> XyDecomposition:
@@ -198,15 +191,12 @@ def _build_families(dec: XyDecomposition) -> None:
     for u in dec.anchors:
         anchor_mask |= 1 << u
     dec.families = []
-    dec.fam_of = {}
     for u in dec.anchors:
         members = 0
         for t in bits(g.rows[u] & dec.l3):
             if g.rows[t] & anchor_mask == (1 << u):
                 members |= 1 << t
-        dec.fam_of[u] = len(dec.families)
         dec.families.append(Family(anchor=u, members=members))
-    fam_union = dec.family_union()
     for fam in dec.families:
         out = 0
         foreign = (dec.l3 & ~fam.members) | dec.l4

@@ -7,19 +7,17 @@ of the still-active part and trial every edge xy at it through the level
 decomposition.  A successful trial colors the whole piece.  If every edge
 at x is proven infeasible, x is unmatched in any solution, so x turns
 white and the loop continues on the shrunken remainder.  Trials that end
-undecided (budget, radius, or shape surprises) make the component
-inconclusive; an inconclusive component goes to a budgeted complete
-search that branches on vertex colors and lets propagation prune.  That
-search needs no assumption about the graph class, so its verdicts stand
-on any input.
+undecided (budget, radius, or a family-structure surprise) make the
+component inconclusive; an inconclusive component goes to a budgeted
+complete search that branches on vertex colors and lets propagation
+prune.  That search relies on nothing about the graph class, so its
+verdicts stand on any input.
 
-Verdict soundness: every forcing used is valid in any graph, so "dim" and
-"no-dim" are certificates.  The extra reduction rules that are only
-justified on graphs free of long induced paths run solely when that
-freedom was verified; if a nine-vertex induced path was found, a "no-dim"
-verdict is downgraded to inconclusive as a matter of policy even though
-the universal rules would support it.
-"""
+Verdict soundness: "dim" and "no-dim" are certificates.  Every rule used
+is valid in any graph but one, the radius cut in `try_edge` (a vertex
+farther than four from a P3-middle edge at a central vertex rules that
+edge out), which holds only on graphs free of long induced paths and runs
+solely when that freedom was verified."""
 
 from __future__ import annotations
 
@@ -40,7 +38,7 @@ from .decomposition import AssumptionViolated, RadiusExceeded, build_levels, app
 from .graph import Edge, Graph, bits, central_vertex, connected_components
 from .oracle import verify_dim
 from .patterns import (
-    P9_UNCHECKED, P9_VERIFIED, P9_VIOLATED, PatternHit, classify_p9, find_k4, scan_forced_patterns,
+    P9_UNCHECKED, P9_VERIFIED, PatternHit, classify_p9, find_k4, scan_forced_patterns,
 )
 
 
@@ -151,11 +149,11 @@ def try_edge(
         for piece in connected_components(g, active):
             size = piece.bit_count()
             branch_budget = cfg.branch_budget or max(64, size * size)
-            res = solve_component(dec, piece, branch_budget, trusted)
+            res = solve_component(dec, piece, branch_budget)
             stats["branches"] += res.branches
             if res.status == "infeasible":
                 return "infeasible", res.detail
-            if res.status in ("budget", "assumption"):
+            if res.status == "budget":
                 return "undecided", res.detail
     except AssumptionViolated as exc:
         return "undecided", str(exc)
@@ -296,10 +294,6 @@ def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveOutcome:
         status, piece, reason = solve_top_component(
             g, comp, master, patterns, cfg, stats, p9_trusted
         )
-        if status == "no-dim" and p9_state == P9_VIOLATED:
-            # policy: engine negatives are withheld once a long path is seen
-            status = "inconclusive"
-            reason = f"negative verdict withheld (nine-vertex induced path present): {reason}"
         if status == "inconclusive":
             size = comp.bit_count()
             budget = cfg.complete_search_budget

@@ -84,9 +84,6 @@ class Graph:
 
     # -- adjacency queries ------------------------------------------------
 
-    def neighbors_mask(self, v: int) -> int:
-        return self.rows[v]
-
     def neighbors(self, v: int) -> list[int]:
         return list(bits(self.rows[v]))
 
@@ -214,28 +211,6 @@ def bfs_layers(g: Graph, seed: int, scope: int) -> Iterator[int]:
         yield nxt
         visited |= nxt
         frontier = nxt
-
-
-def bfs_levels(g: Graph, seeds: Iterable[int], within: int | None = None) -> tuple[list[int], int]:
-    """BFS layer masks from a seed set, restricted to `within`.
-
-    Returns (levels, unreachable) where levels[0] is the seed mask and
-    levels[i] the mask at distance i; unreachable holds the vertices of
-    `within` no level touches.
-    """
-    scope = g.full_mask() if within is None else within
-    seed_mask = 0
-    for s in seeds:
-        seed_mask |= 1 << s
-    seed_mask &= scope
-    if not seed_mask:
-        return [], scope
-    levels = [seed_mask]
-    levels.extend(bfs_layers(g, seed_mask, scope))
-    visited = 0
-    for layer in levels:
-        visited |= layer
-    return levels, scope & ~visited
 
 
 def connected_components(g: Graph, within: int | None = None) -> list[int]:

@@ -135,40 +135,3 @@ def classify_p9(g: Graph, node_limit: int | None = P9_SCAN_LIMIT) -> tuple[str, 
         return P9_UNCHECKED, None
     return (P9_VIOLATED, hit) if hit is not None else (P9_VERIFIED, None)
 
-
-def enumerate_short_induced_cycles(
-    g: Graph,
-    within: int | None = None,
-    max_len: int = 9,
-    node_limit: int | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Chordless cycles of length 3..max_len inside `within`.
-
-    Each cycle appears once: rotated to start at its smallest vertex, with
-    the direction fixed by second-vertex < last-vertex.
-    """
-    if max_len < 3:
-        return
-    scope = g.full_mask() if within is None else within
-    steps = [0]
-
-    def rec(s: int, path: list[int], path_mask: int, banned: int) -> Iterator[tuple[int, ...]]:
-        steps[0] += 1
-        if node_limit is not None and steps[0] > node_limit:
-            raise ScanBudget
-        tip = path[-1]
-        above_s = scope >> (s + 1) << (s + 1)
-        cand = g.rows[tip] & above_s & ~path_mask & ~banned
-        row_s = g.rows[s]
-        for w in bits(cand):
-            if row_s & (1 << w):
-                if len(path) >= 2 and path[1] < w:
-                    yield (*path, w)
-                continue
-            if len(path) + 2 <= max_len:
-                yield from rec(s, path + [w], path_mask | (1 << w), banned | g.rows[tip])
-        return
-
-    for s in bits(scope):
-        for t in bits(g.rows[s] & scope >> (s + 1) << (s + 1)):
-            yield from rec(s, [s, t], (1 << s) | (1 << t), 0)

@@ -9,7 +9,7 @@ from collections import deque
 from itertools import combinations
 
 from dimkit.coloring import Coloring
-from dimkit.component_solver import reduce_cycles_anchor_l3, reduce_l4
+from dimkit.component_solver import reduce_l4
 from dimkit.decomposition import (
     AssumptionViolated,
     RadiusExceeded,
@@ -154,16 +154,14 @@ def induced_cycle_sets_naive(g: Graph, max_len: int) -> set[frozenset]:
 # -- trial-stage soundness harness -------------------------------------------
 
 
-def trial_facts(g: Graph, x: int, y: int, reduce: bool = False, p9_trusted: bool = False):
+def trial_facts(g: Graph, x: int, y: int, reduce: bool = False):
     """Run the xy trial through level building, initial facts and family
     normalization on a fresh coloring; with reduce=True, also fire the
-    cycle and far-layer reduction rules on every leftover piece.
+    far-layer reduction on every leftover piece.
 
-    p9_trusted=True unlocks the class-specific reductions and is only
-    sound when the caller has verified the graph lies in the solver's
-    target class.  Returns ("infeasible", reason) when a stage proves no
-    solution matches xy, ("skip", reason) when a stage cannot run
-    (radius), and ("ok", (forced, white, black)) otherwise.
+    Returns ("infeasible", reason) when a stage proves no solution matches
+    xy, ("skip", reason) when a stage cannot run (radius), and
+    ("ok", (forced, white, black)) otherwise.
     """
     c = Coloring(g)
     try:
@@ -180,27 +178,24 @@ def trial_facts(g: Graph, x: int, y: int, reduce: bool = False, p9_trusted: bool
         if reduce:
             active = c.unknown_mask(dec.scope) | c.unmated_black_mask(dec.scope)
             for piece in connected_components(g, active):
-                for rule in (reduce_cycles_anchor_l3, reduce_l4):
-                    status, reason = rule(dec, piece, p9_trusted)
-                    if status != "ok":
-                        return "infeasible", reason
+                status, reason = reduce_l4(dec, piece)
+                if status != "ok":
+                    return "infeasible", reason
     except AssumptionViolated as exc:
         return "skip", str(exc)
     return "ok", (set(dec.forced), c.white, c.black)
 
 
-def assert_trial_facts_sound(g: Graph, x: int, y: int, reduce: bool = False,
-                             p9_trusted: bool = False):
+def assert_trial_facts_sound(g: Graph, x: int, y: int, reduce: bool = False):
     """Every fact derived under the assumption "xy is matched" must hold in
     every actual solution containing xy; infeasible means there are none.
 
-    With the defaults the stages exercised use no long-path arguments, so
-    the property holds on every graph; pass p9_trusted=True only for
-    graphs verified to lie in the solver's target class.
+    The stages exercised use no long-path arguments, so the property holds
+    on every graph.
     """
     e = (x, y) if x < y else (y, x)
     dims_with_xy = [m for m in all_dims(g) if e in m]
-    status, payload = trial_facts(g, x, y, reduce=reduce, p9_trusted=p9_trusted)
+    status, payload = trial_facts(g, x, y, reduce=reduce)
     if status == "skip":
         return 0
     if status == "infeasible":

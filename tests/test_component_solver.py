@@ -3,7 +3,7 @@ covered by the driver tests; here we freeze a few instances whose trials
 survive the propagation stages with real work left."""
 
 from dimkit.coloring import Coloring, extract_matching, is_complete_feasible
-from dimkit.component_solver import solve_component, validate_l4_shape
+from dimkit.component_solver import solve_component
 from dimkit.decomposition import apply_initial_facts, build_levels, normalize_T
 from dimkit.graph import Graph, connected_components
 from dimkit.oracle import all_dims
@@ -40,7 +40,7 @@ def _prepared_trial(g, x, y):
 def test_branching_piece_colored():
     dec, c, pieces = _prepared_trial(BRANCHY, 4, 5)
     assert len(pieces) == 1
-    res = solve_component(dec, pieces[0], 512, p9_trusted=False)
+    res = solve_component(dec, pieces[0], 512)
     assert res.status == "colored"
     assert res.branches >= 1
     assert is_complete_feasible(c, dec.scope)
@@ -51,7 +51,7 @@ def test_branching_piece_colored():
 
 def test_branch_budget_reports_budget():
     dec, _, pieces = _prepared_trial(BRANCHY, 4, 5)
-    res = solve_component(dec, pieces[0], 0, p9_trusted=False)
+    res = solve_component(dec, pieces[0], 0)
     assert res.status == "budget"
     assert "branch budget" in res.detail
 
@@ -60,7 +60,7 @@ def test_doomed_piece_reports_infeasible():
     assert not [m for m in all_dims(DOOMED) if (6, 7) in m]
     dec, _, pieces = _prepared_trial(DOOMED, 6, 7)
     statuses = {
-        solve_component(dec, p, 512, p9_trusted=False).status
+        solve_component(dec, p, 512).status
         for p in pieces
     }
     assert "infeasible" in statuses
@@ -72,7 +72,7 @@ def test_bridged_families_colored_by_l4_first_branch():
     ]
     dec, c, pieces = _prepared_trial(BRIDGED, 0, 1)
     assert len(pieces) == 1
-    res = solve_component(dec, pieces[0], 512, p9_trusted=False)
+    res = solve_component(dec, pieces[0], 512)
     assert res.status == "colored"
     assert res.branches == 2
     assert extract_matching(c, dec.scope) == ((0, 1), (4, 6), (5, 9), (11, 12))
@@ -83,7 +83,7 @@ def test_interchangeable_family_members():
     g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6)])
     dec, c, pieces = _prepared_trial(g, 0, 1)
     assert pieces == [0b1110000]
-    res = solve_component(dec, pieces[0], 256, p9_trusted=False)
+    res = solve_component(dec, pieces[0], 256)
     assert res.status == "colored"
     assert is_complete_feasible(c, dec.scope)
     assert c.mate[4] in (5, 6)
@@ -94,31 +94,6 @@ def test_fully_propagated_trial_leaves_no_work():
     dec, c, pieces = _prepared_trial(g, 0, 1)
     assert pieces == []
     assert is_complete_feasible(c, dec.scope)
-
-
-def test_l4_shape_rejects_long_path():
-    # nine far-level vertices in a path: outside the allowed shapes
-    edges = [(0, 1), (0, 2), (2, 3), (3, 4)]
-    edges += [(4, 5 + i) for i in range(9)]
-    edges += [(5 + i, 6 + i) for i in range(8)]
-    g = Graph.from_edges(14, edges)
-    c = Coloring(g)
-    dec = build_levels(g, g.full_mask(), 0, 1, c)
-    assert dec.l4 == sum(1 << v for v in range(5, 14))
-    ok, why = validate_l4_shape(dec, g.full_mask())
-    assert not ok
-    assert "L4" in why
-
-
-def test_l4_shape_accepts_short_path():
-    edges = [(0, 1), (0, 2), (2, 3), (3, 4)]
-    edges += [(4, 5 + i) for i in range(3)]
-    edges += [(5 + i, 6 + i) for i in range(2)]
-    g = Graph.from_edges(8, edges)
-    c = Coloring(g)
-    dec = build_levels(g, g.full_mask(), 0, 1, c)
-    ok, why = validate_l4_shape(dec, g.full_mask())
-    assert ok, why
 
 
 def _comb(teeth):
@@ -140,5 +115,5 @@ def test_long_l4_path_refuted_without_recursion():
         dec, _, pieces = _prepared_trial(g, 0, 1)
         assert dec.l4 == sum(1 << (4 + teeth + i) for i in range(teeth))
         assert len(pieces) == 1
-        res = solve_component(dec, pieces[0], (4 + 2 * teeth) ** 2, p9_trusted=False)
+        res = solve_component(dec, pieces[0], (4 + 2 * teeth) ** 2)
         assert res.status == "infeasible"

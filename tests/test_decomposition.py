@@ -115,7 +115,6 @@ def test_family_grouping():
     fams = [f for f in dec.families if f.anchor == 4]
     assert len(fams) == 1
     assert fams[0].members == (1 << 5) | (1 << 6)
-    assert dec.families[dec.fam_of[4]] is fams[0]
 
 
 # -- soundness harness -------------------------------------------------------

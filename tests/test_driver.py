@@ -16,6 +16,7 @@ from dimkit.generator import gen_c4_augmented, gen_planted
 from dimkit.graph import Graph, connected_components
 import dimkit.oracle
 from dimkit.oracle import all_dims, count_dims, oracle_dim, verify_dim
+from dimkit.patterns import P9_VERIFIED, P9_VIOLATED, classify_p9
 from conftest import complete_graph, cycle_graph, disjoint_union, path_graph
 from naive_reference import induced_paths_naive
 
@@ -120,17 +121,15 @@ def test_try_edge_radius_blowup_is_undecided_when_untrusted():
     assert "farther than" in reason
 
 
-def test_downgrade_policy_withholds_engine_negative():
-    # square (engine-refutable) disjoint from a nine-path: with a long
-    # path present and the complete search off, negatives are withheld
+def test_engine_negative_stands_beside_long_path():
+    # square (engine-refutable) disjoint from a nine-path: the refutation
+    # uses only rules sound on every graph, so it stands without the
+    # complete search although a long induced path is present
     g = disjoint_union(cycle_graph(4), path_graph(9))
+    assert classify_p9(g)[0] == P9_VIOLATED
     out = solve(g, ENGINE_ONLY)
-    assert out.status == "inconclusive"
-    assert "withheld" in out.reason
-    assert out.p9_checked
-    # the complete search settles it without any long-path guarantee
-    out = solve(g)
     assert out.status == "no-dim"
+    assert out.p9_checked
 
 
 def test_no_downgrade_without_p9():
@@ -148,9 +147,14 @@ def test_complete_search_settles_midsize_reject():
 
 
 def test_complete_search_budget_zero_stays_inconclusive():
-    g = gen_c4_augmented(14, 3, 10, seed=5)
+    # a nine-path is present, so the engine may not cut on the radius and
+    # its trial ends undecided; only the complete search refutes
+    g = gen_c4_augmented(40, 8, 40, 5)
+    assert classify_p9(g)[0] == P9_VIOLATED
     out = solve(g, ENGINE_ONLY)
     assert out.status == "inconclusive"
+    assert "farther than" in out.reason
+    assert solve(g).status == "no-dim"
 
 
 def test_complete_search_finds_planted():
@@ -302,3 +306,52 @@ def test_family_branch_tries_pinned_members_first():
     out = solve(g)
     assert out.matching == ((0, 1), (2, 9), (4, 5), (7, 10))
     assert out.stats == {"edges_tried": 1, "forced_edges": 2, "branches": 1, "millis": 0}
+
+
+# (host seed, expanded classes, n, relabelling seed) -> solve(g).to_json()
+# of verified P9-free false-twin expansions whose trials reach the engine's
+# per-component search (the last no-dim case branches there); recorded
+# while the engine still had its class-specific reductions, which these
+# pins show changed no certificate, reason or counter
+IN_CLASS_PINS = [
+    ((15, (11, 12), 40, 151),
+     '{"status": "dim", "matching": [[0, 1], [6, 8], [10, 20], [30, 34]], "reason": null, '
+     '"stats": {"edges_tried": 5, "forced_edges": 1, "branches": 1, "millis": 0}, '
+     '"p9_checked": true}'),
+    ((37, (8,), 27, 372),
+     '{"status": "dim", "matching": [[1, 10], [8, 18], [12, 25], [17, 24]], "reason": null, '
+     '"stats": {"edges_tried": 8, "forced_edges": 1, "branches": 2, "millis": 0}, '
+     '"p9_checked": true}'),
+    ((98, (9, 13), 20, 983),
+     '{"status": "dim", "matching": [[2, 15], [3, 6], [5, 7], [11, 13]], "reason": null, '
+     '"stats": {"edges_tried": 2, "forced_edges": 2, "branches": 2, "millis": 0}, '
+     '"p9_checked": true}'),
+    ((17, (4, 12), 29, 172),
+     '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 3: '
+     'black-unmatchable at 5", "stats": {"edges_tried": 3, "forced_edges": 0, "branches": 0, '
+     '"millis": 0}, "p9_checked": true}'),
+    ((91, (0,), 35, 913),
+     '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 4: '
+     'partner-clash at 3,14", "stats": {"edges_tried": 3, "forced_edges": 0, "branches": 0, '
+     '"millis": 0}, "p9_checked": true}'),
+    ((185, (5,), 36, 1850),
+     '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 24: '
+     'black-unmatchable at 16", "stats": {"edges_tried": 4, "forced_edges": 0, "branches": 0, '
+     '"millis": 0}, "p9_checked": true}'),
+    ((130, (5, 7), 20, 1300),
+     '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 3: '
+     'conflict at 3", "stats": {"edges_tried": 7, "forced_edges": 0, "branches": 1, '
+     '"millis": 0}, "p9_checked": true}'),
+]
+
+
+@pytest.mark.parametrize(
+    "case,want", IN_CLASS_PINS, ids=[f"host{c[0]}-n{c[2]}" for c, _ in IN_CLASS_PINS]
+)
+def test_in_class_engine_outputs_pinned(case, want):
+    host_seed, classes, n, relabel_seed = case
+    g = _false_twin_expansion(
+        gen_planted(14, 4, 10, host_seed).graph, classes, n, random.Random(relabel_seed)
+    )
+    assert classify_p9(g)[0] == P9_VERIFIED
+    assert solve(g).to_json() == want

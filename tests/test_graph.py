@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dimkit.graph import (
     Graph,
     GraphFormatError,
-    bfs_levels,
+    bfs_layers,
     bits,
     central_vertex,
     connected_components,
@@ -66,28 +66,33 @@ def test_parse_rejects_malformed(text):
         parse_graph(text)
 
 
+def _reached(seed, layers):
+    for layer in layers:
+        seed |= layer
+    return seed
+
+
 def test_bfs_levels_path():
     g = path_graph(5)
-    levels, unreachable = bfs_levels(g, [0])
-    assert levels == [0b00001, 0b00010, 0b00100, 0b01000, 0b10000]
-    assert unreachable == 0
+    layers = list(bfs_layers(g, 0b00001, g.full_mask()))
+    assert layers == [0b00010, 0b00100, 0b01000, 0b10000]
+    assert g.full_mask() & ~_reached(0b00001, layers) == 0
 
 
 def test_bfs_levels_respects_within():
     g = path_graph(5)
     # cut vertex 2 out of scope: 3 and 4 become unreachable from 0
     scope = g.full_mask() & ~(1 << 2)
-    levels, unreachable = bfs_levels(g, [0], scope)
-    assert levels == [0b00001, 0b00010]
-    assert unreachable == 0b11000
+    layers = list(bfs_layers(g, 0b00001, scope))
+    assert layers == [0b00010]
+    assert scope & ~_reached(0b00001, layers) == 0b11000
 
 
 def test_bfs_two_seeds():
     g = cycle_graph(6)
-    levels, _ = bfs_levels(g, [0, 1])
-    assert levels[0] == 0b000011
-    assert levels[1] == 0b100100  # 2 and 5
-    assert levels[2] == 0b011000  # 3 and 4
+    layers = list(bfs_layers(g, 0b000011, g.full_mask()))
+    assert layers[0] == 0b100100  # 2 and 5
+    assert layers[1] == 0b011000  # 3 and 4
 
 
 def test_components_order_and_partition():

@@ -4,8 +4,8 @@ import pytest
 
 from dimkit.graph import Graph
 from dimkit.oracle import all_dims, count_dims, enumerate_dims, oracle_dim, verify_dim
-from dimkit.patterns import enumerate_short_induced_cycles
 from conftest import complete_graph, cycle_graph, path_graph
+from naive_reference import induced_cycle_sets_naive
 
 
 def test_verify_accepts_opposite_pair_on_c6():
@@ -119,23 +119,23 @@ def test_dims_meet_induced_cycles_correctly():
         n = rng.randint(4, 8)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
         g = Graph.from_edges(n, edges)
-        cycles = list(enumerate_short_induced_cycles(g, g.full_mask(), max_len=7))
+        # in an induced cycle the cycle edges are exactly the induced edges
+        cycles = [
+            {(a, b) for a, b in g.edges() if a in cyc and b in cyc}
+            for cyc in induced_cycle_sets_naive(g, 7)
+        ]
         if not cycles:
             continue
         for m in all_dims(g):
             mset = set(m)
-            for cyc in cycles:
-                k = len(cyc)
-                cyc_edges = set()
-                for i in range(k):
-                    a, b = cyc[i], cyc[(i + 1) % k]
-                    cyc_edges.add((a, b) if a < b else (b, a))
+            for cyc_edges in cycles:
+                k = len(cyc_edges)
                 inter = len(mset & cyc_edges)
                 if k in (3, 5, 7):
-                    assert inter == 1, (edges, m, cyc)
+                    assert inter == 1, (edges, m, cyc_edges)
                 elif k == 4:
-                    assert inter == 0, (edges, m, cyc)
+                    assert inter == 0, (edges, m, cyc_edges)
                 elif k == 6:
-                    assert inter in (0, 2), (edges, m, cyc)
+                    assert inter in (0, 2), (edges, m, cyc_edges)
                 checked += 1
     assert checked > 100

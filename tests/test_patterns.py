@@ -7,7 +7,6 @@ from dimkit.patterns import (
     P9_VERIFIED,
     ScanBudget,
     classify_p9,
-    enumerate_short_induced_cycles,
     find_induced_path,
     find_k4,
     iter_butterflies,
@@ -18,7 +17,6 @@ from conftest import complete_graph, cycle_graph, path_graph
 from naive_reference import (
     butterfly_hits_naive,
     diamond_hits_naive,
-    induced_cycle_sets_naive,
     induced_paths_naive,
     k4_sets_naive,
 )
@@ -102,25 +100,6 @@ def test_p9_scan_answers_small_graphs_without_a_step():
         find_induced_path(path_graph(9), 9, node_limit=0)
 
 
-def test_cycle_enumeration_shapes():
-    assert list(enumerate_short_induced_cycles(cycle_graph(6))) == [(0, 1, 2, 3, 4, 5)]
-    # triangle and a square joined by an edge: both show up, as vertex
-    # sequences in cyclic order
-    g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3)])
-    got = sorted(enumerate_short_induced_cycles(g))
-    assert got == [(0, 1, 2), (3, 4, 5, 6)]
-    assert list(enumerate_short_induced_cycles(cycle_graph(8), max_len=7)) == []
-
-
-def test_cycle_enumeration_budget():
-    with pytest.raises(ScanBudget):
-        list(enumerate_short_induced_cycles(complete_graph(8), node_limit=3))
-
-
-def test_long_chordless_cycle_ignored():
-    assert list(enumerate_short_induced_cycles(cycle_graph(10), max_len=9)) == []
-
-
 # -- differential against subset enumeration ---------------------------------
 
 
@@ -159,16 +138,3 @@ def test_path_finder_matches_naive_on_random_graphs():
                 canon = found if found[0] < found[-1] else found[::-1]
                 assert canon in naive
 
-
-def test_cycle_enumeration_matches_naive_on_random_graphs():
-    rng = random.Random(31337)
-    for trial in range(400):
-        n = rng.randint(4, 8)
-        g = random_graph(rng, n, rng.choice((0.2, 0.4, 0.6)))
-        got = {frozenset(c) for c in enumerate_short_induced_cycles(g, max_len=8)}
-        assert got == induced_cycle_sets_naive(g, 8), (trial, g.edges())
-        # each reported sequence really is a cyclic ordering
-        for cyc in enumerate_short_induced_cycles(g, max_len=8):
-            k = len(cyc)
-            for i in range(k):
-                assert g.has_edge(cyc[i], cyc[(i + 1) % k])
