@@ -211,9 +211,9 @@ def explain_cmd(graph_path, x, y):
     JSON on stdout: BFS levels, colors and forced edges after the initial
     and family-normalization rules, anchor families, and the leftover
     pieces branching would explore.  Exit 0 when the decomposition stands,
-    1 when the edge is provably in no solution (a contradiction with rule
-    id and witnesses is included), 2 when some vertex sits farther than
-    four levels from the edge.
+    1 when either rule set proves the edge in no solution (the first
+    contradiction, with rule id and witnesses, is included), 2 when some
+    vertex sits farther than four levels from the edge.
     """
     g = _load_graph(graph_path)
     if not (0 <= x < g.n and 0 <= y < g.n) or not g.has_edge(x, y):
@@ -228,10 +228,7 @@ def explain_cmd(graph_path, x, y):
         click.echo(json.dumps(info))
         return 2
     c = dec.coloring
-    bad = apply_initial_facts(dec)
-    outcome = None
-    if bad is None:
-        outcome = normalize_T(dec)
+    bad = apply_initial_facts(dec) or normalize_T(dec)
     active = c.unknown_mask(dec.scope) | c.unmated_black_mask(dec.scope)
     info.update({
         "levels": [_verts(m) for m in dec.levels],
@@ -257,9 +254,6 @@ def explain_cmd(graph_path, x, y):
     if bad is not None:
         info["status"] = "infeasible"
         info["contradiction"] = {"rule": bad.rule, "witnesses": list(bad.witnesses)}
-    elif not outcome.ok:
-        info["status"] = "infeasible"
-        info["reason"] = outcome.reason
     click.echo(json.dumps(info))
     return 0 if info["status"] == "ok" else 1
 

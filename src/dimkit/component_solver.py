@@ -9,7 +9,7 @@ components.  Each is finished in two steps, both valid on every graph:
   * the backtracking search of `coloring.search`, steered by one pick
     rule: the first live L4 component is colored first, then one family
     at a time (the fewest live members first, its members with outside
-    contacts or on its internal edge before the rest); a branch budget
+    contacts or on an internal edge before the rest); a branch budget
     caps the search.
 
 The search is exact within its budget, so "infeasible" is a proof that no

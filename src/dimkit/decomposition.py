@@ -4,9 +4,10 @@ Fixing an edge xy as a matching edge splits the rest of its component into
 BFS layers L1..L4 (a suitable center keeps the radius at four).  The layer
 structure forces a cascade of facts:
 
-  * L1 is all white (neighbors of a matched pair are unmatched), so L2 is
-    all black; L2's internal edges are matched pairs, its isolated vertices
-    (the anchors) must find their partner in L3;
+  * propagating the root pair alone makes L1 all white (neighbors of a
+    matched pair are unmatched) and so L2 all black; L2's internal edges
+    become matched pairs, its isolated vertices (the anchors) must find
+    their partner in L3;
   * no edge inside L3 and no L3-L4 edge can be a matching edge, so those
     edges propagate colors across (one endpoint black, the other white);
   * an L3 vertex seeing two or more anchors must be white;
@@ -37,26 +38,12 @@ class RadiusExceeded(Exception):
         self.vertex = vertex
 
 
-class AssumptionViolated(Exception):
-    """A structural guarantee the reduction relies on failed to hold."""
-
-
 @dataclass
 class Family:
     anchor: int          # black L2 vertex whose partner lives in the family
     members: int         # mask of its private L3 neighbors
     out_mask: int = 0    # members with structural contacts outside the family
-    internal_edge: int = 0  # mask of the <=1 internal edge's endpoints
-
-
-@dataclass
-class NormalizeOutcome:
-    status: str  # "ok" | "infeasible"
-    reason: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
+    internal_edge: int = 0  # members with a neighbor inside the family
 
 
 @dataclass
@@ -118,7 +105,7 @@ def _attach_exclusions(dec: XyDecomposition) -> None:
 
 
 def apply_initial_facts(dec: XyDecomposition) -> Contradiction | None:
-    """Root pair, layer colors, L2 pair edges, anchor blacks, multi-anchor
+    """Root pair (which colors L1 and L2 and pairs L2's edges), multi-anchor
     whites, and forced L4 triangle edges; propagated to a fixpoint."""
     g, c = dec.g, dec.coloring
     bad = force_pair(c, dec.x, dec.y)
@@ -130,33 +117,14 @@ def apply_initial_facts(dec: XyDecomposition) -> Contradiction | None:
     if bad:
         return bad
 
-    for v in bits(dec.l1 & c.unknown_mask()):
-        bad = c._set(v, WHITE)
-        if bad:
-            return bad
-    bad = c.propagate()
-    if bad:
-        return bad
-
     l2 = dec.l2
     anchor_mask = 0
     for v in bits(l2):
-        inner = g.rows[v] & l2
-        if inner:
-            for u in bits(inner >> (v + 1) << (v + 1)):
-                bad = force_pair(c, v, u)
-                if bad:
-                    return bad
-                dec.forced.append((v, u))
+        if g.rows[v] & l2:
+            if v < c.mate[v]:
+                dec.forced.append((v, c.mate[v]))
         else:
             anchor_mask |= 1 << v
-    for v in bits(anchor_mask & c.unknown_mask()):
-        bad = c._set(v, BLACK)
-        if bad:
-            return bad
-    bad = c.propagate()
-    if bad:
-        return bad
     dec.anchors = list(bits(anchor_mask))
 
     # L3 vertices seeing two or more anchors cannot be matched
@@ -198,120 +166,42 @@ def _build_families(dec: XyDecomposition) -> None:
                 members |= 1 << t
         dec.families.append(Family(anchor=u, members=members))
     for fam in dec.families:
-        out = 0
         foreign = (dec.l3 & ~fam.members) | dec.l4
         for t in bits(fam.members):
             if g.rows[t] & foreign:
-                out |= 1 << t
-        fam.out_mask = out
-        internal = 0
-        edges = 0
-        for t in bits(fam.members):
-            link = g.rows[t] & fam.members
-            internal |= link | ((1 << t) if link else 0)
-            edges += (link >> (t + 1) << (t + 1)).bit_count() if link else 0
-        if edges > 1:
-            raise AssumptionViolated(
-                f"family of anchor {fam.anchor} holds {edges} internal edges"
-            )
-        fam.internal_edge = internal
+                fam.out_mask |= 1 << t
+            if g.rows[t] & fam.members:
+                fam.internal_edge |= 1 << t
 
 
-def normalize_T(dec: XyDecomposition) -> NormalizeOutcome:
-    """Family-level forcings, run to a fixpoint with propagation.
+def normalize_T(dec: XyDecomposition) -> Contradiction | None:
+    """Family-level forcings, one pass followed by propagation.
 
-    * empty family: the anchor has no candidate partner, infeasible;
-    * singleton family: that member is the partner, forced;
-    * a member adjacent to two vertices of another family is the partner
-      of its own anchor, forced;
-    * three structural edges between two families: infeasible;
-    * exactly two: every non-endpoint member of both families is white;
-    * an internal family edge: every other member of that family is white.
+    * a member adjacent to two members of another family is the partner of
+      its own anchor, forced (were it white, both would be black next to
+      their anchor);
+    * a family with an internal edge: every member on no internal edge is
+      white (the partner must cover that edge, or both ends stay white).
     """
     g, c = dec.g, dec.coloring
     _build_families(dec)
 
-    for _ in range(4 * len(dec.families) + 4):
-        changed = False
-        for fam in dec.families:
-            u = fam.anchor
-            if c.mate[u] >= 0:
+    for fam in dec.families:
+        u = fam.anchor
+        for t in bits(fam.members):
+            if c.color_of(t) == BLACK:
                 continue
-            alive = fam.members & ~c.white
-            if not alive:
-                return NormalizeOutcome(
-                    "infeasible", f"anchor {u} has no remaining partner candidate"
-                )
-            if alive.bit_count() == 1:
-                t = next(bits(alive))
-                if c.color_of(t) != BLACK or c.mate[t] != u:
-                    bad = force_pair(c, u, t)
-                    if bad:
-                        return NormalizeOutcome("infeasible", str(bad))
-                    dec.forced.append((u, t) if u < t else (t, u))
-                    changed = True
+            if any((g.rows[t] & other.members).bit_count() >= 2
+                   for other in dec.families if other is not fam):
+                bad = force_pair(c, u, t)
+                if bad:
+                    return bad
+                dec.forced.append((u, t) if u < t else (t, u))
 
-        # member seeing two vertices of a foreign family: forced partner
-        for fam in dec.families:
-            u = fam.anchor
-            for t in bits(fam.members):
-                if c.color_of(t) == BLACK:
-                    continue
-                for other in dec.families:
-                    if other is fam:
-                        continue
-                    if (g.rows[t] & other.members).bit_count() >= 2:
-                        bad = force_pair(c, u, t)
-                        if bad:
-                            return NormalizeOutcome("infeasible", str(bad))
-                        dec.forced.append((u, t) if u < t else (t, u))
-                        changed = True
-                        break
-
-        # structural edge budget between family pairs; the bound and the
-        # two-edge whitening are only valid for pairwise disjoint edges
-        for i, fam in enumerate(dec.families):
-            for other in dec.families[i + 1:]:
-                cross = 0
-                touched = 0
-                far_union = 0
-                endpoints = 0
-                for t in bits(fam.members):
-                    link = g.rows[t] & other.members
-                    if not link:
-                        continue
-                    cross += link.bit_count()
-                    touched += 1
-                    far_union |= link
-                    endpoints |= (1 << t) | link
-                if cross != touched or far_union.bit_count() != cross:
-                    continue  # shared endpoint: the two-of-a-family rule owns it
-                if cross >= 3:
-                    return NormalizeOutcome(
-                        "infeasible",
-                        f"three edges between families of anchors {fam.anchor} and {other.anchor}",
-                    )
-                if cross == 2:
-                    rest = (fam.members | other.members) & ~endpoints & c.unknown_mask()
-                    for v in bits(rest):
-                        bad = c._set(v, WHITE)
-                        if bad:
-                            return NormalizeOutcome("infeasible", str(bad))
-                        changed = True
-
-        # internal family edge pins the partner to its endpoints
-        for fam in dec.families:
-            if fam.internal_edge:
-                rest = fam.members & ~fam.internal_edge & c.unknown_mask()
-                for v in bits(rest):
-                    bad = c._set(v, WHITE)
-                    if bad:
-                        return NormalizeOutcome("infeasible", str(bad))
-                    changed = True
-
-        bad = c.propagate()
-        if bad:
-            return NormalizeOutcome("infeasible", str(bad))
-        if not changed:
-            return NormalizeOutcome("ok")
-    raise AssumptionViolated("family normalization failed to stabilize")
+    for fam in dec.families:
+        if fam.internal_edge:
+            for v in bits(fam.members & ~fam.internal_edge & c.unknown_mask()):
+                bad = c._set(v, WHITE)
+                if bad:
+                    return bad
+    return c.propagate()

@@ -7,11 +7,10 @@ of the still-active part and trial every edge xy at it through the level
 decomposition.  A successful trial colors the whole piece.  If every edge
 at x is proven infeasible, x is unmatched in any solution, so x turns
 white and the loop continues on the shrunken remainder.  Trials that end
-undecided (budget, radius, or a family-structure surprise) make the
-component inconclusive; an inconclusive component goes to a budgeted
-complete search that branches on vertex colors and lets propagation
-prune.  That search relies on nothing about the graph class, so its
-verdicts stand on any input.
+undecided (budget or radius) make the component inconclusive; an
+inconclusive component goes to a budgeted complete search that branches
+on vertex colors and lets propagation prune.  That search relies on
+nothing about the graph class, so its verdicts stand on any input.
 
 Verdict soundness: "dim" and "no-dim" are certificates.  Every rule used
 is valid in any graph but one, the radius cut in `try_edge` (a vertex
@@ -34,7 +33,7 @@ from .coloring import (
     search,
 )
 from .component_solver import solve_component
-from .decomposition import AssumptionViolated, RadiusExceeded, build_levels, apply_initial_facts, normalize_T
+from .decomposition import RadiusExceeded, build_levels, apply_initial_facts, normalize_T
 from .graph import Edge, Graph, bits, central_vertex, connected_components
 from .oracle import verify_dim
 from .patterns import (
@@ -137,26 +136,20 @@ def try_edge(
         if trusted:
             return "infeasible", str(exc)
         return "undecided", str(exc)
-    try:
-        bad = apply_initial_facts(dec)
-        if bad:
-            return "infeasible", str(bad)
-        outcome = normalize_T(dec)
-        if not outcome.ok:
-            return "infeasible", outcome.reason
+    bad = apply_initial_facts(dec) or normalize_T(dec)
+    if bad:
+        return "infeasible", str(bad)
 
-        active = c.unknown_mask(scope) | c.unmated_black_mask(scope)
-        for piece in connected_components(g, active):
-            size = piece.bit_count()
-            branch_budget = cfg.branch_budget or max(64, size * size)
-            res = solve_component(dec, piece, branch_budget)
-            stats["branches"] += res.branches
-            if res.status == "infeasible":
-                return "infeasible", res.detail
-            if res.status == "budget":
-                return "undecided", res.detail
-    except AssumptionViolated as exc:
-        return "undecided", str(exc)
+    active = c.unknown_mask(scope) | c.unmated_black_mask(scope)
+    for piece in connected_components(g, active):
+        size = piece.bit_count()
+        branch_budget = cfg.branch_budget or max(64, size * size)
+        res = solve_component(dec, piece, branch_budget)
+        stats["branches"] += res.branches
+        if res.status == "infeasible":
+            return "infeasible", res.detail
+        if res.status == "budget":
+            return "undecided", res.detail
 
     stats["forced_edges"] += len(dec.forced)
     _commit(master, c)

@@ -30,12 +30,6 @@ class GraphFormatError(ValueError):
         self.message = message
 
 
-def edge(u: int, v: int) -> Edge:
-    if u == v:
-        raise ValueError(f"self-loop at {u}")
-    return (u, v) if u < v else (v, u)
-
-
 def bits(mask: int) -> Iterator[int]:
     """Yield set bit indexes of mask, ascending."""
     while mask:

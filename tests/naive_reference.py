@@ -10,13 +10,7 @@ from itertools import combinations
 
 from dimkit.coloring import Coloring
 from dimkit.component_solver import reduce_l4
-from dimkit.decomposition import (
-    AssumptionViolated,
-    RadiusExceeded,
-    apply_initial_facts,
-    build_levels,
-    normalize_T,
-)
+from dimkit.decomposition import RadiusExceeded, apply_initial_facts, build_levels, normalize_T
 from dimkit.graph import Graph, bits, connected_components
 from dimkit.oracle import all_dims
 
@@ -168,21 +162,15 @@ def trial_facts(g: Graph, x: int, y: int, reduce: bool = False):
         dec = build_levels(g, g.full_mask(), x, y, c)
     except RadiusExceeded as exc:
         return "skip", str(exc)
-    try:
-        bad = apply_initial_facts(dec)
-        if bad:
-            return "infeasible", str(bad)
-        outcome = normalize_T(dec)
-        if not outcome.ok:
-            return "infeasible", outcome.reason
-        if reduce:
-            active = c.unknown_mask(dec.scope) | c.unmated_black_mask(dec.scope)
-            for piece in connected_components(g, active):
-                status, reason = reduce_l4(dec, piece)
-                if status != "ok":
-                    return "infeasible", reason
-    except AssumptionViolated as exc:
-        return "skip", str(exc)
+    bad = apply_initial_facts(dec) or normalize_T(dec)
+    if bad:
+        return "infeasible", str(bad)
+    if reduce:
+        active = c.unknown_mask(dec.scope) | c.unmated_black_mask(dec.scope)
+        for piece in connected_components(g, active):
+            status, reason = reduce_l4(dec, piece)
+            if status != "ok":
+                return "infeasible", reason
     return "ok", (set(dec.forced), c.white, c.black)
 
 

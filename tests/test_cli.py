@@ -12,7 +12,7 @@ from dimkit import cli
 from dimkit.cli import main
 from dimkit.coloring import parse_matching
 from dimkit.driver import SolveOutcome
-from dimkit.graph import load_graph, save_graph
+from dimkit.graph import Graph, load_graph, save_graph
 from dimkit.oracle import verify_dim
 from conftest import complete_graph, cycle_graph, path_graph
 
@@ -221,6 +221,30 @@ def test_explain_infeasible_exit_one(graph_file, capsys):
     assert rc == 1
     assert rep["status"] == "infeasible"
     assert rep["contradiction"]["rule"] == "black-unmatchable"
+
+
+def test_explain_family_with_two_internal_edges(graph_file, capsys):
+    # anchor 3's family 4..7 holds two internal edges, 4-5 and 6-7
+    g = Graph.from_edges(8, [(0, 1), (0, 2), (2, 3), (3, 4), (3, 5), (3, 6), (3, 7),
+                             (4, 5), (6, 7)])
+    rc = main(["explain", graph_file(g), "0", "1"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert rep["status"] == "ok"
+    assert rep["families"] == [{"anchor": 3, "members": [4, 5, 6, 7], "internal_edge": [4, 5, 6, 7]}]
+
+
+def test_explain_family_contradiction_exit_one(graph_file, capsys):
+    # member 6 of anchor 4's family sees both members 8, 9 of anchor 5's
+    # family, so 6 is 4's partner; that whitens 8 and 9 and strands 5
+    g = Graph.from_edges(10, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (4, 7),
+                              (5, 8), (5, 9), (6, 8), (6, 9)])
+    rc = main(["explain", graph_file(g), "0", "1"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert rep["status"] == "infeasible"
+    assert rep["contradiction"] == {"rule": "black-unmatchable", "witnesses": [5]}
+    assert "reason" not in rep
 
 
 def test_explain_radius_exit_two(graph_file, capsys):

@@ -1,7 +1,9 @@
 import random
+import sys
 
 import pytest
 
+from dimkit import decomposition
 from dimkit.coloring import BLACK, WHITE, Coloring
 from dimkit.decomposition import (
     MAX_RADIUS,
@@ -37,8 +39,7 @@ def test_initial_facts_on_middle_edge_of_path():
     assert c.white == 0b1001001
     assert c.black == 0b0110110
     assert c.mate[4] == 5
-    out = normalize_T(dec)
-    assert out.ok
+    assert normalize_T(dec) is None
     assert dec.anchors == [4]
 
 
@@ -110,8 +111,7 @@ def test_family_grouping():
     c = Coloring(g)
     dec = build_levels(g, g.full_mask(), 0, 1, c)
     assert apply_initial_facts(dec) is None
-    out = normalize_T(dec)
-    assert out.ok
+    assert normalize_T(dec) is None
     fams = [f for f in dec.families if f.anchor == 4]
     assert len(fams) == 1
     assert fams[0].members == (1 << 5) | (1 << 6)
@@ -131,7 +131,18 @@ def test_trial_facts_sound_on_small_corpus(corpus7):
     assert confirmed > 1000
 
 
-def test_trial_facts_sound_on_random_graphs():
+# (n, edges) for the trial (0, 1), one per rule of normalize_T
+FAMILY_GADGETS = (
+    # anchors 4 and 5 with families {6, 7} and {8, 9}; member 6 sees both
+    # members of the other family
+    (10, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (4, 7),
+          (5, 8), (5, 9), (6, 8), (6, 9)]),
+    # anchor 3 with family {4, 5, 6} and the internal edge 4-5
+    (7, [(0, 1), (0, 2), (2, 3), (3, 4), (3, 5), (3, 6), (4, 5)]),
+)
+
+
+def test_trial_facts_sound_on_random_graphs(monkeypatch):
     rng = random.Random(55155)
     ran = 0
     for _ in range(600):
@@ -144,3 +155,28 @@ def test_trial_facts_sound_on_random_graphs():
         assert_trial_facts_sound(g, u, v)
         ran += 1
     assert ran > 500
+    # the family gadgets plus random edges at up to four extra vertices
+    # reach both of normalize_T's rules, which the draws above do not; a
+    # rule fired when normalize_T itself called force_pair (member rule) or
+    # Coloring._set (internal-edge rule)
+    fired = set()
+
+    def spy(rule, real):
+        def call(*args):
+            if sys._getframe(1).f_code is normalize_T.__code__:
+                fired.add(rule)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(decomposition, "force_pair", spy("member", decomposition.force_pair))
+    monkeypatch.setattr(Coloring, "_set", spy("internal", Coloring._set))
+    member = internal = 0
+    for _ in range(400):
+        base, edges = rng.choice(FAMILY_GADGETS)
+        n = rng.randint(base, base + 4)
+        extra = [(u, v) for v in range(base, n) for u in range(v) if rng.random() < 0.15]
+        fired.clear()
+        assert_trial_facts_sound(Graph.from_edges(n, edges + extra), 0, 1, reduce=True)
+        member += "member" in fired
+        internal += "internal" in fired
+    assert member >= 5 and internal >= 5, (member, internal)
