@@ -95,7 +95,8 @@ def cli():
 @click.option("--json", "as_json", is_flag=True, help="machine-readable report")
 @click.option("--check-p9/--no-check-p9", default=True, show_default=True,
               help="scan for a nine-vertex induced path before trusting class-specific rules")
-@click.option("--budget-branches", type=int, default=None, help="branch cap per component")
+@click.option("--budget-branches", type=click.IntRange(min=0), default=None,
+              help="branch cap per component")
 def solve_cmd(graph_path, as_json, check_p9, budget_branches):
     """Decide whether GRAPH_PATH has a dominating induced matching."""
     g = _load_graph(graph_path)

@@ -1,16 +1,17 @@
 """Top-level solver: decide whether a graph has a dominating induced matching.
 
-Outline per connected component: look for a single dominating edge; apply
-forced-pattern preprocessing (a K4 kills the whole graph, diamonds and
-butterflies pin matching edges); then repeatedly pick a central vertex x
-of the still-active part and trial every edge xy at it through the level
-decomposition.  A successful trial colors the whole piece.  If every edge
-at x is proven infeasible, x is unmatched in any solution, so x turns
-white and the loop continues on the shrunken remainder.  Trials that end
-undecided (budget or radius) make the component inconclusive; an
-inconclusive component goes to a budgeted complete search that branches
-on vertex colors and lets propagation prune.  That search relies on
-nothing about the graph class, so its verdicts stand on any input.
+Outline per connected component: refute on a four-clique (a K4 kills the
+whole graph); look for a single dominating edge; then repeatedly pick a
+central vertex x of the still-active part and trial every edge xy at it
+through the level decomposition.  A successful trial colors the whole
+piece.  If every edge at x is proven infeasible, x is unmatched in any
+solution, so x turns white and the loop continues on the shrunken
+remainder.  Forced facts come only from propagation, the single-edge
+test and the trials.  Trials that end undecided (budget or radius) make
+the component inconclusive; an inconclusive component goes to a budgeted
+complete search that branches on vertex colors and lets propagation
+prune.  That search relies on nothing about the graph class, so its
+verdicts stand on any input.
 
 Verdict soundness: "dim" and "no-dim" are certificates.  Every rule used
 is valid in any graph but one, the radius cut in `try_edge` (a vertex
@@ -36,9 +37,7 @@ from .component_solver import solve_component
 from .decomposition import RadiusExceeded, build_levels, apply_initial_facts, normalize_T
 from .graph import Edge, Graph, bits, central_vertex, connected_components
 from .oracle import verify_dim
-from .patterns import (
-    P9_UNCHECKED, P9_VERIFIED, PatternHit, classify_p9, find_k4, scan_forced_patterns,
-)
+from .patterns import P9_UNCHECKED, P9_VERIFIED, classify_p9, find_k4
 
 
 @dataclass
@@ -85,27 +84,6 @@ def trivial_dim(g: Graph, comp: int) -> Edge | None:
     return None
 
 
-def preprocess_component(
-    g: Graph, comp: int, master: Coloring, patterns: list[PatternHit], stats: dict
-) -> str | None:
-    """Apply pattern-forced edges falling inside this component."""
-    seen: set[Edge] = set()
-    for hit in patterns:
-        if not comp >> hit.vertices[0] & 1:
-            continue
-        for e in hit.forced_edges:
-            if e in seen:
-                continue
-            seen.add(e)
-            snap = master.snapshot()
-            bad = force_pair(master, e[0], e[1])
-            if bad:
-                master.restore(snap)
-                return f"forced pattern edges clash: {bad}"
-            stats["forced_edges"] += 1
-    return None
-
-
 def _is_p3_mid_edge(g: Graph, x: int, y: int, scope: int) -> bool:
     wing = (g.rows[x] ^ g.rows[y]) & scope & ~(1 << x) & ~(1 << y)
     return bool(wing)
@@ -143,8 +121,10 @@ def try_edge(
     active = c.unknown_mask(scope) | c.unmated_black_mask(scope)
     for piece in connected_components(g, active):
         size = piece.bit_count()
-        branch_budget = cfg.branch_budget or max(64, size * size)
-        res = solve_component(dec, piece, branch_budget)
+        budget = cfg.branch_budget
+        if budget is None:
+            budget = max(64, size * size)
+        res = solve_component(dec, piece, budget)
         stats["branches"] += res.branches
         if res.status == "infeasible":
             return "infeasible", res.detail
@@ -205,7 +185,6 @@ def solve_top_component(
     g: Graph,
     comp: int,
     master: Coloring,
-    patterns: list[PatternHit],
     cfg: SolveConfig,
     stats: dict,
     p9_trusted: bool,
@@ -228,16 +207,8 @@ def solve_top_component(
         stats["forced_edges"] += 1
         return "dim", extract_matching(master, comp), None
 
-    reason = preprocess_component(g, comp, master, patterns, stats)
-    if reason:
-        return "no-dim", None, reason
-
-    # after propagation an unknown vertex has only unknown or unpartnered
-    # black neighbors, so every piece but an untouched comp holds an
-    # unpartnered black, and comp itself failed the single-edge test above
-    work = []
-    active = master.unknown_mask(comp) | master.unmated_black_mask(comp)
-    work.extend(connected_components(g, active))
+    # nothing in comp is colored yet, so the work starts from comp itself
+    work = [comp]
     while work:
         sub = work.pop(0)
         x = central_vertex(g, sub)
@@ -280,13 +251,10 @@ def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveOutcome:
     p9_checked = p9_state != P9_UNCHECKED
     p9_trusted = p9_state == P9_VERIFIED
 
-    patterns = scan_forced_patterns(g)
     master = Coloring(g)
     pieces: list[Edge] = []
     for comp in connected_components(g):
-        status, piece, reason = solve_top_component(
-            g, comp, master, patterns, cfg, stats, p9_trusted
-        )
+        status, piece, reason = solve_top_component(g, comp, master, cfg, stats, p9_trusted)
         if status == "inconclusive":
             size = comp.bit_count()
             budget = cfg.complete_search_budget

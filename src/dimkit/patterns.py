@@ -1,10 +1,14 @@
-"""Induced-subgraph detectors used by the solver's preprocessing.
+"""Induced-subgraph detectors.
 
-A graph with a dominating induced matching cannot contain K4.  Two other
-small patterns pin matching edges outright: in an induced diamond (K4 minus
-an edge) the edge joining the two degree-3 vertices must be in the matching;
+A graph with a dominating induced matching cannot contain K4, so the
+solver refutes every component holding one (`find_k4`).  Two other small
+patterns pin matching edges outright: in an induced diamond (K4 minus an
+edge) the edge joining the two degree-3 vertices must be in the matching;
 in an induced butterfly (two triangles sharing one vertex) both non-center
-edges must be.  Detection works on bit-rows; everything is deterministic,
+edges must be.  The solver does not force those edges (its trials reach the
+same verdicts); `dimkit check` counts the patterns and the random
+generator's filters reject graphs holding them.  The P9 scan lives here
+too.  Detection works on bit-rows; everything is deterministic,
 ascending-id order.
 """
 
@@ -70,12 +74,6 @@ def iter_butterflies(g: Graph) -> Iterator[PatternHit]:
                 )
                 if not cross:
                     yield PatternHit("butterfly", (c, a, b, d, e), ((a, b), (d, e)))
-
-
-def scan_forced_patterns(g: Graph) -> list[PatternHit]:
-    hits = list(iter_diamonds(g))
-    hits.extend(iter_butterflies(g))
-    return hits
 
 
 def find_induced_path(g: Graph, k: int, node_limit: int | None = None) -> tuple[int, ...] | None:

@@ -83,6 +83,11 @@ def test_solve_flag_plumbing(graph_file, capsys):
     assert "p9_checked: false" in capsys.readouterr().out
 
 
+def test_solve_negative_branch_budget_exit_three(graph_file, capsys):
+    assert main(["solve", graph_file(cycle_graph(6)), "--budget-branches", "-1"]) == 3
+    assert "--budget-branches" in capsys.readouterr().err
+
+
 def test_solve_oversized_header_exit_three(tmp_path, capsys):
     path = tmp_path / "huge.graph"
     path.write_text("100000000000 0\n")

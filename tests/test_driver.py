@@ -15,10 +15,12 @@ from dimkit.driver import (
 from dimkit.generator import gen_c4_augmented, gen_planted
 from dimkit.graph import Graph, connected_components
 import dimkit.oracle
+import dimkit.patterns
 from dimkit.oracle import all_dims, count_dims, oracle_dim, verify_dim
 from dimkit.patterns import P9_VERIFIED, P9_VIOLATED, classify_p9
 from conftest import complete_graph, cycle_graph, disjoint_union, path_graph
 from naive_reference import induced_paths_naive
+from test_component_solver import BRANCHY
 
 ENGINE_ONLY = SolveConfig(complete_search_budget=0)
 
@@ -57,17 +59,16 @@ def test_paths():
         assert verify_dim(path_graph(n), out.matching).ok
 
 
-def test_diamond_preprocessing_forces_mid_edge():
+def test_diamond_certificate_holds_the_mid_edge():
     # diamond plus a tail; the mid edge (0,1) must be in any solution
     g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (3, 4), (4, 5)])
     out = solve(g, ENGINE_ONLY)
     assert out.status == "dim"
     assert set(out.matching) == {(0, 1), (4, 5)}
-    assert out.stats["forced_edges"] >= 1
-    assert count_dims(g) == 1  # the forced shape is the only one
+    assert count_dims(g) == 1  # the pinned shape is the only one
 
 
-def test_butterfly_preprocessing():
+def test_butterfly_certificate_holds_both_wing_edges():
     g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     out = solve(g, ENGINE_ONLY)
     assert out.status == "dim"
@@ -203,15 +204,21 @@ def test_matches_oracle_engine_only_when_conclusive(corpus7):
         assert out.status == oracle_dim(g).status
 
 
-def test_solve_never_consults_the_oracle(corpus7, monkeypatch):
+def _gnp_draws():
+    """300 seeded G(n, p) graphs with n <= 18, small enough for the oracle."""
     rng = random.Random(99)
-    graphs = list(corpus7)
+    graphs = []
     for _ in range(300):
         n = rng.randint(2, 18)
         p = rng.choice((0.1, 0.2, 0.3, 0.5))
         graphs.append(Graph.from_edges(
             n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         ))
+    return graphs
+
+
+def test_solve_never_consults_the_oracle(corpus7, monkeypatch):
+    graphs = list(corpus7) + _gnp_draws()
 
     def refuse(*args, **kwargs):
         raise AssertionError("solve() consulted the oracle")
@@ -223,6 +230,36 @@ def test_solve_never_consults_the_oracle(corpus7, monkeypatch):
         assert out.status == oracle_dim(g).status, (g.edges(), out.reason)
         if out.status == "dim":
             assert verify_dim(g, out.matching).ok
+
+
+def test_solve_never_runs_the_pattern_detectors(corpus7, monkeypatch):
+    graphs = list(corpus7) + _gnp_draws()
+    rng = random.Random(62)
+    dense = Graph.from_edges(
+        62, [(u, v) for u in range(62) for v in range(u + 1, 62) if rng.random() < 0.5]
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve() ran a diamond or butterfly detector")
+
+    monkeypatch.setattr(dimkit.patterns, "iter_diamonds", refuse)
+    monkeypatch.setattr(dimkit.patterns, "iter_butterflies", refuse)
+    outcomes = [solve(g) for g in graphs]
+    dense_out = solve(dense)
+    monkeypatch.undo()
+    for g, out in zip(graphs, outcomes):
+        assert out.status == oracle_dim(g).status, (g.edges(), out.reason)
+        if out.status == "dim":
+            assert verify_dim(g, out.matching).ok
+    # a K4 refutes the dense draw before any trial or search
+    assert dense_out.status == "no-dim"
+    assert "complete subgraph" in dense_out.reason
+
+
+def test_zero_branch_budget_means_no_branches():
+    out = solve(BRANCHY, SolveConfig(branch_budget=0, complete_search_budget=0))
+    assert out.status == "inconclusive"
+    assert "branch budget 0 exhausted" in out.reason
 
 
 def test_centre_tie_break_pinned_end_to_end():

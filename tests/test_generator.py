@@ -16,7 +16,7 @@ from dimkit.generator import (
 )
 from dimkit.graph import Graph, connected_components, parse_graph, serialize_graph
 from dimkit.oracle import oracle_dim, verify_dim
-from dimkit.patterns import classify_p9, find_k4, scan_forced_patterns
+from dimkit.patterns import classify_p9, find_k4, iter_butterflies, iter_diamonds
 from conftest import cycle_graph, path_graph
 
 # sha256 of the concatenated serialize_graph output of iter_small_corpus(7)
@@ -114,13 +114,13 @@ def test_random_filters_hold():
 
 
 def test_pattern_filters_leave_nothing_forced():
-    # both pattern filters together must leave the preprocess scan empty
+    # both pattern filters together must leave no diamond or butterfly
     for seed in range(5):
         draw = gen_random(12, 0.3, seed=seed,
                           filters=("k4_free", "diamond_butterfly_free"))
         assert draw.graph is not None
         assert find_k4(draw.graph) is None
-        assert scan_forced_patterns(draw.graph) == []
+        assert [*iter_diamonds(draw.graph), *iter_butterflies(draw.graph)] == []
 
 
 def test_random_cap_reports_rejections():
