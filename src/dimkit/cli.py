@@ -1,7 +1,7 @@
 """Command-line front door.
 
 Verbs: solve, verify, oracle, check, explain, gen (planted / random /
-corpus), cross-check, bench.  Exit codes: solve and oracle use 0 =
+corpus), cross-check.  Exit codes: solve and oracle use 0 =
 solution found, 1 = provably none, 2 = undecided; verify uses 0 = valid,
 1 = invalid; cross-check returns 1 on any solver/oracle disagreement;
 every input problem (unreadable file, bad flag, malformed matching, a
@@ -9,19 +9,16 @@ graph header above ``graph.MAX_VERTICES``) exits 3; any other failure,
 out-of-memory included, exits 4 (internal error) with its traceback on
 standard error, so a crash never reads as a verdict.
 
-cross-check and bench fan whole instances out to a process pool sized by
+cross-check fans whole instances out to a process pool sized by
 DIMKIT_THREADS (default: all cores); an instance is never split.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import multiprocessing
 import os
 import sys
-import time
 import traceback
 from pathlib import Path
 
@@ -32,7 +29,6 @@ from .decomposition import RadiusExceeded, apply_initial_facts, build_levels, no
 from .driver import SolveConfig, solve
 from .generator import (
     emit_small_corpus,
-    gen_c4_augmented,
     gen_planted,
     gen_random,
     p9_label,
@@ -41,8 +37,6 @@ from .generator import (
 from .graph import Graph, GraphFormatError, bits, connected_components, load_graph, serialize_graph
 from .oracle import oracle_dim, verify_dim
 from .patterns import classify_p9, find_k4, iter_butterflies, iter_diamonds
-
-BENCH_SIZES = (250, 500, 1000, 2000)
 
 
 class InputError(click.ClickException):
@@ -94,7 +88,8 @@ def cli():
 @click.argument("graph_path")
 @click.option("--json", "as_json", is_flag=True, help="machine-readable report")
 @click.option("--check-p9/--no-check-p9", default=True, show_default=True,
-              help="scan for a nine-vertex induced path before trusting class-specific rules")
+              help="report whether the graph is free of induced nine-vertex paths "
+                   "(the scan decides no verdict)")
 @click.option("--budget-branches", type=click.IntRange(min=0), default=None,
               help="branch cap per component")
 def solve_cmd(graph_path, as_json, check_p9, budget_branches):
@@ -387,58 +382,6 @@ def cross_check_cmd(max_n, count, seed):
         f"checked={len(results)} disagreements={len(disagreements)} inconclusive={inconclusive}"
     )
     return 1 if disagreements else 0
-
-
-# -- bench ------------------------------------------------------------------
-
-
-def _bench_one(job):
-    n, k, extra, seed, no_dim_family = job
-    if no_dim_family:
-        g = gen_c4_augmented(n, k, extra, seed)
-    else:
-        g = gen_planted(n, k, extra, seed).graph
-    t0 = time.perf_counter()
-    out = solve(g)
-    millis = int((time.perf_counter() - t0) * 1000)
-    ok = out.status == ("no-dim" if no_dim_family else "dim")
-    if not no_dim_family and out.status == "dim":
-        ok = verify_dim(g, out.matching).ok
-    return (g.n, g.m, millis, out.status, ok)
-
-
-@cli.command("bench")
-@click.option("--count", type=int, default=1, show_default=True, help="instances per size")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-n", type=int, default=None, help="drop sizes above this")
-@click.option("--no-dim-family", is_flag=True,
-              help="time guaranteed-rejection instances instead of planted ones")
-@click.option("--out", "out_path", default=None, help="write CSV here instead of stdout")
-def bench_cmd(count, seed, max_n, no_dim_family, out_path):
-    """Emit (n, m, millis) CSV over planted instances of growing size."""
-    sizes = [s for s in BENCH_SIZES if max_n is None or s <= max_n]
-    if not sizes:
-        raise InputError(f"--max-n {max_n} leaves no benchmark sizes")
-    jobs = [
-        (n, n // 4, n, seed + i, no_dim_family)
-        for n in sizes
-        for i in range(count)
-    ]
-    results = _map_jobs(_bench_one, jobs)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "m", "millis"])
-    bad = 0
-    for n, m, millis, status, ok in results:
-        writer.writerow([n, m, millis])
-        if not ok:
-            bad += 1
-            click.echo(f"unexpected outcome at n={n}: {status}", err=True)
-    if out_path:
-        Path(out_path).write_text(buf.getvalue())
-    else:
-        click.echo(buf.getvalue(), nl=False)
-    return 1 if bad else 0
 
 
 def main(argv=None) -> int:

@@ -78,8 +78,10 @@ class XyDecomposition:
 
 def build_levels(g: Graph, scope: int, x: int, y: int, coloring: Coloring) -> XyDecomposition:
     """BFS layers of the component from {x, y}; raises RadiusExceeded when
-    the structure theorem's radius bound fails (the input was not within
-    the solver's graph class, or the center was not central)."""
+    some vertex lies more than four levels out.  Callers read that as
+    an undecided trial, never as a refutation: a connected graph of radius
+    r has an induced path on 2r - 1 vertices, so at a central x of a
+    P9-free scope it cannot happen, and elsewhere it proves nothing."""
     seed = (1 << x) | (1 << y)
     levels = [seed]
     for layer in bfs_layers(g, seed, scope):

@@ -14,10 +14,9 @@ prune.  That search relies on nothing about the graph class, so its
 verdicts stand on any input.
 
 Verdict soundness: "dim" and "no-dim" are certificates.  Every rule used
-is valid in any graph but one, the radius cut in `try_edge` (a vertex
-farther than four from a P3-middle edge at a central vertex rules that
-edge out), which holds only on graphs free of long induced paths and runs
-solely when that freedom was verified."""
+is valid in any graph.  A trial whose levels run deeper than four (the
+paper's bound for graphs without an induced nine-vertex path) only ends
+undecided, so the P9 scan decides nothing: it fills `p9_checked`."""
 
 from __future__ import annotations
 
@@ -37,7 +36,7 @@ from .component_solver import solve_component
 from .decomposition import RadiusExceeded, build_levels, apply_initial_facts, normalize_T
 from .graph import Edge, Graph, bits, central_vertex, connected_components
 from .oracle import verify_dim
-from .patterns import P9_UNCHECKED, P9_VERIFIED, classify_p9, find_k4
+from .patterns import P9_UNCHECKED, classify_p9, find_k4
 
 
 @dataclass
@@ -84,11 +83,6 @@ def trivial_dim(g: Graph, comp: int) -> Edge | None:
     return None
 
 
-def _is_p3_mid_edge(g: Graph, x: int, y: int, scope: int) -> bool:
-    wing = (g.rows[x] ^ g.rows[y]) & scope & ~(1 << x) & ~(1 << y)
-    return bool(wing)
-
-
 def try_edge(
     g: Graph,
     scope: int,
@@ -97,22 +91,18 @@ def try_edge(
     master: Coloring,
     cfg: SolveConfig,
     stats: dict,
-    trusted: bool,
 ) -> tuple[str, str | None]:
     """Decide whether some completion matches the edge xy; on success the
     colors are committed to the master coloring.
 
-    x must have minimum eccentricity within scope: the distance-radius cut
-    applied under `trusted` is only valid for edges at a central vertex.
+    A vertex of scope more than four levels from xy leaves the trial
+    undecided: it rules nothing out.  At a central x of a connected scope
+    free of induced nine-vertex paths that never happens.
     """
     c = master.clone()
     try:
         dec = build_levels(g, scope, x, y, c)
     except RadiusExceeded as exc:
-        # with no long induced path anywhere, a matched edge sees the whole
-        # component within four steps, so a distant vertex rules xy out
-        if trusted:
-            return "infeasible", str(exc)
         return "undecided", str(exc)
     bad = apply_initial_facts(dec) or normalize_T(dec)
     if bad:
@@ -187,7 +177,6 @@ def solve_top_component(
     master: Coloring,
     cfg: SolveConfig,
     stats: dict,
-    p9_trusted: bool,
 ) -> tuple[str, tuple[Edge, ...] | None, str | None]:
     """Returns (status, matching piece, reason) for one component of g."""
     if comp.bit_count() == 1:
@@ -216,8 +205,7 @@ def solve_top_component(
         found = False
         for y in bits(g.rows[x] & sub):
             stats["edges_tried"] += 1
-            trusted = p9_trusted and _is_p3_mid_edge(g, x, y, sub)
-            status, detail = try_edge(g, sub, x, y, master, cfg, stats, trusted)
+            status, detail = try_edge(g, sub, x, y, master, cfg, stats)
             if status == "dim":
                 found = True
                 break
@@ -247,14 +235,12 @@ def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveOutcome:
     cfg = cfg or SolveConfig()
     stats = {"edges_tried": 0, "forced_edges": 0, "branches": 0, "millis": 0}
 
-    p9_state = classify_p9(g)[0] if cfg.check_p9 else P9_UNCHECKED
-    p9_checked = p9_state != P9_UNCHECKED
-    p9_trusted = p9_state == P9_VERIFIED
+    p9_checked = cfg.check_p9 and classify_p9(g)[0] != P9_UNCHECKED
 
     master = Coloring(g)
     pieces: list[Edge] = []
     for comp in connected_components(g):
-        status, piece, reason = solve_top_component(g, comp, master, cfg, stats, p9_trusted)
+        status, piece, reason = solve_top_component(g, comp, master, cfg, stats)
         if status == "inconclusive":
             size = comp.bit_count()
             budget = cfg.complete_search_budget

@@ -8,7 +8,7 @@ in an induced butterfly (two triangles sharing one vertex) both non-center
 edges must be.  The solver does not force those edges (its trials reach the
 same verdicts); `dimkit check` counts the patterns and the random
 generator's filters reject graphs holding them.  The P9 scan lives here
-too.  Detection works on bit-rows; everything is deterministic,
+too; it runs on the twin quotient.  Detection works on bit-rows; everything is deterministic,
 ascending-id order.
 """
 
@@ -76,20 +76,23 @@ def iter_butterflies(g: Graph) -> Iterator[PatternHit]:
                     yield PatternHit("butterfly", (c, a, b, d, e), ((a, b), (d, e)))
 
 
-def find_induced_path(g: Graph, k: int, node_limit: int | None = None) -> tuple[int, ...] | None:
-    """First induced path on k vertices found by DFS, or None.
+def find_induced_path(
+    g: Graph, k: int, node_limit: int | None = None, within: int | None = None
+) -> tuple[int, ...] | None:
+    """First induced path on k vertices (inside `within` if given) found by
+    DFS, or None.
 
     Extension prunes with bit-rows: a new tip may touch only the current
     tip.  node_limit bounds DFS steps and raises ScanBudget when exhausted;
-    a graph with fewer than k vertices is answered without a step.
+    a scope with fewer than k vertices is answered without a step.
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    if g.n < k:
+    scope = g.full_mask() if within is None else within
+    if scope.bit_count() < k:
         return None
     if k == 1:
-        return (0,)
-    full = g.full_mask()
+        return (next(bits(scope)),)
     steps = [0]
 
     def rec(path: list[int], path_mask: int, banned: int) -> tuple[int, ...] | None:
@@ -99,7 +102,7 @@ def find_induced_path(g: Graph, k: int, node_limit: int | None = None) -> tuple[
         if len(path) == k:
             return tuple(path)
         tip = path[-1]
-        cand = g.rows[tip] & ~banned & ~path_mask & full
+        cand = g.rows[tip] & ~banned & ~path_mask & scope
         for w in bits(cand):
             new_banned = banned | g.rows[tip]
             found = rec(path + [w], path_mask | (1 << w), new_banned)
@@ -107,12 +110,42 @@ def find_induced_path(g: Graph, k: int, node_limit: int | None = None) -> tuple[
                 return found
         return None
 
-    for s in range(g.n):
-        for t in bits(g.rows[s]):
+    for s in bits(scope):
+        for t in bits(g.rows[s] & scope):
             found = rec([s, t], (1 << s) | (1 << t), g.rows[s])
             if found:
                 return found
     return None
+
+
+TWIN_ROUNDS = 5
+
+
+def twin_quotient(g: Graph) -> int:
+    """Mask of the lowest id of each class of true and false twins,
+    collapsed again on the survivors until nothing merges (at most
+    TWIN_ROUNDS rounds; each round's survivors induce a valid quotient,
+    so stopping early only leaves more vertices to scan).
+
+    Only one vertex of a class can lie on an induced path of four or more
+    vertices, and any member can stand in for it, so an induced path on
+    k >= 4 vertices exists in g iff one exists among the survivors.
+    """
+    alive = g.full_mask()
+    verts = list(range(g.n))
+    for _ in range(TWIN_ROUNDS):
+        rows = [g.rows[v] & alive for v in verts]
+        closed = [row | 1 << v for v, row in zip(verts, rows)]
+        # filled from the highest id down, each dict keeps a row's lowest id;
+        # an open row never equals another vertex's closed row
+        lowest_open = dict(zip(reversed(rows), reversed(verts)))
+        lowest_closed = dict(zip(reversed(closed), reversed(verts)))
+        keep = set(lowest_open.values()) & set(lowest_closed.values())
+        if len(keep) == len(verts):
+            break
+        verts = sorted(keep)
+        alive = sum(1 << v for v in verts)
+    return alive
 
 
 P9_VERIFIED = "verified"
@@ -124,12 +157,17 @@ P9_SCAN_LIMIT = 5_000_000
 def classify_p9(g: Graph, node_limit: int | None = P9_SCAN_LIMIT) -> tuple[str, tuple[int, ...] | None]:
     """(state, witness) of a scan for an induced nine-vertex path.
 
-    The state is P9_VIOLATED with the path as witness, P9_VERIFIED, or
-    P9_UNCHECKED when the scan ran out of its node_limit steps.
+    The scan runs on the twin quotient, an induced subgraph of g, so a
+    witness is an induced path of g itself.  With the lowest id kept per
+    class, the scan is a sub-run of the DFS over all of g: it finds the
+    same first path and never takes more steps.  The state is P9_VIOLATED
+    with the path as witness, P9_VERIFIED, or P9_UNCHECKED when the scan
+    ran out of its node_limit steps.
     """
+    # below nine vertices the DFS answers without a step: skip the twin pass
+    within = twin_quotient(g) if g.n >= 9 else None
     try:
-        hit = find_induced_path(g, 9, node_limit=node_limit)
+        hit = find_induced_path(g, 9, node_limit=node_limit, within=within)
     except ScanBudget:
         return P9_UNCHECKED, None
     return (P9_VIOLATED, hit) if hit is not None else (P9_VERIFIED, None)
-

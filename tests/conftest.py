@@ -54,3 +54,10 @@ def corpus7():
     from dimkit.generator import iter_small_corpus
 
     return list(iter_small_corpus(7))
+
+
+@pytest.fixture(scope="session")
+def corpus8():
+    from dimkit.generator import iter_small_corpus
+
+    return list(iter_small_corpus(8))

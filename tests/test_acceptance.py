@@ -12,7 +12,7 @@ import time
 from dimkit.cli import main as cli_main
 from dimkit.coloring import BLACK, WHITE, Coloring, assign_and_propagate, extract_matching
 from dimkit.driver import solve
-from dimkit.generator import gen_planted, gen_random, iter_small_corpus
+from dimkit.generator import gen_planted, gen_random
 from dimkit.graph import bits, central_vertex, connected_components, save_graph
 from dimkit.oracle import all_dims, count_dims, oracle_dim, verify_dim
 from dimkit.patterns import (
@@ -161,11 +161,11 @@ def _assert_coloring_bijection(g):
     return masks
 
 
-def test_acceptance_5_coloring_matching_bijection(capsys):
+def test_acceptance_5_coloring_matching_bijection(corpus8, capsys):
     """Complete feasible colorings correspond one-to-one (via
     extract_matching) with the solutions the counter enumerates, over
     every connected graph with n <= 8 plus disconnected composites."""
-    graphs = list(iter_small_corpus(8))
+    graphs = list(corpus8)
     connected = len(graphs)
     graphs += [
         disjoint_union(cycle_graph(3), cycle_graph(3)),

@@ -362,32 +362,3 @@ def test_cross_check_bad_threads_env_exit_three(monkeypatch, capsys):
     assert main(["cross-check", "--count", "2"]) == 3
     capsys.readouterr()
 
-
-# -- bench --------------------------------------------------------------
-
-
-def test_bench_csv_stdout(monkeypatch, capsys):
-    monkeypatch.setenv("DIMKIT_THREADS", "1")
-    rc = main(["bench", "--max-n", "250", "--count", "1", "--seed", "0"])
-    assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "n,m,millis"
-    assert len(lines) == 2
-    n, m, millis = (int(f) for f in lines[1].split(","))
-    assert n == 250 and m > 0 and millis >= 0
-
-
-def test_bench_out_file_and_no_dim_family(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("DIMKIT_THREADS", "1")
-    out = tmp_path / "bench.csv"
-    rc = main(["bench", "--max-n", "250", "--no-dim-family", "--out", str(out)])
-    assert rc == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "n,m,millis"
-    assert lines[1].startswith("254,")  # rejection family carries a 4-cycle rider
-    assert "n,m,millis" not in capsys.readouterr().out
-
-
-def test_bench_max_n_filters_all_sizes_exit_three(capsys):
-    assert main(["bench", "--max-n", "100"]) == 3
-    capsys.readouterr()

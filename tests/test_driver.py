@@ -13,7 +13,8 @@ from dimkit.driver import (
     verify_outcome,
 )
 from dimkit.generator import gen_c4_augmented, gen_planted
-from dimkit.graph import Graph, connected_components
+from dimkit.decomposition import build_levels
+from dimkit.graph import Graph, bfs_layers, bits, central_vertex, connected_components
 import dimkit.oracle
 import dimkit.patterns
 from dimkit.oracle import all_dims, count_dims, oracle_dim, verify_dim
@@ -112,12 +113,10 @@ def test_long_path_instance_still_decided():
     assert verify_dim(path_graph(8), out.matching).ok
 
 
-def test_try_edge_radius_blowup_is_undecided_when_untrusted():
+def test_try_edge_radius_blowup_is_undecided():
     g = path_graph(8)
     stats = {"edges_tried": 0, "forced_edges": 0, "branches": 0}
-    status, reason = try_edge(
-        g, g.full_mask(), 0, 1, Coloring(g), SolveConfig(), stats, trusted=False
-    )
+    status, reason = try_edge(g, g.full_mask(), 0, 1, Coloring(g), SolveConfig(), stats)
     assert status == "undecided"
     assert "farther than" in reason
 
@@ -148,8 +147,8 @@ def test_complete_search_settles_midsize_reject():
 
 
 def test_complete_search_budget_zero_stays_inconclusive():
-    # a nine-path is present, so the engine may not cut on the radius and
-    # its trial ends undecided; only the complete search refutes
+    # a nine-path is present, so the levels run deeper than four and the
+    # engine's trial ends undecided; only the complete search refutes
     g = gen_c4_augmented(40, 8, 40, 5)
     assert classify_p9(g)[0] == P9_VIOLATED
     out = solve(g, ENGINE_ONLY)
@@ -293,14 +292,16 @@ def _false_twin_expansion(host, classes, n, rng):
     return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
 
 
-def test_false_twin_expansions_at_size():
-    # A false twin of degree >= 2 is unmatched in every d.i.m. (matched to
-    # a, its twin would be white and force a second black neighbour onto
-    # it), so the expansion has a d.i.m. iff some host d.i.m. leaves every
-    # expanded vertex unmatched.  Induced paths on 4+ vertices meet a twin
-    # class at most once, so the expansions stay P9-free like their hosts.
-    # The engine reaches its family branching here, on families made of
-    # many interchangeable twins.
+def _false_twin_draws():
+    """Six dim and six no-dim false-twin expansions of connected P9-free
+    14-vertex planted hosts, as (seed, classes, n, graph, expected status).
+
+    A false twin of degree >= 2 is unmatched in every d.i.m. (matched to
+    a, its twin would be white and force a second black neighbour onto
+    it), so the expansion has a d.i.m. iff some host d.i.m. leaves every
+    expanded vertex unmatched.  Induced paths on 4+ vertices meet a twin
+    class at most once, so the expansions stay P9-free like their hosts.
+    """
     rng = random.Random(6)
     todo = {"dim": 6, "no-dim": 6}
     seed = 0
@@ -322,7 +323,13 @@ def test_false_twin_expansions_at_size():
             continue
         todo[expected] -= 1
         n = rng.randint(40, 80)
-        g = _false_twin_expansion(host, classes, n, rng)
+        yield seed, classes, n, _false_twin_expansion(host, classes, n, rng), expected
+
+
+def test_false_twin_expansions_at_size():
+    # The engine reaches its family branching here, on families made of
+    # many interchangeable twins.
+    for seed, classes, n, g, expected in _false_twin_draws():
         out = solve(g)
         assert out.status == expected, (seed, classes, n, out.reason)
         assert out.p9_checked
@@ -382,13 +389,65 @@ IN_CLASS_PINS = [
 ]
 
 
+def _pinned_graph(host_seed, classes, n, relabel_seed):
+    return _false_twin_expansion(
+        gen_planted(14, 4, 10, host_seed).graph, classes, n, random.Random(relabel_seed)
+    )
+
+
 @pytest.mark.parametrize(
     "case,want", IN_CLASS_PINS, ids=[f"host{c[0]}-n{c[2]}" for c, _ in IN_CLASS_PINS]
 )
 def test_in_class_engine_outputs_pinned(case, want):
-    host_seed, classes, n, relabel_seed = case
-    g = _false_twin_expansion(
-        gen_planted(14, 4, 10, host_seed).graph, classes, n, random.Random(relabel_seed)
-    )
+    g = _pinned_graph(*case)
     assert classify_p9(g)[0] == P9_VERIFIED
     assert solve(g).to_json() == want
+
+
+def _radius(g):
+    x = central_vertex(g)
+    return sum(1 for _ in bfs_layers(g, 1 << x, g.full_mask()))
+
+
+def _radius_four_graphs(seed, count):
+    """count connected P9-free graphs of radius four, grown at random from
+    a nine-cycle: each step adds a vertex joined to one to three others, or
+    an edge, and is kept only while the radius stays four and the P9 scan
+    verifies."""
+    rng = random.Random(seed)
+    g = cycle_graph(9)
+    out = []
+    while len(out) < count:
+        n = g.n
+        if n < 20 and rng.random() < 0.6:
+            extra = [(v, n) for v in rng.sample(range(n), rng.randint(1, 3))]
+            cand = Graph.from_edges(n + 1, g.edges() + extra)
+        else:
+            u, v = sorted(rng.sample(range(n), 2))
+            cand = Graph.from_edges(n, g.edges() + [(u, v)])
+        if cand != g and _radius(cand) == 4 and classify_p9(cand)[0] == P9_VERIFIED:
+            g = cand
+            out.append(g)
+    return out
+
+
+def test_p9_free_levels_never_run_deeper_than_four(corpus8):
+    # A connected graph of radius r has an induced path on 2r - 1 vertices
+    # (Erdos, Saks & Sos 1986), so a P9-free piece has radius <= 4 and the
+    # levels of every edge at its central vertex fit in four: the radius
+    # test in try_edge can never fire on verified input.
+    graphs = [
+        *corpus8,
+        *(draw[3] for draw in _false_twin_draws()),
+        *(_pinned_graph(*case) for case, _ in IN_CLASS_PINS),
+        *(h for seed in range(3) for h in _radius_four_graphs(seed, 25)),
+    ]
+    trials = 0
+    for g in graphs:
+        assert classify_p9(g)[0] == P9_VERIFIED
+        for comp in connected_components(g):
+            x = central_vertex(g, comp)
+            for y in bits(g.rows[x] & comp):
+                build_levels(g, comp, x, y, Coloring(g))  # raises past four levels
+                trials += 1
+    assert trials > len(graphs)

@@ -4,13 +4,16 @@ import pytest
 
 from dimkit.graph import Graph
 from dimkit.patterns import (
+    P9_UNCHECKED,
     P9_VERIFIED,
+    P9_VIOLATED,
     ScanBudget,
     classify_p9,
     find_induced_path,
     find_k4,
     iter_butterflies,
     iter_diamonds,
+    twin_quotient,
 )
 from conftest import complete_graph, cycle_graph, path_graph
 from naive_reference import (
@@ -137,3 +140,88 @@ def test_path_finder_matches_naive_on_random_graphs():
                 canon = found if found[0] < found[-1] else found[::-1]
                 assert canon in naive
 
+
+
+# -- the P9 scan on the twin quotient ----------------------------------------
+
+
+def twin_padded_graph(rng, host_n, p, twins):
+    """G(host_n, p) grown by `twins` true or false twins of random vertices
+    (added ones included, so twin classes nest), then relabelled at random."""
+    rows = [0] * host_n
+    for u in range(host_n):
+        for v in range(u + 1, host_n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    for _ in range(twins):
+        v, t = rng.randrange(len(rows)), len(rows)
+        row = rows[v] | (1 << v if rng.random() < 0.5 else 0)
+        for u in range(t):
+            if row >> u & 1:
+                rows[u] |= 1 << t
+        rows.append(row)
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u in range(len(rows)) for v in range(u) if rows[u] >> v & 1]
+    return Graph.from_edges(len(rows), edges)
+
+
+def is_induced_path(g, path):
+    if len(set(path)) != len(path):
+        return False
+    return all(
+        g.has_edge(path[i], path[j]) == (j == i + 1)
+        for i in range(len(path)) for j in range(i + 1, len(path))
+    )
+
+
+def direct_p9_scan(g, node_limit):
+    try:
+        hit = find_induced_path(g, 9, node_limit=node_limit)
+    except ScanBudget:
+        return P9_UNCHECKED, None
+    return (P9_VIOLATED, hit) if hit is not None else (P9_VERIFIED, None)
+
+
+def test_twin_quotient_keeps_lowest_id_per_class():
+    # 0 and 2 are false twins, 3 and 4 true twins; once they collapse, 0
+    # and 3 are false twins, and then 0 and 1 true twins: three rounds
+    # take this cograph down to vertex 0
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (1, 4), (3, 4)])
+    assert twin_quotient(g) == 0b00001
+    assert twin_quotient(path_graph(9)) == path_graph(9).full_mask()
+
+
+def test_quotient_scan_agrees_with_direct_scan_on_twin_padded_graphs():
+    # The quotient scan keeps the lowest id of each class, so it is a sub-run
+    # of the direct DFS: under the same step budget it decides every graph
+    # the direct scan decides, with the same state and the same witness.
+    rng = random.Random(4411)
+    seen = {P9_VERIFIED: 0, P9_VIOLATED: 0, P9_UNCHECKED: 0}
+    for trial in range(400):
+        g = twin_padded_graph(rng, rng.randint(10, 16), rng.choice((0.12, 0.18, 0.25)),
+                              rng.randint(4, 16))
+        limit = rng.choice((100, 1000, 10000))
+        direct = direct_p9_scan(g, limit)
+        seen[direct[0]] += 1
+        got = classify_p9(g, node_limit=limit)
+        if direct[0] != P9_UNCHECKED:
+            assert got == direct, (trial, limit, g.edges())
+        if got[0] == P9_VIOLATED:
+            assert is_induced_path(g, got[1]), (trial, got)
+    assert all(seen.values()), seen
+
+
+def test_quotient_scan_settles_long_path_twin_blowup():
+    # An induced P8 whose inner vertices 1, 3 and 5 each carry about 95
+    # false twins (n = 293): induced P8s through the three classes multiply,
+    # and the direct DFS spends its whole 5M-step budget without a verdict.
+    # The quotient is the P8 itself.
+    edges = [(i, i + 1) for i in range(7)]
+    for t in range(8, 293):
+        v = (1, 3, 5)[t % 3]
+        edges += [(v - 1, t), (v + 1, t)]
+    g = Graph.from_edges(293, edges)
+    assert twin_quotient(g) == 0xFF
+    assert classify_p9(g) == (P9_VERIFIED, None)
