@@ -3,10 +3,10 @@
 An edge set M dominates an edge e when e shares an endpoint with a member
 of M.  M is a dominating induced matching when every edge of the graph is
 dominated by exactly one member.  The solver decides existence (and
-produces the matching) in polynomial time on graphs with no long induced
-paths, falling back to an exact branch-and-propagate search on whatever
-the engine leaves undecided; a brute-force oracle (which the solver
-never consults) and a certificate verifier keep it honest.
+produces the matching) by a budgeted exact search per component, backed
+by the paper's engine (polynomial without long induced paths) when that
+search runs out; a brute-force oracle (which the solver never consults)
+and a certificate verifier keep it honest.
 """
 
 from .coloring import Coloring, extract_matching, is_complete_feasible, parse_matching, serialize_matching

@@ -91,7 +91,8 @@ def cli():
               help="report whether the graph is free of induced nine-vertex paths "
                    "(the scan decides no verdict)")
 @click.option("--budget-branches", type=click.IntRange(min=0), default=None,
-              help="branch cap per component")
+              help="branch cap per piece of the engine, which runs only when the "
+                   "first search of a component runs out")
 def solve_cmd(graph_path, as_json, check_p9, budget_branches):
     """Decide whether GRAPH_PATH has a dominating induced matching."""
     g = _load_graph(graph_path)

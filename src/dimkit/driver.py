@@ -1,17 +1,16 @@
 """Top-level solver: decide whether a graph has a dominating induced matching.
 
 Outline per connected component: refute on a four-clique (a K4 kills the
-whole graph); look for a single dominating edge; then repeatedly pick a
-central vertex x of the still-active part and trial every edge xy at it
-through the level decomposition.  A successful trial colors the whole
-piece.  If every edge at x is proven infeasible, x is unmatched in any
-solution, so x turns white and the loop continues on the shrunken
-remainder.  Forced facts come only from propagation, the single-edge
-test and the trials.  Trials that end undecided (budget or radius) make
-the component inconclusive; an inconclusive component goes to a budgeted
+whole graph); look for a single dominating edge; then run a budgeted
 complete search that branches on vertex colors and lets propagation
-prune.  That search relies on nothing about the graph class, so its
-verdicts stand on any input.
+prune.  That search decides the component unless it runs out of
+branches.  Only then does the paper's engine run, as the backstop: it
+repeatedly picks a central vertex x of the still-active part and trials
+every edge xy at it through the level decomposition.  A successful trial
+colors the whole piece.  If every edge at x is proven infeasible, x is
+unmatched in any solution, so x turns white and the loop continues on the
+shrunken remainder.  Trials that end undecided (budget or radius) make the
+component inconclusive; the engine's verdict is final.
 
 Verdict soundness: "dim" and "no-dim" are certificates.  Every rule used
 is valid in any graph.  A trial whose levels run deeper than four (the
@@ -42,8 +41,8 @@ from .patterns import P9_UNCHECKED, classify_p9, find_k4
 @dataclass
 class SolveConfig:
     check_p9: bool = True
-    branch_budget: int | None = None   # per component; default size**2
-    complete_search_budget: int | None = None  # fallback search; default scales with size
+    branch_budget: int | None = None   # engine's search per piece; default max(64, size**2)
+    complete_search_budget: int | None = None  # first search per component; default max(4096, 8*size)
 
 
 @dataclass
@@ -153,18 +152,15 @@ def _complete_search(
 ) -> tuple[str, tuple[Edge, ...] | None, str | None]:
     """Exact decision for one component by branching on vertex colors.
 
-    Starts from the facts already committed to the master coloring (all of
-    which hold in every solution), so exhaustion is a true negative and any
-    completion is a certificate.  Returns status "budget" when cut short.
+    Starts from the uncolored component, so exhaustion is a true negative
+    and any completion is a certificate.  Returns status "budget" when cut
+    short, leaving the master coloring untouched.
     """
     c = master.clone()
-    bad = c.propagate()
-    if bad:
-        return "no-dim", None, f"committed facts are contradictory: {bad}"
     status, branches = search(c, comp, partial(_pick_unknown, comp), budget)
     stats["branches"] += branches
     if status == "budget":
-        return "budget", None, "complete-search branch budget exhausted"
+        return "budget", None, None
     if status == "infeasible":
         return "no-dim", None, "exhaustive color search over the component"
     _commit(master, c)
@@ -196,7 +192,15 @@ def solve_top_component(
         stats["forced_edges"] += 1
         return "dim", extract_matching(master, comp), None
 
-    # nothing in comp is colored yet, so the work starts from comp itself
+    budget = cfg.complete_search_budget
+    if budget is None:
+        budget = max(4096, 8 * comp.bit_count())
+    status, piece, reason = _complete_search(comp, master, budget, stats)
+    if status != "budget":
+        return status, piece, reason
+
+    # the search ran out, so the engine decides; nothing in comp is
+    # colored yet, so the work starts from comp itself
     work = [comp]
     while work:
         sub = work.pop(0)
@@ -215,13 +219,9 @@ def solve_top_component(
             continue
         if undecided is not None:
             return "inconclusive", None, undecided
-        # every edge at x is impossible, so x stays unmatched; on a clash,
-        # roll the failed assignment back so the fallbacks start from facts
-        # that hold in every completion
-        snap = master.snapshot()
+        # every edge at x is impossible, so x stays unmatched
         bad = assign_and_propagate(master, x, WHITE)
         if bad:
-            master.restore(snap)
             return "no-dim", None, f"no matching edge fits at vertex {x}: {bad}"
         active = master.unknown_mask(sub) | master.unmated_black_mask(sub)
         work.extend(connected_components(g, active))
@@ -241,21 +241,8 @@ def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveOutcome:
     pieces: list[Edge] = []
     for comp in connected_components(g):
         status, piece, reason = solve_top_component(g, comp, master, cfg, stats)
-        if status == "inconclusive":
-            size = comp.bit_count()
-            budget = cfg.complete_search_budget
-            if budget is None:
-                budget = max(4096, 8 * size)
-            status2, piece2, reason2 = _complete_search(comp, master, budget, stats)
-            if status2 == "dim":
-                status, piece, reason = "dim", piece2, None
-            elif status2 == "no-dim":
-                status, reason = "no-dim", reason2
-            # a blown budget keeps the original inconclusive reason
-        if status == "no-dim":
-            return SolveOutcome("no-dim", None, reason, stats, p9_checked)
-        if status == "inconclusive":
-            return SolveOutcome("inconclusive", None, reason, stats, p9_checked)
+        if status != "dim":
+            return SolveOutcome(status, None, reason, stats, p9_checked)
         pieces.extend(piece)
 
     matching = tuple(sorted(pieces))

@@ -5,10 +5,10 @@ solver refutes every component holding one (`find_k4`).  Two other small
 patterns pin matching edges outright: in an induced diamond (K4 minus an
 edge) the edge joining the two degree-3 vertices must be in the matching;
 in an induced butterfly (two triangles sharing one vertex) both non-center
-edges must be.  The solver does not force those edges (its trials reach the
+edges must be.  The solver does not force those edges (its search reaches the
 same verdicts); `dimkit check` counts the patterns and the random
 generator's filters reject graphs holding them.  The P9 scan lives here
-too; it runs on the twin quotient.  Detection works on bit-rows; everything is deterministic,
+too; it falls back to the twin quotient.  Detection works on bit-rows; everything is deterministic,
 ascending-id order.
 """
 
@@ -157,17 +157,21 @@ P9_SCAN_LIMIT = 5_000_000
 def classify_p9(g: Graph, node_limit: int | None = P9_SCAN_LIMIT) -> tuple[str, tuple[int, ...] | None]:
     """(state, witness) of a scan for an induced nine-vertex path.
 
-    The scan runs on the twin quotient, an induced subgraph of g, so a
-    witness is an induced path of g itself.  With the lowest id kept per
-    class, the scan is a sub-run of the DFS over all of g: it finds the
-    same first path and never takes more steps.  The state is P9_VIOLATED
-    with the path as witness, P9_VERIFIED, or P9_UNCHECKED when the scan
-    ran out of its node_limit steps.
+    A direct DFS over g gets g.n steps first (most graphs holding a P9
+    show one at once); only when that runs out is the scan redone on the
+    twin quotient, an induced subgraph of g, so a witness is an induced
+    path of g itself.  With the lowest id kept per class, the quotient
+    scan is a sub-run of the DFS over all of g: it finds the same first
+    path and never takes more steps.  The state is P9_VIOLATED with the
+    path as witness, P9_VERIFIED, or P9_UNCHECKED when the scan ran out of
+    its node_limit steps.
     """
-    # below nine vertices the DFS answers without a step: skip the twin pass
-    within = twin_quotient(g) if g.n >= 9 else None
+    prefix = g.n if node_limit is None else min(g.n, node_limit)
     try:
-        hit = find_induced_path(g, 9, node_limit=node_limit, within=within)
+        try:
+            hit = find_induced_path(g, 9, node_limit=prefix)
+        except ScanBudget:
+            hit = find_induced_path(g, 9, node_limit=node_limit, within=twin_quotient(g))
     except ScanBudget:
         return P9_UNCHECKED, None
     return (P9_VIOLATED, hit) if hit is not None else (P9_VERIFIED, None)

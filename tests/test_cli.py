@@ -50,9 +50,9 @@ def test_solve_no_dim_exit_one(graph_file, capsys):
 
 
 def test_solve_undecided_exit_two(graph_file, capsys, monkeypatch):
-    # the shipped pipeline ends in an exact fallback, so no graph small
-    # enough for a test fixture stays undecided; stub the driver to pin
-    # the status -> exit-code mapping
+    # the exact search that runs first decides every graph small enough
+    # for a test fixture within its default budget, so none stays
+    # undecided; stub the driver to pin the status -> exit-code mapping
     canned = SolveOutcome(
         "inconclusive", None, "branch budget exhausted",
         {"edges_tried": 3, "forced_edges": 0, "branches": 9}, False,

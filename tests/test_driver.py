@@ -15,6 +15,7 @@ from dimkit.driver import (
 from dimkit.generator import gen_c4_augmented, gen_planted
 from dimkit.decomposition import build_levels
 from dimkit.graph import Graph, bfs_layers, bits, central_vertex, connected_components
+import dimkit.driver
 import dimkit.oracle
 import dimkit.patterns
 from dimkit.oracle import all_dims, count_dims, oracle_dim, verify_dim
@@ -216,6 +217,12 @@ def _gnp_draws():
     return graphs
 
 
+def _assert_agrees_with_oracle(g, out):
+    assert out.status == oracle_dim(g).status, (g.edges(), out.reason)
+    if out.status == "dim":
+        assert verify_dim(g, out.matching).ok
+
+
 def test_solve_never_consults_the_oracle(corpus7, monkeypatch):
     graphs = list(corpus7) + _gnp_draws()
 
@@ -226,9 +233,7 @@ def test_solve_never_consults_the_oracle(corpus7, monkeypatch):
     outcomes = [solve(g) for g in graphs]
     monkeypatch.undo()
     for g, out in zip(graphs, outcomes):
-        assert out.status == oracle_dim(g).status, (g.edges(), out.reason)
-        if out.status == "dim":
-            assert verify_dim(g, out.matching).ok
+        _assert_agrees_with_oracle(g, out)
 
 
 def test_solve_never_runs_the_pattern_detectors(corpus7, monkeypatch):
@@ -247,9 +252,7 @@ def test_solve_never_runs_the_pattern_detectors(corpus7, monkeypatch):
     dense_out = solve(dense)
     monkeypatch.undo()
     for g, out in zip(graphs, outcomes):
-        assert out.status == oracle_dim(g).status, (g.edges(), out.reason)
-        if out.status == "dim":
-            assert verify_dim(g, out.matching).ok
+        _assert_agrees_with_oracle(g, out)
     # a K4 refutes the dense draw before any trial or search
     assert dense_out.status == "no-dim"
     assert "complete subgraph" in dense_out.reason
@@ -263,21 +266,23 @@ def test_zero_branch_budget_means_no_branches():
 
 def test_centre_tie_break_pinned_end_to_end():
     # Both graphs have radius 11 with six vertices at that eccentricity, so
-    # another tie-break or a centre one round off changes the trials and the
-    # search; the expected outputs were recorded from one BFS per vertex.
-    g = gen_planted(600, 150, 600, 0).graph
-    assert json.loads(solve(g).to_json()) == {
-        "status": "dim",
-        "matching": [[2 * i, 2 * i + 1] for i in range(150)],
-        "reason": None,
-        "stats": {"edges_tried": 4, "forced_edges": 0, "branches": 74, "millis": 0},
-        "p9_checked": True,
-    }
-    assert solve(gen_c4_augmented(600, 150, 600, 0)).to_json() == (
-        '{"status": "no-dim", "matching": [], "reason": "exhaustive color search over '
-        'the component", "stats": {"edges_tried": 4, "forced_edges": 0, "branches": 62, '
+    # another tie-break or a centre one round off names another trial edge
+    # in the engine's radius reason; the expected outputs were recorded from
+    # one BFS per vertex.  The refused branch is the zero-budget search.
+    planted = gen_planted(600, 150, 600, 0)
+    augmented = gen_c4_augmented(600, 150, 600, 0)
+    want = (
+        '{"status": "inconclusive", "matching": [], "reason": "vertex 0 is farther than 4 '
+        'from edge (92,93)", "stats": {"edges_tried": 4, "forced_edges": 0, "branches": 1, '
         '"millis": 0}, "p9_checked": true}'
     )
+    assert solve(planted.graph, ENGINE_ONLY).to_json() == want
+    assert solve(augmented, ENGINE_ONLY).to_json() == want
+    # too large for the oracle: the labels come from the constructions
+    out = solve(planted.graph)
+    assert out.status == "dim"
+    assert verify_dim(planted.graph, out.matching).ok
+    assert solve(augmented).status == "no-dim"
 
 
 def _false_twin_expansion(host, classes, n, rng):
@@ -327,8 +332,9 @@ def _false_twin_draws():
 
 
 def test_false_twin_expansions_at_size():
-    # The engine reaches its family branching here, on families made of
-    # many interchangeable twins.
+    # The default solve settles these with the search that runs first;
+    # under ENGINE_ONLY the engine reaches its family branching here, on
+    # families made of many interchangeable twins.
     for seed, classes, n, g, expected in _false_twin_draws():
         out = solve(g)
         assert out.status == expected, (seed, classes, n, out.reason)
@@ -347,44 +353,46 @@ def test_family_branch_tries_pinned_members_first():
         (0, 1), (0, 8), (0, 11), (1, 11), (1, 12), (2, 3), (2, 9), (2, 12), (4, 5),
         (4, 12), (5, 11), (5, 13), (6, 7), (6, 9), (7, 10), (7, 11), (7, 12), (7, 13),
     ])
-    out = solve(g)
+    out = solve(g, ENGINE_ONLY)
     assert out.matching == ((0, 1), (2, 9), (4, 5), (7, 10))
-    assert out.stats == {"edges_tried": 1, "forced_edges": 2, "branches": 1, "millis": 0}
+    assert out.stats == {"edges_tried": 1, "forced_edges": 2, "branches": 2, "millis": 0}
+    _assert_agrees_with_oracle(g, solve(g))
 
 
-# (host seed, expanded classes, n, relabelling seed) -> solve(g).to_json()
-# of verified P9-free false-twin expansions whose trials reach the engine's
-# per-component search (the last no-dim case branches there); recorded
-# while the engine still had its class-specific reductions, which these
-# pins show changed no certificate, reason or counter
+# (host seed, expanded classes, n, relabelling seed) -> solve(g, ENGINE_ONLY)
+# .to_json() of verified P9-free false-twin expansions whose trials reach
+# the engine's per-component search (the last no-dim case branches there);
+# recorded while the engine still had its class-specific reductions, which
+# these pins show changed no certificate, reason or counter.  Each count of
+# branches includes the one refused by the zero-budget search.
 IN_CLASS_PINS = [
     ((15, (11, 12), 40, 151),
      '{"status": "dim", "matching": [[0, 1], [6, 8], [10, 20], [30, 34]], "reason": null, '
-     '"stats": {"edges_tried": 5, "forced_edges": 1, "branches": 1, "millis": 0}, '
+     '"stats": {"edges_tried": 5, "forced_edges": 1, "branches": 2, "millis": 0}, '
      '"p9_checked": true}'),
     ((37, (8,), 27, 372),
      '{"status": "dim", "matching": [[1, 10], [8, 18], [12, 25], [17, 24]], "reason": null, '
-     '"stats": {"edges_tried": 8, "forced_edges": 1, "branches": 2, "millis": 0}, '
+     '"stats": {"edges_tried": 8, "forced_edges": 1, "branches": 3, "millis": 0}, '
      '"p9_checked": true}'),
     ((98, (9, 13), 20, 983),
      '{"status": "dim", "matching": [[2, 15], [3, 6], [5, 7], [11, 13]], "reason": null, '
-     '"stats": {"edges_tried": 2, "forced_edges": 2, "branches": 2, "millis": 0}, '
+     '"stats": {"edges_tried": 2, "forced_edges": 2, "branches": 3, "millis": 0}, '
      '"p9_checked": true}'),
     ((17, (4, 12), 29, 172),
      '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 3: '
-     'black-unmatchable at 5", "stats": {"edges_tried": 3, "forced_edges": 0, "branches": 0, '
+     'black-unmatchable at 5", "stats": {"edges_tried": 3, "forced_edges": 0, "branches": 1, '
      '"millis": 0}, "p9_checked": true}'),
     ((91, (0,), 35, 913),
      '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 4: '
-     'partner-clash at 3,14", "stats": {"edges_tried": 3, "forced_edges": 0, "branches": 0, '
+     'partner-clash at 3,14", "stats": {"edges_tried": 3, "forced_edges": 0, "branches": 1, '
      '"millis": 0}, "p9_checked": true}'),
     ((185, (5,), 36, 1850),
      '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 24: '
-     'black-unmatchable at 16", "stats": {"edges_tried": 4, "forced_edges": 0, "branches": 0, '
+     'black-unmatchable at 16", "stats": {"edges_tried": 4, "forced_edges": 0, "branches": 1, '
      '"millis": 0}, "p9_checked": true}'),
     ((130, (5, 7), 20, 1300),
      '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 3: '
-     'conflict at 3", "stats": {"edges_tried": 7, "forced_edges": 0, "branches": 1, '
+     'conflict at 3", "stats": {"edges_tried": 7, "forced_edges": 0, "branches": 2, '
      '"millis": 0}, "p9_checked": true}'),
 ]
 
@@ -401,7 +409,26 @@ def _pinned_graph(host_seed, classes, n, relabel_seed):
 def test_in_class_engine_outputs_pinned(case, want):
     g = _pinned_graph(*case)
     assert classify_p9(g)[0] == P9_VERIFIED
-    assert solve(g).to_json() == want
+    assert solve(g, ENGINE_ONLY).to_json() == want
+    _assert_agrees_with_oracle(g, solve(g))
+
+
+def test_search_decides_before_the_engine(corpus7, monkeypatch):
+    graphs = [*corpus7, *_gnp_draws(), *(_pinned_graph(*case) for case, _ in IN_CLASS_PINS)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine ran although the search had budget left")
+
+    monkeypatch.setattr(dimkit.driver, "try_edge", refuse)
+    outcomes = [solve(g) for g in graphs]
+    monkeypatch.undo()
+    for g, out in zip(graphs, outcomes):
+        _assert_agrees_with_oracle(g, out)
+    # a one-branch search runs out, and the engine then decides
+    for g in (cycle_graph(9), _pinned_graph(*IN_CLASS_PINS[3][0])):
+        out = solve(g, SolveConfig(complete_search_budget=1))
+        assert out.stats["edges_tried"] > 0
+        _assert_agrees_with_oracle(g, out)
 
 
 def _radius(g):
