@@ -15,6 +15,12 @@ Propagation rules, run to a fixpoint over a dirty queue:
   (d) contradictions: white-white edge, black with two black neighbors,
       black with no candidate partner left, conflicting assignment.
 
+Besides the partner list `mate`, the `mated` bitmask holds every vertex
+that has a partner, so the unpartnered blacks are `black & ~mated` with no
+loop.  At a fixpoint rules (a) and (b) leave no unknown vertex next to a
+white or a partnered black: an unknown vertex's colored neighbors are
+exactly its unpartnered black ones.
+
 A context may mark edges as excluded (known never to be matching edges);
 a black endpoint of an excluded edge then whitens the other endpoint, and
 two black endpoints are a contradiction.  Exclusions only ever come from
@@ -44,18 +50,19 @@ class Contradiction:
         return f"{self.rule} at {verts}"
 
 
-Snapshot = tuple[int, int, list[int]]
+Snapshot = tuple[int, int, int, list[int]]
 
 
 class Coloring:
     """Mutable coloring state over a fixed graph."""
 
-    __slots__ = ("g", "white", "black", "mate", "dirty", "excluded")
+    __slots__ = ("g", "white", "black", "mated", "mate", "dirty", "excluded")
 
     def __init__(self, g: Graph):
         self.g = g
         self.white = 0
         self.black = 0
+        self.mated = 0
         self.mate = [-1] * g.n
         self.dirty: deque[int] = deque()
         self.excluded: list[int] | None = None
@@ -65,16 +72,17 @@ class Coloring:
         c.g = self.g
         c.white = self.white
         c.black = self.black
+        c.mated = self.mated
         c.mate = list(self.mate)
         c.dirty = deque(self.dirty)
         c.excluded = self.excluded
         return c
 
     def snapshot(self) -> Snapshot:
-        return (self.white, self.black, list(self.mate))
+        return (self.white, self.black, self.mated, list(self.mate))
 
     def restore(self, snap: Snapshot) -> None:
-        self.white, self.black, mate = snap
+        self.white, self.black, self.mated, mate = snap
         self.mate = list(mate)
         self.dirty.clear()
 
@@ -94,11 +102,7 @@ class Coloring:
 
     def unmated_black_mask(self, scope: int | None = None) -> int:
         full = self.g.full_mask() if scope is None else scope
-        out = 0
-        for v in bits(self.black & full):
-            if self.mate[v] < 0:
-                out |= 1 << v
-        return out
+        return self.black & full & ~self.mated
 
     def excluded_mask(self, v: int) -> int:
         if self.excluded is None:
@@ -118,9 +122,7 @@ class Coloring:
             self.white |= bit
             self.dirty.append(v)
             # unpartnered black neighbors lost a candidate
-            for u in bits(self.g.rows[v] & self.black):
-                if self.mate[u] < 0:
-                    self.dirty.append(u)
+            self.dirty.extend(bits(self.g.rows[v] & self.black & ~self.mated))
         else:
             self.black |= bit
             self.dirty.append(v)
@@ -162,6 +164,7 @@ class Coloring:
                 return Contradiction("partner-clash", (v, u))
             if self.mate[v] < 0:
                 self.mate[v], self.mate[u] = u, v
+                self.mated |= bit | 1 << u
                 spread = (row | g.rows[u]) & ~bit & ~(1 << u)
                 for w in bits(spread & self.unknown_mask()):
                     bad = self._set(w, WHITE)

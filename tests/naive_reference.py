@@ -95,6 +95,23 @@ def central_vertex_naive(g: Graph, within: int) -> int:
     return best_v
 
 
+def pick_unknown_naive(comp: int, c: Coloring) -> int:
+    """The complete search's branch vertex by one scan over the unknown
+    vertices of comp: most colored neighbors, then highest degree in comp,
+    then smallest id; -1 when nothing is unknown."""
+    g = c.g
+    unknown = c.unknown_mask(comp)
+    colored = comp & ~unknown
+    best = -1
+    best_key = (-1, -1)
+    for v in bits(unknown):
+        key = ((g.rows[v] & colored).bit_count(), (g.rows[v] & comp).bit_count())
+        if key > best_key:
+            best_key = key
+            best = v
+    return best
+
+
 def _is_induced_path(g: Graph, seq) -> bool:
     k = len(seq)
     for i in range(k):

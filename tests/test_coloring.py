@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dimkit.coloring import (
@@ -121,10 +123,54 @@ def test_snapshot_restore():
     snap = c.snapshot()
     assert assign_and_propagate(c, 2, WHITE) is None
     assert c.color_of(2) == WHITE
+    # the centre pairs with leaf 3 only after the snapshot
+    assert assign_and_propagate(c, 3, BLACK) is None
+    assert c.mated == 0b1001 and c.unmated_black_mask() == 0
+    d = c.clone()
     c.restore(snap)
     assert c.color_of(2) == UNKNOWN
     assert c.color_of(0) == BLACK
+    assert c.mated == 0 and c.mate[0] == -1
+    assert c.unmated_black_mask() == 0b1
     assert not c.dirty
+    assert d.mated == 0b1001 and d.mate[0] == 3 and d.unmated_black_mask() == 0
+
+
+def _random_graph(rng):
+    n = rng.randint(2, 30)
+    p = rng.choice((0.1, 0.2, 0.3, 0.5))
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_fixpoint_unknowns_see_only_unmated_blacks():
+    # The complete search ranks unknown vertices by unmated black neighbors
+    # alone; that equals their colored-neighbor count only because a
+    # propagation fixpoint leaves no unknown vertex beside a white or a
+    # mated black, and because `mated` tracks `mate` exactly.
+    rng = random.Random(13)
+    checked = 0
+    for _ in range(400):
+        g = _random_graph(rng)
+        c = Coloring(g)
+        for _ in range(2 * g.n):
+            unknown = list(bits(c.unknown_mask()))
+            if not unknown:
+                break
+            v = rng.choice(unknown)
+            snap = c.snapshot()
+            if g.rows[v] and rng.random() < 0.3:
+                bad = force_pair(c, v, rng.choice(g.neighbors(v)))
+            else:
+                bad = assign_and_propagate(c, v, rng.choice((WHITE, BLACK)))
+            if bad is not None:
+                c.restore(snap)
+                continue
+            assert c.mated == sum(1 << u for u in range(g.n) if c.mate[u] >= 0)
+            for u in bits(c.unknown_mask()):
+                assert not g.rows[u] & c.white, (g.edges(), u)
+                assert not g.rows[u] & c.black & c.mated, (g.edges(), u)
+            checked += 1
+    assert checked > 1000
 
 
 def test_clone_shares_exclusions_copies_colors():

@@ -21,7 +21,7 @@ import dimkit.patterns
 from dimkit.oracle import all_dims, count_dims, oracle_dim, verify_dim
 from dimkit.patterns import P9_VERIFIED, P9_VIOLATED, classify_p9
 from conftest import complete_graph, cycle_graph, disjoint_union, path_graph
-from naive_reference import induced_paths_naive
+from naive_reference import induced_paths_naive, pick_unknown_naive
 from test_component_solver import BRANCHY
 
 ENGINE_ONLY = SolveConfig(complete_search_budget=0)
@@ -278,11 +278,94 @@ def test_centre_tie_break_pinned_end_to_end():
     )
     assert solve(planted.graph, ENGINE_ONLY).to_json() == want
     assert solve(augmented, ENGINE_ONLY).to_json() == want
-    # too large for the oracle: the labels come from the constructions
+
+
+SEARCH_PINS_AT_SIZE = (
+    '{"status": "dim", "matching": [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11], [12, 13], '
+    '[14, 15], [16, 17], [18, 19], [20, 21], [22, 23], [24, 25], [26, 27], [28, 29], [30, 31], '
+    '[32, 33], [34, 35], [36, 37], [38, 39], [40, 41], [42, 43], [44, 45], [46, 47], [48, 49], '
+    '[50, 51], [52, 53], [54, 55], [56, 57], [58, 59], [60, 61], [62, 63], [64, 65], [66, 67], '
+    '[68, 69], [70, 71], [72, 73], [74, 75], [76, 77], [78, 79], [80, 81], [82, 83], [84, 85], '
+    '[86, 87], [88, 89], [90, 91], [92, 93], [94, 95], [96, 97], [98, 99], [100, 101], [102, '
+    '103], [104, 105], [106, 107], [108, 109], [110, 111], [112, 113], [114, 115], [116, 117], '
+    '[118, 119], [120, 121], [122, 123], [124, 125], [126, 127], [128, 129], [130, 131], [132, '
+    '133], [134, 135], [136, 137], [138, 139], [140, 141], [142, 143], [144, 145], [146, 147], '
+    '[148, 149], [150, 151], [152, 153], [154, 155], [156, 157], [158, 159], [160, 161], [162, '
+    '163], [164, 165], [166, 167], [168, 169], [170, 171], [172, 173], [174, 175], [176, 177], '
+    '[178, 179], [180, 181], [182, 183], [184, 185], [186, 187], [188, 189], [190, 191], [192, '
+    '193], [194, 195], [196, 197], [198, 199], [200, 201], [202, 203], [204, 205], [206, 207], '
+    '[208, 209], [210, 211], [212, 213], [214, 215], [216, 217], [218, 219], [220, 221], [222, '
+    '223], [224, 225], [226, 227], [228, 229], [230, 231], [232, 233], [234, 235], [236, 237], '
+    '[238, 239], [240, 241], [242, 243], [244, 245], [246, 247], [248, 249], [250, 251], [252, '
+    '253], [254, 255], [256, 257], [258, 259], [260, 261], [262, 263], [264, 265], [266, 267], '
+    '[268, 269], [270, 271], [272, 273], [274, 275], [276, 277], [278, 279], [280, 281], [282, '
+    '283], [284, 285], [286, 287], [288, 289], [290, 291], [292, 293], [294, 295], [296, 297], '
+    '[298, 299]], "reason": null, "stats": {"edges_tried": 0, "forced_edges": 0, "branches": 74, '
+    '"millis": 0}, "p9_checked": true}',
+    '{"status": "no-dim", "matching": [], "reason": "exhaustive color search over the '
+    'component", "stats": {"edges_tried": 0, "forced_edges": 0, "branches": 62, "millis": 0}, '
+    '"p9_checked": true}',
+)
+
+
+def test_search_outputs_pinned_at_size():
+    # The complete search decides both graphs, so `branches` pins its
+    # branch order at n = 600; the expected outputs were recorded with the
+    # vertex-by-vertex pick of naive_reference.pick_unknown_naive.  Too
+    # large for the oracle: the verdicts come from the constructions.
+    planted = gen_planted(600, 150, 600, 0)
+    augmented = gen_c4_augmented(600, 150, 600, 0)
     out = solve(planted.graph)
-    assert out.status == "dim"
+    assert out.to_json() == SEARCH_PINS_AT_SIZE[0]
     assert verify_dim(planted.graph, out.matching).ok
-    assert solve(augmented).status == "no-dim"
+    assert solve(augmented).to_json() == SEARCH_PINS_AT_SIZE[1]
+
+
+def _planted_draws():
+    """Seeded planted graphs and their pendant-C4 twins, n = 12..150."""
+    rng = random.Random(5)
+    graphs = []
+    for seed in range(100):
+        n = rng.randint(12, 150)
+        k = rng.randint(1, n // 4)
+        extra = min(rng.randint(n // 2, 2 * n), 2 * k * (n - 2 * k))
+        graphs.append(gen_planted(n, k, extra, seed).graph)
+        graphs.append(gen_c4_augmented(n, k, extra, seed))
+    return graphs
+
+
+def test_branch_pick_matches_the_naive_pick(corpus7, monkeypatch):
+    # Every pick of the complete search must name the vertex that the naive
+    # scan names, at every call, with both tie-breaks exercised.
+    real_search = dimkit.driver.search
+    seen = {"calls": 0, "by_degree": 0, "by_id": 0}
+
+    def checked_search(c, scope, pick, budget):
+        def both(c):
+            got = pick(c)
+            want = pick_unknown_naive(scope, c)
+            assert got == want, (c.g.edges(), scope, got, want)
+            seen["calls"] += 1
+            if want >= 0:
+                rows = c.g.rows
+                unknown = c.unknown_mask(scope)
+                colored = scope & ~unknown
+                keys = [
+                    ((rows[v] & colored).bit_count(), (rows[v] & scope).bit_count())
+                    for v in bits(unknown)
+                ]
+                top = max(keys)
+                seen["by_degree"] += any(k[0] == top[0] and k[1] < top[1] for k in keys)
+                seen["by_id"] += keys.count(top) > 1
+            return got
+
+        return real_search(c, scope, both, budget)
+
+    monkeypatch.setattr(dimkit.driver, "search", checked_search)
+    for g in [*corpus7, *_gnp_draws(), *_planted_draws()]:
+        solve(g, SolveConfig(check_p9=False))
+    assert seen["calls"] > 2000, seen
+    assert seen["by_degree"] > 100 and seen["by_id"] > 100, seen
 
 
 def _false_twin_expansion(host, classes, n, rng):
