@@ -8,15 +8,15 @@ structure forces a cascade of facts:
     matched pair are unmatched) and so L2 all black; L2's internal edges
     become matched pairs, its isolated vertices (the anchors) must find
     their partner in L3;
-  * no edge inside L3 and no L3-L4 edge can be a matching edge, so those
-    edges propagate colors across (one endpoint black, the other white);
+  * no edge inside L3 and no L3-L4 edge can be a matching edge: every L3
+    vertex sees a black L2 vertex, so propagation pairs a black L3 vertex
+    with that neighbor and needs no rule of its own;
   * an L3 vertex seeing two or more anchors must be white;
   * a triangle with one vertex in L3 and two in L4 forces its L4 edge.
 
 Each anchor u owns a family T(u): the L3 vertices whose only anchor
 neighbor is u.  Exactly one member of each family is black (u's partner),
-which drives both the normalization rules here and the component solver's
-choice of branching vertex.
+which drives the normalization rules here.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class RadiusExceeded(Exception):
 class Family:
     anchor: int          # black L2 vertex whose partner lives in the family
     members: int         # mask of its private L3 neighbors
-    out_mask: int = 0    # members with structural contacts outside the family
     internal_edge: int = 0  # members with a neighbor inside the family
 
 
@@ -91,21 +90,6 @@ def build_levels(g: Graph, scope: int, x: int, y: int, coloring: Coloring) -> Xy
     return XyDecomposition(g=g, x=x, y=y, scope=scope, levels=levels, coloring=coloring)
 
 
-def _attach_exclusions(dec: XyDecomposition) -> None:
-    """Mark edges inside L3 and between L3 and L4 as never-matching."""
-    g = dec.g
-    l3, l4 = dec.l3, dec.l4
-    excl: list[int] = [0] * g.n
-    for v in bits(l3):
-        excl[v] = g.rows[v] & (l3 | l4)
-    for v in bits(l4):
-        excl[v] = g.rows[v] & l3
-    dec.coloring.excluded = excl
-    # pre-colored blacks in those layers must feel the new exclusions
-    for v in bits((l3 | l4) & dec.coloring.black):
-        dec.coloring.dirty.append(v)
-
-
 def apply_initial_facts(dec: XyDecomposition) -> Contradiction | None:
     """Root pair (which colors L1 and L2 and pairs L2's edges), multi-anchor
     whites, and forced L4 triangle edges; propagated to a fixpoint."""
@@ -114,10 +98,6 @@ def apply_initial_facts(dec: XyDecomposition) -> Contradiction | None:
     if bad:
         return bad
     dec.forced.append((dec.x, dec.y) if dec.x < dec.y else (dec.y, dec.x))
-    _attach_exclusions(dec)
-    bad = c.propagate()
-    if bad:
-        return bad
 
     l2 = dec.l2
     anchor_mask = 0
@@ -168,10 +148,7 @@ def _build_families(dec: XyDecomposition) -> None:
                 members |= 1 << t
         dec.families.append(Family(anchor=u, members=members))
     for fam in dec.families:
-        foreign = (dec.l3 & ~fam.members) | dec.l4
         for t in bits(fam.members):
-            if g.rows[t] & foreign:
-                fam.out_mask |= 1 << t
             if g.rows[t] & fam.members:
                 fam.internal_edge |= 1 << t
 

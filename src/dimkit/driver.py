@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 from .coloring import (
     WHITE,
     Coloring,
     assign_and_propagate,
+    branch_pick,
     extract_matching,
     force_pair,
     search,
@@ -133,59 +133,6 @@ def _commit(master: Coloring, c: Coloring) -> None:
     master.dirty.clear()
 
 
-def _branch_pick(g: Graph, comp: int) -> Callable[[Coloring], int]:
-    """Pick for the search over `comp`: the unknown vertex with the most
-    unmated black neighbors, then the highest degree in comp, then the
-    smallest id; -1 when nothing is unknown.
-
-    The neighbor counts of all unknown vertices are summed at once in
-    bit-sliced counters (slice i holds bit i of every count), one row per
-    unmated black; the maximum is then narrowed from the top slice down.
-    The degree classes of comp are built once, highest first.  Both loops
-    walk set bits by hand: a `bits` generator per call shows on graphs of a
-    dozen vertices, where the whole search takes tens of microseconds.
-    """
-    rows = g.rows
-    by_degree = [0] * comp.bit_count()
-    rest = comp
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        by_degree[(rows[low.bit_length() - 1] & comp).bit_count()] |= low
-    classes = [cls for cls in reversed(by_degree) if cls]
-
-    def pick(c: Coloring) -> int:
-        unknown = c.unknown_mask(comp)
-        if not unknown:
-            return -1
-        slices: list[int] = []
-        blacks = c.unmated_black_mask(comp)
-        while blacks:
-            low = blacks & -blacks
-            blacks ^= low
-            carry = rows[low.bit_length() - 1] & unknown
-            i = 0
-            while carry:
-                if i == len(slices):
-                    slices.append(carry)
-                    break
-                s = slices[i]
-                slices[i] = s ^ carry
-                carry &= s
-                i += 1
-        best = unknown
-        for s in reversed(slices):
-            if best & s:
-                best &= s
-        for cls in classes:
-            if best & cls:
-                best &= cls
-                break
-        return (best & -best).bit_length() - 1
-
-    return pick
-
-
 def _complete_search(
     comp: int, master: Coloring, budget: int, stats: dict
 ) -> tuple[str, tuple[Edge, ...] | None, str | None]:
@@ -194,14 +141,9 @@ def _complete_search(
     Starts from the uncolored component, so exhaustion is a true negative
     and any completion is a certificate.  Returns status "budget" when cut
     short, leaving the master coloring untouched.
-
-    `search` calls the pick only at a propagation fixpoint, where no
-    unknown vertex has a white or a mated black neighbor; so counting
-    unmated black neighbors ranks the unknowns exactly as counting all
-    colored neighbors would.
     """
     c = master.clone()
-    status, branches = search(c, comp, _branch_pick(master.g, comp), budget)
+    status, branches = search(c, comp, branch_pick(master.g, comp), budget)
     stats["branches"] += branches
     if status == "budget":
         return "budget", None, None

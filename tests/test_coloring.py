@@ -176,38 +176,9 @@ def test_fixpoint_unknowns_see_only_unmated_blacks():
 def test_clone_shares_exclusions_copies_colors():
     g = cycle_graph(6)
     c = Coloring(g)
-    c.excluded = [0] * g.n
-    c.excluded[0] = 1 << 1
-    c.excluded[1] = 1 << 0
     d = c.clone()
-    assert d.excluded is c.excluded
     assign_and_propagate(d, 2, WHITE)
     assert c.color_of(2) == UNKNOWN
-
-
-def test_excluded_edge_whitens_far_end():
-    g = path_graph(3)
-    c = Coloring(g)
-    c.excluded = [0] * g.n
-    c.excluded[1] = 1 << 2
-    c.excluded[2] = 1 << 1
-    assert assign_and_propagate(c, 1, BLACK) is None
-    # (1,2) can never be a matching edge, so black 1 pushes 2 white
-    # and partners with 0
-    assert c.color_of(2) == WHITE
-    assert c.mate[1] == 0
-
-
-def test_excluded_edge_both_black_contradicts():
-    g = path_graph(2)
-    c = Coloring(g)
-    c.excluded = [0] * g.n
-    c.excluded[0] = 1 << 1
-    c.excluded[1] = 1 << 0
-    c._set(0, BLACK)
-    c._set(1, BLACK)
-    bad = c.propagate()
-    assert bad is not None and bad.rule == "excluded-edge-matched"
 
 
 def test_force_pair_requires_edge():

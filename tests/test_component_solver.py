@@ -21,7 +21,8 @@ DOOMED = Graph.from_edges(9, [
 ])
 
 # two anchors whose families hang an L4 path between them; the search
-# branches on the L4 path first: 10 black fails, 10 white colors the rest
+# branches on member 6 of anchor 4's family first, and 6 black colors
+# the rest
 BRIDGED = Graph.from_edges(13, [
     (0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (4, 7), (5, 8), (5, 9),
     (6, 10), (7, 11), (8, 12), (10, 11), (11, 12),
@@ -42,11 +43,11 @@ def test_branching_piece_colored():
     assert len(pieces) == 1
     res = solve_component(dec, pieces[0], 512)
     assert res.status == "colored"
-    assert res.branches >= 1
+    assert res.branches == 1
     assert is_complete_feasible(c, dec.scope)
     got = extract_matching(c, dec.scope)
     assert got in [m for m in all_dims(BRANCHY) if (4, 5) in m]
-    assert got == ((0, 6), (3, 10), (4, 5))  # black-first branching order
+    assert got == ((0, 8), (2, 10), (4, 5))  # black-first branching order
 
 
 def test_branch_budget_reports_budget():
@@ -66,7 +67,7 @@ def test_doomed_piece_reports_infeasible():
     assert "infeasible" in statuses
 
 
-def test_bridged_families_colored_by_l4_first_branch():
+def test_bridged_families_colored_by_first_branch():
     assert [m for m in all_dims(BRIDGED) if (0, 1) in m] == [
         ((0, 1), (4, 6), (5, 9), (11, 12))
     ]
@@ -74,7 +75,7 @@ def test_bridged_families_colored_by_l4_first_branch():
     assert len(pieces) == 1
     res = solve_component(dec, pieces[0], 512)
     assert res.status == "colored"
-    assert res.branches == 2
+    assert res.branches == 1
     assert extract_matching(c, dec.scope) == ((0, 1), (4, 6), (5, 9), (11, 12))
 
 

@@ -43,17 +43,6 @@ def test_initial_facts_on_middle_edge_of_path():
     assert dec.anchors == [4]
 
 
-def test_third_level_edge_to_fourth_gets_excluded():
-    g = path_graph(7)
-    c = Coloring(g)
-    dec = build_levels(g, g.full_mask(), 1, 2, c)
-    apply_initial_facts(dec)
-    normalize_T(dec)
-    assert c.excluded is not None
-    assert c.excluded[5] & (1 << 6)
-    assert c.excluded[6] & (1 << 5)
-
-
 def test_off_center_trial_on_path_refutes():
     status, reason = trial_facts(path_graph(7), 2, 3)
     assert status == "infeasible"

@@ -1,3 +1,4 @@
+import collections
 import json
 import random
 
@@ -15,6 +16,8 @@ from dimkit.driver import (
 from dimkit.generator import gen_c4_augmented, gen_planted
 from dimkit.decomposition import build_levels
 from dimkit.graph import Graph, bfs_layers, bits, central_vertex, connected_components
+import dimkit.coloring
+import dimkit.component_solver
 import dimkit.driver
 import dimkit.oracle
 import dimkit.patterns
@@ -334,38 +337,63 @@ def _planted_draws():
     return graphs
 
 
+# connected graphs where some pick of the engine's search is not the
+# lowest unknown vertex of its piece (rare: under 1% of engine picks on
+# seeded G(n, p) and planted graphs with n <= 60)
+ENGINE_PICKS_OFF_LOWEST = [
+    Graph.from_edges(8, [(0, 1), (0, 6), (1, 3), (1, 5), (1, 6), (2, 4), (2, 5), (3, 6), (4, 7)]),
+    Graph.from_edges(8, [(0, 2), (0, 7), (1, 4), (1, 5), (2, 3), (2, 5), (2, 7), (3, 7), (4, 6)]),
+    Graph.from_edges(9, [
+        (0, 3), (0, 5), (1, 4), (1, 7), (2, 3), (2, 5), (3, 5), (3, 6), (3, 8), (7, 8),
+    ]),
+]
+
+
 def test_branch_pick_matches_the_naive_pick(corpus7, monkeypatch):
-    # Every pick of the complete search must name the vertex that the naive
-    # scan names, at every call, with both tie-breaks exercised.
-    real_search = dimkit.driver.search
-    seen = {"calls": 0, "by_degree": 0, "by_id": 0}
+    # Every pick of the complete search, and of the engine's search over
+    # its pieces, must name the vertex that the naive scan names, at every
+    # call, with both tie-breaks exercised.
+    real_search = dimkit.coloring.search
+    seen = collections.Counter()
 
-    def checked_search(c, scope, pick, budget):
-        def both(c):
-            got = pick(c)
-            want = pick_unknown_naive(scope, c)
-            assert got == want, (c.g.edges(), scope, got, want)
-            seen["calls"] += 1
-            if want >= 0:
-                rows = c.g.rows
-                unknown = c.unknown_mask(scope)
-                colored = scope & ~unknown
-                keys = [
-                    ((rows[v] & colored).bit_count(), (rows[v] & scope).bit_count())
-                    for v in bits(unknown)
-                ]
-                top = max(keys)
-                seen["by_degree"] += any(k[0] == top[0] and k[1] < top[1] for k in keys)
-                seen["by_id"] += keys.count(top) > 1
-            return got
+    def checked(kind):
+        def checked_search(c, scope, pick, budget):
+            def both(c):
+                got = pick(c)
+                want = pick_unknown_naive(scope, c)
+                assert got == want, (kind, c.g.edges(), scope, got, want)
+                seen[kind] += 1
+                if want >= 0:
+                    rows = c.g.rows
+                    unknown = c.unknown_mask(scope)
+                    colored = scope & ~unknown
+                    keys = [
+                        ((rows[v] & colored).bit_count(), (rows[v] & scope).bit_count())
+                        for v in bits(unknown)
+                    ]
+                    top = max(keys)
+                    seen["by_degree"] += any(k[0] == top[0] and k[1] < top[1] for k in keys)
+                    seen["by_id"] += keys.count(top) > 1
+                    seen[kind + " off lowest"] += want != next(bits(unknown))
+                return got
 
-        return real_search(c, scope, both, budget)
+            return real_search(c, scope, both, budget)
 
-    monkeypatch.setattr(dimkit.driver, "search", checked_search)
-    for g in [*corpus7, *_gnp_draws(), *_planted_draws()]:
+        return checked_search
+
+    monkeypatch.setattr(dimkit.driver, "search", checked("search"))
+    monkeypatch.setattr(dimkit.component_solver, "search", checked("engine"))
+    graphs = [*corpus7, *_gnp_draws(), *_planted_draws()]
+    for g in graphs:
         solve(g, SolveConfig(check_p9=False))
-    assert seen["calls"] > 2000, seen
+    assert seen["search"] > 2000, seen
     assert seen["by_degree"] > 100 and seen["by_id"] > 100, seen
+    graphs += [g for *_, g, _ in _false_twin_draws()]
+    graphs += [_pinned_graph(*case) for case, _ in IN_CLASS_PINS]
+    graphs += ENGINE_PICKS_OFF_LOWEST
+    for g in graphs:
+        solve(g, ENGINE_ONLY)
+    assert seen["engine"] >= 20 and seen["engine off lowest"] >= 3, seen
 
 
 def _false_twin_expansion(host, classes, n, rng):
@@ -429,16 +457,14 @@ def test_false_twin_expansions_at_size():
 
 
 def test_family_branch_tries_pinned_members_first():
-    # one trial leaves a family whose members with outside contacts are
-    # tried before its lowest live member; branching on the lowest live
-    # member instead finds ((0,1),(2,3),(4,5),(6,7))
+    # one trial leaves a family whose members with outside contacts and
+    # plain members both stay live; the engine's search over it agrees
+    # with the oracle like the default solve
     g = Graph.from_edges(14, [
         (0, 1), (0, 8), (0, 11), (1, 11), (1, 12), (2, 3), (2, 9), (2, 12), (4, 5),
         (4, 12), (5, 11), (5, 13), (6, 7), (6, 9), (7, 10), (7, 11), (7, 12), (7, 13),
     ])
-    out = solve(g, ENGINE_ONLY)
-    assert out.matching == ((0, 1), (2, 9), (4, 5), (7, 10))
-    assert out.stats == {"edges_tried": 1, "forced_edges": 2, "branches": 2, "millis": 0}
+    _assert_agrees_with_oracle(g, solve(g, ENGINE_ONLY))
     _assert_agrees_with_oracle(g, solve(g))
 
 
