@@ -24,7 +24,7 @@ from pathlib import Path
 
 import click
 
-from .coloring import Coloring, parse_matching, serialize_matching
+from .coloring import Coloring, extract_matching, parse_matching, serialize_matching
 from .decomposition import RadiusExceeded, apply_initial_facts, build_levels, normalize_T
 from .driver import SolveConfig, solve
 from .generator import (
@@ -142,7 +142,7 @@ def verify_cmd(graph_path, matching_path):
 @cli.command("oracle")
 @click.argument("graph_path")
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--node-limit", type=int, default=2_000_000, show_default=True)
+@click.option("--node-limit", type=click.IntRange(min=0), default=2_000_000, show_default=True)
 def oracle_cmd(graph_path, as_json, node_limit):
     """Exact exhaustive search (small graphs only)."""
     g = _load_graph(graph_path)
@@ -231,10 +231,7 @@ def explain_cmd(graph_path, x, y):
         "levels": [_verts(m) for m in dec.levels],
         "white": _verts(c.white & dec.scope),
         "black": _verts(c.black & dec.scope),
-        "matched": sorted(
-            [v, c.mate[v]] for v in bits(c.black & dec.scope)
-            if 0 <= c.mate[v] and v < c.mate[v]
-        ),
+        "matched": [list(e) for e in extract_matching(c, dec.scope)],
         "forced": [list(e) for e in dec.forced],
         "anchors": dec.anchors,
         "shared_l3": _verts(dec.s3_mask),

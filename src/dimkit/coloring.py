@@ -15,11 +15,13 @@ Propagation rules, run to a fixpoint over a dirty queue:
   (d) contradictions: white-white edge, black with two black neighbors,
       black with no candidate partner left, conflicting assignment.
 
-Besides the partner list `mate`, the `mated` bitmask holds every vertex
-that has a partner, so the unpartnered blacks are `black & ~mated` with no
-loop.  At a fixpoint rules (a) and (b) leave no unknown vertex next to a
-white or a partnered black: an unknown vertex's colored neighbors are
-exactly its unpartnered black ones.
+The state is three bitmasks: `white`, `black` and `mated`, the blacks
+that have a partner, so the unpartnered blacks are `black & ~mated` with
+no loop.  The colors fix every partner: pairing whitens every other
+uncolored neighbor of both ends, so a mated vertex has exactly one mated
+neighbor, and `partner` reads it off.  At a fixpoint rules (a) and (b)
+leave no unknown vertex next to a white or a partnered black: an unknown
+vertex's colored neighbors are exactly its unpartnered black ones.
 
 `search` backtracks over vertex colors under one pick rule,
 `branch_pick`, shared by the complete search and the engine's pieces.
@@ -48,38 +50,26 @@ class Contradiction:
         return f"{self.rule} at {verts}"
 
 
-Snapshot = tuple[int, int, int, list[int]]
+Snapshot = tuple[int, int, int]
 
 
 class Coloring:
     """Mutable coloring state over a fixed graph."""
 
-    __slots__ = ("g", "white", "black", "mated", "mate", "dirty")
+    __slots__ = ("g", "white", "black", "mated", "dirty")
 
     def __init__(self, g: Graph):
         self.g = g
         self.white = 0
         self.black = 0
         self.mated = 0
-        self.mate = [-1] * g.n
         self.dirty: deque[int] = deque()
 
-    def clone(self) -> "Coloring":
-        c = Coloring.__new__(Coloring)
-        c.g = self.g
-        c.white = self.white
-        c.black = self.black
-        c.mated = self.mated
-        c.mate = list(self.mate)
-        c.dirty = deque(self.dirty)
-        return c
-
     def snapshot(self) -> Snapshot:
-        return (self.white, self.black, self.mated, list(self.mate))
+        return (self.white, self.black, self.mated)
 
     def restore(self, snap: Snapshot) -> None:
-        self.white, self.black, self.mated, mate = snap
-        self.mate = list(mate)
+        self.white, self.black, self.mated = snap
         self.dirty.clear()
 
     # -- queries -----------------------------------------------------------
@@ -99,6 +89,12 @@ class Coloring:
     def unmated_black_mask(self, scope: int | None = None) -> int:
         full = self.g.full_mask() if scope is None else scope
         return self.black & full & ~self.mated
+
+    def partner(self, v: int) -> int:
+        """The partner of mated v: its one mated neighbor, which at a
+        fixpoint is also its one black neighbor."""
+        mates = self.g.rows[v] & self.mated
+        return (mates & -mates).bit_length() - 1
 
     # -- mutation ----------------------------------------------------------
 
@@ -144,21 +140,20 @@ class Coloring:
             return Contradiction("two-black-neighbors", (v, next(it), next(it)))
         if k == 1:
             u = next(bits(nb_black))
-            if self.mate[v] not in (-1, u) or self.mate[u] not in (-1, v):
+            if self.mated & bit:
+                # mated v already has u, its only black neighbor, as partner
+                return None
+            if self.mated >> u & 1:
                 return Contradiction("partner-clash", (v, u))
-            if self.mate[v] < 0:
-                self.mate[v], self.mate[u] = u, v
-                self.mated |= bit | 1 << u
-                spread = (row | g.rows[u]) & ~bit & ~(1 << u)
-                for w in bits(spread & ~self.white & ~self.black):
-                    bad = self._set(w, WHITE)
-                    if bad:
-                        return bad
-                self.dirty.append(u)
+            self.mated |= bit | 1 << u
+            spread = (row | g.rows[u]) & ~bit & ~(1 << u)
+            for w in bits(spread & ~self.white & ~self.black):
+                bad = self._set(w, WHITE)
+                if bad:
+                    return bad
+            self.dirty.append(u)
             return None
-        # no black neighbor available
-        if self.mate[v] >= 0:
-            return Contradiction("partner-clash", (v, self.mate[v]))
+        # no black neighbor available; colors only grow, so v is unmated
         cand = row & ~self.white
         if not cand:
             return Contradiction("black-unmatchable", (v,))
@@ -199,7 +194,7 @@ def force_pair(c: Coloring, u: int, v: int) -> Contradiction | None:
     if bad:
         c.dirty.clear()
         return bad
-    if c.mate[u] != v:
+    if c.g.rows[u] & c.black != 1 << v:
         # partners resolved differently during propagation
         return Contradiction("partner-clash", (u, v))
     return None
@@ -217,9 +212,7 @@ def is_complete_feasible(c: Coloring, scope: int | None = None) -> bool:
             return False
     for v in bits(c.black & full):
         nb = g.rows[v] & c.black & full
-        if nb.bit_count() != 1:
-            return False
-        if c.mate[v] != next(bits(nb)):
+        if nb.bit_count() != 1 or not c.mated >> v & 1:
             return False
     return True
 
@@ -320,8 +313,8 @@ def search(
 def extract_matching(c: Coloring, scope: int | None = None) -> tuple[Edge, ...]:
     full = c.g.full_mask() if scope is None else scope
     out = []
-    for v in bits(c.black & full):
-        u = c.mate[v]
+    for v in bits(c.mated & full):
+        u = c.partner(v)
         if u > v:
             out.append((v, u))
     return tuple(out)

@@ -52,8 +52,9 @@ def reduce_l4(dec: XyDecomposition, comp: int) -> tuple[str, str | None]:
 
 
 def solve_component(dec: XyDecomposition, comp: int, branch_budget: int) -> ComponentResult:
-    """Color one active component completely, or report why not; a
-    component left uncolored keeps the coloring it came with."""
+    """Color one active component completely, or report why not; on
+    failure the coloring may be left partly extended, and the caller
+    restores it."""
     c = dec.coloring
 
     status, detail = reduce_l4(dec, comp)
@@ -63,11 +64,9 @@ def solve_component(dec: XyDecomposition, comp: int, branch_budget: int) -> Comp
     if not c.unknown_mask(comp) and not c.unmated_black_mask(comp):
         return ComponentResult("colored")
 
-    base = c.snapshot()
     status, branches = search(c, comp, branch_pick(dec.g, comp), branch_budget)
     if status == "colored":
         return ComponentResult("colored", branches=branches)
-    c.restore(base)
     if status == "budget":
         return ComponentResult("budget", f"branch budget {branch_budget} exhausted", branches)
     return ComponentResult("infeasible", "every branch failed", branches)

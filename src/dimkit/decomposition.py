@@ -103,8 +103,9 @@ def apply_initial_facts(dec: XyDecomposition) -> Contradiction | None:
     anchor_mask = 0
     for v in bits(l2):
         if g.rows[v] & l2:
-            if v < c.mate[v]:
-                dec.forced.append((v, c.mate[v]))
+            u = c.partner(v)
+            if v < u:
+                dec.forced.append((v, u))
         else:
             anchor_mask |= 1 << v
     dec.anchors = list(bits(anchor_mask))

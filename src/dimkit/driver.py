@@ -91,23 +91,24 @@ def try_edge(
     cfg: SolveConfig,
     stats: dict,
 ) -> tuple[str, str | None]:
-    """Decide whether some completion matches the edge xy; on success the
-    colors are committed to the master coloring.
+    """Decide whether some completion matches the edge xy, coloring the
+    master as it goes; on failure the master is restored.
 
     A vertex of scope more than four levels from xy leaves the trial
     undecided: it rules nothing out.  At a central x of a connected scope
     free of induced nine-vertex paths that never happens.
     """
-    c = master.clone()
+    snap = master.snapshot()
     try:
-        dec = build_levels(g, scope, x, y, c)
+        dec = build_levels(g, scope, x, y, master)
     except RadiusExceeded as exc:
         return "undecided", str(exc)
     bad = apply_initial_facts(dec) or normalize_T(dec)
     if bad:
+        master.restore(snap)
         return "infeasible", str(bad)
 
-    active = c.unknown_mask(scope) | c.unmated_black_mask(scope)
+    active = master.unknown_mask(scope) | master.unmated_black_mask(scope)
     for piece in connected_components(g, active):
         size = piece.bit_count()
         budget = cfg.branch_budget
@@ -115,22 +116,12 @@ def try_edge(
             budget = max(64, size * size)
         res = solve_component(dec, piece, budget)
         stats["branches"] += res.branches
-        if res.status == "infeasible":
-            return "infeasible", res.detail
-        if res.status == "budget":
-            return "undecided", res.detail
+        if res.status != "colored":
+            master.restore(snap)
+            return ("infeasible" if res.status == "infeasible" else "undecided"), res.detail
 
     stats["forced_edges"] += len(dec.forced)
-    _commit(master, c)
     return "dim", None
-
-
-def _commit(master: Coloring, c: Coloring) -> None:
-    master.white = c.white
-    master.black = c.black
-    master.mated = c.mated
-    master.mate = list(c.mate)
-    master.dirty.clear()
 
 
 def _complete_search(
@@ -139,18 +130,18 @@ def _complete_search(
     """Exact decision for one component by branching on vertex colors.
 
     Starts from the uncolored component, so exhaustion is a true negative
-    and any completion is a certificate.  Returns status "budget" when cut
-    short, leaving the master coloring untouched.
+    and any completion is a certificate.  The search colors the master; on
+    "no-dim", or on "budget" when cut short, the master is restored.
     """
-    c = master.clone()
-    status, branches = search(c, comp, branch_pick(master.g, comp), budget)
+    snap = master.snapshot()
+    status, branches = search(master, comp, branch_pick(master.g, comp), budget)
     stats["branches"] += branches
+    if status == "colored":
+        return "dim", extract_matching(master, comp), None
+    master.restore(snap)
     if status == "budget":
         return "budget", None, None
-    if status == "infeasible":
-        return "no-dim", None, "exhaustive color search over the component"
-    _commit(master, c)
-    return "dim", extract_matching(master, comp), None
+    return "no-dim", None, "exhaustive color search over the component"
 
 
 def solve_top_component(

@@ -88,6 +88,11 @@ def test_solve_negative_branch_budget_exit_three(graph_file, capsys):
     assert "--budget-branches" in capsys.readouterr().err
 
 
+def test_oracle_negative_node_limit_exit_three(graph_file, capsys):
+    assert main(["oracle", graph_file(cycle_graph(6)), "--node-limit", "-5"]) == 3
+    assert "--node-limit" in capsys.readouterr().err
+
+
 def test_solve_oversized_header_exit_three(tmp_path, capsys):
     path = tmp_path / "huge.graph"
     path.write_text("100000000000 0\n")

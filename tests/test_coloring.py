@@ -7,6 +7,7 @@ from dimkit.coloring import (
     UNKNOWN,
     WHITE,
     Coloring,
+    Contradiction,
     assign_and_propagate,
     extract_matching,
     force_pair,
@@ -35,12 +36,12 @@ def test_adjacent_blacks_partner_and_whiten():
     c = Coloring(g)
     assert assign_and_propagate(c, 2, BLACK) is None
     assert assign_and_propagate(c, 1, BLACK) is None
-    assert c.mate[1] == 2 and c.mate[2] == 1
+    assert c.partner(1) == 2 and c.partner(2) == 1
     # neighbors of the pair whiten, and the whitening cascades around
     # the cycle to the opposite pair
     assert c.color_of(0) == WHITE
     assert c.color_of(3) == WHITE
-    assert c.mate[4] == 5
+    assert c.partner(4) == 5
     assert is_complete_feasible(c)
 
 
@@ -108,9 +109,9 @@ def test_single_candidate_partner_forced():
     g = path_graph(5)
     c = Coloring(g)
     assert assign_and_propagate(c, 0, BLACK) is None
-    assert c.mate[0] == 1
+    assert c.partner(0) == 1
     assert c.color_of(2) == WHITE
-    assert c.mate[3] == 4
+    assert c.partner(3) == 4
     assert is_complete_feasible(c)
     assert extract_matching(c) == ((0, 1), (3, 4))
 
@@ -126,14 +127,13 @@ def test_snapshot_restore():
     # the centre pairs with leaf 3 only after the snapshot
     assert assign_and_propagate(c, 3, BLACK) is None
     assert c.mated == 0b1001 and c.unmated_black_mask() == 0
-    d = c.clone()
+    assert c.partner(0) == 3
     c.restore(snap)
     assert c.color_of(2) == UNKNOWN
     assert c.color_of(0) == BLACK
-    assert c.mated == 0 and c.mate[0] == -1
+    assert c.mated == 0
     assert c.unmated_black_mask() == 0b1
     assert not c.dirty
-    assert d.mated == 0b1001 and d.mate[0] == 3 and d.unmated_black_mask() == 0
 
 
 def _random_graph(rng):
@@ -146,7 +146,8 @@ def test_fixpoint_unknowns_see_only_unmated_blacks():
     # The complete search ranks unknown vertices by unmated black neighbors
     # alone; that equals their colored-neighbor count only because a
     # propagation fixpoint leaves no unknown vertex beside a white or a
-    # mated black, and because `mated` tracks `mate` exactly.
+    # mated black.  `mated` is what the colors say it is: the blacks with
+    # exactly one black neighbor, paired off by `partner`.
     rng = random.Random(13)
     checked = 0
     for _ in range(400):
@@ -165,7 +166,12 @@ def test_fixpoint_unknowns_see_only_unmated_blacks():
             if bad is not None:
                 c.restore(snap)
                 continue
-            assert c.mated == sum(1 << u for u in range(g.n) if c.mate[u] >= 0)
+            assert c.mated == sum(
+                1 << u for u in bits(c.black) if (g.rows[u] & c.black).bit_count() == 1
+            )
+            for u in bits(c.mated):
+                w = c.partner(u)
+                assert g.rows[u] & c.black == 1 << w and c.partner(w) == u, (g.edges(), u)
             for u in bits(c.unknown_mask()):
                 assert not g.rows[u] & c.white, (g.edges(), u)
                 assert not g.rows[u] & c.black & c.mated, (g.edges(), u)
@@ -173,12 +179,23 @@ def test_fixpoint_unknowns_see_only_unmated_blacks():
     assert checked > 1000
 
 
-def test_clone_shares_exclusions_copies_colors():
-    g = cycle_graph(6)
+def test_partner_clash_on_diamond():
+    # Diamond with spine 0-3 and tips 1, 2.  Whitening 0 blackens the rest;
+    # tip 1 pairs with 3 first, so tip 2 finds its only black neighbor
+    # already taken.
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
     c = Coloring(g)
-    d = c.clone()
-    assign_and_propagate(d, 2, WHITE)
-    assert c.color_of(2) == UNKNOWN
+    bad = assign_and_propagate(c, 0, WHITE)
+    assert bad == Contradiction("partner-clash", (2, 3))
+    assert c.mated == 0b1010 and c.partner(3) == 1
+    # With tip 2 black first, 2 pairs with 3 and tip 1 clashes.  Vertex 3
+    # is left with two black neighbors; its partner is still 2, the mated
+    # one, not its lowest black neighbor 1.
+    c = Coloring(g)
+    assert assign_and_propagate(c, 2, BLACK) is None
+    bad = assign_and_propagate(c, 0, WHITE)
+    assert bad == Contradiction("partner-clash", (1, 3))
+    assert c.mated == 0b1100 and c.partner(3) == 2 and c.partner(2) == 3
 
 
 def test_force_pair_requires_edge():

@@ -87,7 +87,7 @@ def test_interchangeable_family_members():
     res = solve_component(dec, pieces[0], 256)
     assert res.status == "colored"
     assert is_complete_feasible(c, dec.scope)
-    assert c.mate[4] in (5, 6)
+    assert c.partner(4) in (5, 6)
 
 
 def test_fully_propagated_trial_leaves_no_work():

@@ -38,7 +38,7 @@ def test_initial_facts_on_middle_edge_of_path():
     assert (1, 2) in dec.forced
     assert c.white == 0b1001001
     assert c.black == 0b0110110
-    assert c.mate[4] == 5
+    assert c.partner(4) == 5
     assert normalize_T(dec) is None
     assert dec.anchors == [4]
 
@@ -91,7 +91,7 @@ def test_shared_third_level_vertex_of_two_anchors_is_white():
     assert sorted(dec.anchors) == [4, 5]
     assert dec.s3_mask == 1 << 6
     assert c.color_of(6) == WHITE
-    assert c.mate[4] == 7 and c.mate[5] == 8
+    assert c.partner(4) == 7 and c.partner(5) == 8
 
 
 def test_family_grouping():

@@ -456,7 +456,7 @@ def test_false_twin_expansions_at_size():
         assert solve(g, ENGINE_ONLY).status == expected
 
 
-def test_family_branch_tries_pinned_members_first():
+def test_engine_agrees_with_oracle_on_a_live_family():
     # one trial leaves a family whose members with outside contacts and
     # plain members both stay live; the engine's search over it agrees
     # with the oracle like the default solve
