@@ -25,7 +25,7 @@ from pathlib import Path
 import click
 
 from .coloring import Coloring, extract_matching, parse_matching, serialize_matching
-from .decomposition import RadiusExceeded, apply_initial_facts, build_levels, normalize_T
+from .decomposition import RadiusExceeded, apply_initial_facts, build_levels
 from .driver import SolveConfig, solve
 from .generator import (
     emit_small_corpus,
@@ -91,8 +91,8 @@ def cli():
               help="report whether the graph is free of induced nine-vertex paths "
                    "(the scan decides no verdict)")
 @click.option("--budget-branches", type=click.IntRange(min=0), default=None,
-              help="branch cap per piece of the engine, which runs only when the "
-                   "first search of a component runs out")
+              help="branch cap of the first exact search of each component "
+                   "[default: max(4096, 8*size)]; at 0 the engine runs alone")
 def solve_cmd(graph_path, as_json, check_p9, budget_branches):
     """Decide whether GRAPH_PATH has a dominating induced matching."""
     g = _load_graph(graph_path)
@@ -206,9 +206,9 @@ def explain_cmd(graph_path, x, y):
     """Dump the distance-level decomposition rooted at matched edge (X, Y).
 
     JSON on stdout: BFS levels, colors and forced edges after the initial
-    and family-normalization rules, anchor families, and the leftover
+    rules, the anchors and the L3 vertices they share, and the leftover
     pieces branching would explore.  Exit 0 when the decomposition stands,
-    1 when either rule set proves the edge in no solution (the first
+    1 when the rules prove the edge in no solution (the first
     contradiction, with rule id and witnesses, is included), 2 when some
     vertex sits farther than four levels from the edge.
     """
@@ -225,7 +225,7 @@ def explain_cmd(graph_path, x, y):
         click.echo(json.dumps(info))
         return 2
     c = dec.coloring
-    bad = apply_initial_facts(dec) or normalize_T(dec)
+    bad = apply_initial_facts(dec)
     active = c.unknown_mask(dec.scope) | c.unmated_black_mask(dec.scope)
     info.update({
         "levels": [_verts(m) for m in dec.levels],
@@ -235,14 +235,6 @@ def explain_cmd(graph_path, x, y):
         "forced": [list(e) for e in dec.forced],
         "anchors": dec.anchors,
         "shared_l3": _verts(dec.s3_mask),
-        "families": [
-            {
-                "anchor": f.anchor,
-                "members": _verts(f.members),
-                "internal_edge": _verts(f.internal_edge) or None,
-            }
-            for f in dec.families
-        ],
         "pieces": [_verts(m) for m in connected_components(g, active)],
     })
     if bad is not None:
@@ -274,7 +266,7 @@ def gen_group():
 @click.option("--k", type=int, default=None, help="matched pairs [default: n//4]")
 @click.option("--extra", type=int, default=None, help="cross edges [default: n]")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--count", type=int, default=1, show_default=True)
+@click.option("--count", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--out", "out_dir", default="instances", show_default=True)
 def gen_planted_cmd(n, k, extra, seed, count, out_dir):
     """Instances carrying a known solution (written alongside as .matching)."""
@@ -299,9 +291,9 @@ def gen_planted_cmd(n, k, extra, seed, count, out_dir):
 @click.option("--n", type=int, required=True)
 @click.option("--p", type=float, default=0.2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--count", type=int, default=1, show_default=True)
+@click.option("--count", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--filter", "filters", multiple=True, type=click.Choice(RANDOM_FILTERS))
-@click.option("--attempt-cap", type=int, default=200, show_default=True)
+@click.option("--attempt-cap", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--out", "out_dir", default="instances", show_default=True)
 def gen_random_cmd(n, p, seed, count, filters, attempt_cap, out_dir):
     """Erdos-Renyi draws, rejection-sampled through the chosen filters."""
@@ -360,7 +352,7 @@ def _xcheck_one(job):
 
 @cli.command("cross-check")
 @click.option("--max-n", type=int, default=12, show_default=True)
-@click.option("--count", type=int, default=200, show_default=True)
+@click.option("--count", type=click.IntRange(min=0), default=200, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def cross_check_cmd(max_n, count, seed):
     """Differential run: solver vs exhaustive oracle on random graphs."""

@@ -1,14 +1,14 @@
 """Per-component search run inside an xy-trial.
 
-After the level decomposition and family normalization, the still-active
+After the level decomposition and its initial facts, the still-active
 vertices (unknowns plus unpartnered blacks) split into independent
 components.  Each is finished in two steps, both valid on every graph:
 
   * an L4 vertex with no live L4 neighbor is white (its partner would
     have to sit in L4), run to a fixpoint with propagation;
   * the backtracking search of `coloring.search` under the same pick as
-    the complete search (`coloring.branch_pick`); a branch budget caps
-    the search.
+    the complete search (`coloring.branch_pick`), capped by a branch
+    budget that the caller derives from the component's size.
 
 The search is exact within its budget, so "infeasible" is a proof that no
 completion matches the trial edge and "budget" only gives up.

@@ -11,19 +11,14 @@ structure forces a cascade of facts:
   * no edge inside L3 and no L3-L4 edge can be a matching edge: every L3
     vertex sees a black L2 vertex, so propagation pairs a black L3 vertex
     with that neighbor and needs no rule of its own;
-  * an L3 vertex seeing two or more anchors must be white;
-  * a triangle with one vertex in L3 and two in L4 forces its L4 edge.
-
-Each anchor u owns a family T(u): the L3 vertices whose only anchor
-neighbor is u.  Exactly one member of each family is black (u's partner),
-which drives the normalization rules here.
+  * an L3 vertex seeing two or more anchors must be white.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coloring import BLACK, WHITE, Coloring, Contradiction, force_pair
+from .coloring import WHITE, Coloring, Contradiction, force_pair
 from .graph import Edge, Graph, bfs_layers, bits
 
 MAX_RADIUS = 4
@@ -39,13 +34,6 @@ class RadiusExceeded(Exception):
 
 
 @dataclass
-class Family:
-    anchor: int          # black L2 vertex whose partner lives in the family
-    members: int         # mask of its private L3 neighbors
-    internal_edge: int = 0  # members with a neighbor inside the family
-
-
-@dataclass
 class XyDecomposition:
     g: Graph
     x: int
@@ -55,7 +43,6 @@ class XyDecomposition:
     coloring: Coloring
     forced: list[Edge] = field(default_factory=list)
     anchors: list[int] = field(default_factory=list)
-    families: list[Family] = field(default_factory=list)
     s3_mask: int = 0
 
     @property
@@ -91,8 +78,8 @@ def build_levels(g: Graph, scope: int, x: int, y: int, coloring: Coloring) -> Xy
 
 
 def apply_initial_facts(dec: XyDecomposition) -> Contradiction | None:
-    """Root pair (which colors L1 and L2 and pairs L2's edges), multi-anchor
-    whites, and forced L4 triangle edges; propagated to a fixpoint."""
+    """Root pair (which colors L1 and L2 and pairs L2's edges) and
+    multi-anchor whites, propagated to a fixpoint."""
     g, c = dec.g, dec.coloring
     bad = force_pair(c, dec.x, dec.y)
     if bad:
@@ -120,68 +107,4 @@ def apply_initial_facts(dec: XyDecomposition) -> Contradiction | None:
         bad = c._set(v, WHITE)
         if bad:
             return bad
-    bad = c.propagate()
-    if bad:
-        return bad
-
-    # triangle with one L3 vertex and an L4 edge: the L4 edge is forced
-    l3, l4 = dec.l3, dec.l4
-    for v in bits(l4):
-        for u in bits(g.rows[v] & l4 >> (v + 1) << (v + 1)):
-            if g.rows[v] & g.rows[u] & l3:
-                bad = force_pair(c, v, u)
-                if bad:
-                    return bad
-                dec.forced.append((v, u))
-    return c.propagate()
-
-
-def _build_families(dec: XyDecomposition) -> None:
-    g = dec.g
-    anchor_mask = 0
-    for u in dec.anchors:
-        anchor_mask |= 1 << u
-    dec.families = []
-    for u in dec.anchors:
-        members = 0
-        for t in bits(g.rows[u] & dec.l3):
-            if g.rows[t] & anchor_mask == (1 << u):
-                members |= 1 << t
-        dec.families.append(Family(anchor=u, members=members))
-    for fam in dec.families:
-        for t in bits(fam.members):
-            if g.rows[t] & fam.members:
-                fam.internal_edge |= 1 << t
-
-
-def normalize_T(dec: XyDecomposition) -> Contradiction | None:
-    """Family-level forcings, one pass followed by propagation.
-
-    * a member adjacent to two members of another family is the partner of
-      its own anchor, forced (were it white, both would be black next to
-      their anchor);
-    * a family with an internal edge: every member on no internal edge is
-      white (the partner must cover that edge, or both ends stay white).
-    """
-    g, c = dec.g, dec.coloring
-    _build_families(dec)
-
-    for fam in dec.families:
-        u = fam.anchor
-        for t in bits(fam.members):
-            if c.color_of(t) == BLACK:
-                continue
-            if any((g.rows[t] & other.members).bit_count() >= 2
-                   for other in dec.families if other is not fam):
-                bad = force_pair(c, u, t)
-                if bad:
-                    return bad
-                dec.forced.append((u, t) if u < t else (t, u))
-
-    for fam in dec.families:
-        if fam.internal_edge:
-            for v in bits(fam.members & ~fam.internal_edge & c.unknown_mask()):
-                bad = c._set(v, WHITE)
-                if bad:
-                    return bad
     return c.propagate()

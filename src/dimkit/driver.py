@@ -1,16 +1,18 @@
 """Top-level solver: decide whether a graph has a dominating induced matching.
 
 Outline per connected component: refute on a four-clique (a K4 kills the
-whole graph); look for a single dominating edge; then run a budgeted
-complete search that branches on vertex colors and lets propagation
-prune.  That search decides the component unless it runs out of
-branches.  Only then does the paper's engine run, as the backstop: it
-repeatedly picks a central vertex x of the still-active part and trials
-every edge xy at it through the level decomposition.  A successful trial
-colors the whole piece.  If every edge at x is proven infeasible, x is
-unmatched in any solution, so x turns white and the loop continues on the
-shrunken remainder.  Trials that end undecided (budget or radius) make the
-component inconclusive; the engine's verdict is final.
+whole graph); look for a single dominating edge; then run a complete
+search that branches on vertex colors and lets propagation prune.  That
+search decides the component unless it runs out of branches; its cap,
+`SolveConfig.branch_budget`, is the only budget a caller sets.  Only then
+does the paper's engine run, as the backstop: it repeatedly picks a
+central vertex x of the still-active part and trials every edge xy at it
+through the level decomposition.  A successful trial colors the whole
+piece; the search inside a trial is capped by the size of its piece.
+If every edge at x is proven infeasible, x is unmatched in any solution,
+so x turns white and the loop continues on the shrunken remainder.
+Trials that end undecided (budget or radius) make the component
+inconclusive; the engine's verdict is final.
 
 Verdict soundness: "dim" and "no-dim" are certificates.  Every rule used
 is valid in any graph.  A trial whose levels run deeper than four (the
@@ -32,7 +34,7 @@ from .coloring import (
     search,
 )
 from .component_solver import solve_component
-from .decomposition import RadiusExceeded, build_levels, apply_initial_facts, normalize_T
+from .decomposition import RadiusExceeded, build_levels, apply_initial_facts
 from .graph import Edge, Graph, bits, central_vertex, connected_components
 from .oracle import verify_dim
 from .patterns import P9_UNCHECKED, classify_p9, find_k4
@@ -41,8 +43,7 @@ from .patterns import P9_UNCHECKED, classify_p9, find_k4
 @dataclass
 class SolveConfig:
     check_p9: bool = True
-    branch_budget: int | None = None   # engine's search per piece; default max(64, size**2)
-    complete_search_budget: int | None = None  # first search per component; default max(4096, 8*size)
+    branch_budget: int | None = None  # first search per component; default max(4096, 8*size)
 
 
 @dataclass
@@ -88,11 +89,11 @@ def try_edge(
     x: int,
     y: int,
     master: Coloring,
-    cfg: SolveConfig,
     stats: dict,
 ) -> tuple[str, str | None]:
     """Decide whether some completion matches the edge xy, coloring the
-    master as it goes; on failure the master is restored.
+    master as it goes; on failure the master is restored.  Each leftover
+    piece is searched under a budget of max(64, size**2) branches.
 
     A vertex of scope more than four levels from xy leaves the trial
     undecided: it rules nothing out.  At a central x of a connected scope
@@ -103,18 +104,14 @@ def try_edge(
         dec = build_levels(g, scope, x, y, master)
     except RadiusExceeded as exc:
         return "undecided", str(exc)
-    bad = apply_initial_facts(dec) or normalize_T(dec)
+    bad = apply_initial_facts(dec)
     if bad:
         master.restore(snap)
         return "infeasible", str(bad)
 
     active = master.unknown_mask(scope) | master.unmated_black_mask(scope)
     for piece in connected_components(g, active):
-        size = piece.bit_count()
-        budget = cfg.branch_budget
-        if budget is None:
-            budget = max(64, size * size)
-        res = solve_component(dec, piece, budget)
+        res = solve_component(dec, piece, max(64, piece.bit_count() ** 2))
         stats["branches"] += res.branches
         if res.status != "colored":
             master.restore(snap)
@@ -169,7 +166,7 @@ def solve_top_component(
         stats["forced_edges"] += 1
         return "dim", extract_matching(master, comp), None
 
-    budget = cfg.complete_search_budget
+    budget = cfg.branch_budget
     if budget is None:
         budget = max(4096, 8 * comp.bit_count())
     status, piece, reason = _complete_search(comp, master, budget, stats)
@@ -186,7 +183,7 @@ def solve_top_component(
         found = False
         for y in bits(g.rows[x] & sub):
             stats["edges_tried"] += 1
-            status, detail = try_edge(g, sub, x, y, master, cfg, stats)
+            status, detail = try_edge(g, sub, x, y, master, stats)
             if status == "dim":
                 found = True
                 break

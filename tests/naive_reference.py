@@ -10,7 +10,7 @@ from itertools import combinations
 
 from dimkit.coloring import Coloring
 from dimkit.component_solver import reduce_l4
-from dimkit.decomposition import RadiusExceeded, apply_initial_facts, build_levels, normalize_T
+from dimkit.decomposition import RadiusExceeded, apply_initial_facts, build_levels
 from dimkit.graph import Graph, bits, connected_components
 from dimkit.oracle import all_dims
 
@@ -166,9 +166,9 @@ def induced_cycle_sets_naive(g: Graph, max_len: int) -> set[frozenset]:
 
 
 def trial_facts(g: Graph, x: int, y: int, reduce: bool = False):
-    """Run the xy trial through level building, initial facts and family
-    normalization on a fresh coloring; with reduce=True, also fire the
-    far-layer reduction on every leftover piece.
+    """Run the xy trial through level building and initial facts on a
+    fresh coloring; with reduce=True, also fire the far-layer reduction on
+    every leftover piece.
 
     Returns ("infeasible", reason) when a stage proves no solution matches
     xy, ("skip", reason) when a stage cannot run (radius), and
@@ -179,7 +179,7 @@ def trial_facts(g: Graph, x: int, y: int, reduce: bool = False):
         dec = build_levels(g, g.full_mask(), x, y, c)
     except RadiusExceeded as exc:
         return "skip", str(exc)
-    bad = apply_initial_facts(dec) or normalize_T(dec)
+    bad = apply_initial_facts(dec)
     if bad:
         return "infeasible", str(bad)
     if reduce:

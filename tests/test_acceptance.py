@@ -110,8 +110,7 @@ def test_acceptance_4_forced_rule_soundness(corpus7, capsys):
     """Every fact a forcing rule derives holds in every enumerated
     solution, on every graph where the rule fires: the edges an induced
     diamond or butterfly pins (which `check` reports and `solve()` does
-    not force), the initial trial facts, family normalization and the
-    far-layer reduction."""
+    not force), the initial trial facts and the far-layer reduction."""
     pattern_checks = trial_confirmations = 0
     for g in corpus7:
         dims = all_dims(g)

@@ -4,7 +4,7 @@ survive the propagation stages with real work left."""
 
 from dimkit.coloring import Coloring, extract_matching, is_complete_feasible
 from dimkit.component_solver import solve_component
-from dimkit.decomposition import apply_initial_facts, build_levels, normalize_T
+from dimkit.decomposition import apply_initial_facts, build_levels
 from dimkit.graph import Graph, connected_components
 from dimkit.oracle import all_dims
 from conftest import cycle_graph
@@ -33,7 +33,6 @@ def _prepared_trial(g, x, y):
     c = Coloring(g)
     dec = build_levels(g, g.full_mask(), x, y, c)
     assert apply_initial_facts(dec) is None
-    assert normalize_T(dec) is None
     active = c.unknown_mask(dec.scope) | c.unmated_black_mask(dec.scope)
     return dec, c, connected_components(g, active)
 

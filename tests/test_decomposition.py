@@ -3,14 +3,13 @@ import sys
 
 import pytest
 
-from dimkit import decomposition
+from dimkit.component_solver import reduce_l4
 from dimkit.coloring import BLACK, WHITE, Coloring
 from dimkit.decomposition import (
     MAX_RADIUS,
     RadiusExceeded,
     apply_initial_facts,
     build_levels,
-    normalize_T,
 )
 from dimkit.graph import Graph, central_vertex, bits
 from conftest import cycle_graph, path_graph
@@ -39,7 +38,6 @@ def test_initial_facts_on_middle_edge_of_path():
     assert c.white == 0b1001001
     assert c.black == 0b0110110
     assert c.partner(4) == 5
-    assert normalize_T(dec) is None
     assert dec.anchors == [4]
 
 
@@ -94,18 +92,6 @@ def test_shared_third_level_vertex_of_two_anchors_is_white():
     assert c.partner(4) == 7 and c.partner(5) == 8
 
 
-def test_family_grouping():
-    # anchor 4 with two private third-level members 5,6
-    g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6)])
-    c = Coloring(g)
-    dec = build_levels(g, g.full_mask(), 0, 1, c)
-    assert apply_initial_facts(dec) is None
-    assert normalize_T(dec) is None
-    fams = [f for f in dec.families if f.anchor == 4]
-    assert len(fams) == 1
-    assert fams[0].members == (1 << 5) | (1 << 6)
-
-
 # -- soundness harness -------------------------------------------------------
 
 
@@ -120,14 +106,14 @@ def test_trial_facts_sound_on_small_corpus(corpus7):
     assert confirmed > 1000
 
 
-# (n, edges) for the trial (0, 1), one per rule of normalize_T
-FAMILY_GADGETS = (
-    # anchors 4 and 5 with families {6, 7} and {8, 9}; member 6 sees both
-    # members of the other family
-    (10, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (4, 7),
-          (5, 8), (5, 9), (6, 8), (6, 9)]),
-    # anchor 3 with family {4, 5, 6} and the internal edge 4-5
-    (7, [(0, 1), (0, 2), (2, 3), (3, 4), (3, 5), (3, 6), (4, 5)]),
+# (n, edges) for the trial (0, 1), one per whitening rule
+WHITENING_GADGETS = (
+    # anchors 4 and 5 share the third-level vertex 6 and have private
+    # neighbors 7 and 8: shared-L3 whitening
+    (9, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 6), (4, 7), (5, 8)]),
+    # anchor 3 with family {4, 5}, each member holding a private fourth-level
+    # neighbor 6 and 7 with no fourth-level neighbor: far-layer whitening
+    (8, [(0, 1), (0, 2), (2, 3), (3, 4), (3, 5), (4, 6), (5, 7)]),
 )
 
 
@@ -144,28 +130,27 @@ def test_trial_facts_sound_on_random_graphs(monkeypatch):
         assert_trial_facts_sound(g, u, v)
         ran += 1
     assert ran > 500
-    # the family gadgets plus random edges at up to four extra vertices
-    # reach both of normalize_T's rules, which the draws above do not; a
-    # rule fired when normalize_T itself called force_pair (member rule) or
-    # Coloring._set (internal-edge rule)
+    # the gadgets plus random edges at up to four extra vertices reach both
+    # whitening rules; a rule fired when apply_initial_facts (shared L3) or
+    # reduce_l4 (far layer) itself called Coloring._set
     fired = set()
+    rules = {apply_initial_facts.__code__: "shared", reduce_l4.__code__: "far"}
+    real_set = Coloring._set
 
-    def spy(rule, real):
-        def call(*args):
-            if sys._getframe(1).f_code is normalize_T.__code__:
-                fired.add(rule)
-            return real(*args)
-        return call
+    def spy(*args):
+        rule = rules.get(sys._getframe(1).f_code)
+        if rule:
+            fired.add(rule)
+        return real_set(*args)
 
-    monkeypatch.setattr(decomposition, "force_pair", spy("member", decomposition.force_pair))
-    monkeypatch.setattr(Coloring, "_set", spy("internal", Coloring._set))
-    member = internal = 0
+    monkeypatch.setattr(Coloring, "_set", spy)
+    shared = far = 0
     for _ in range(400):
-        base, edges = rng.choice(FAMILY_GADGETS)
+        base, edges = rng.choice(WHITENING_GADGETS)
         n = rng.randint(base, base + 4)
         extra = [(u, v) for v in range(base, n) for u in range(v) if rng.random() < 0.15]
         fired.clear()
         assert_trial_facts_sound(Graph.from_edges(n, edges + extra), 0, 1, reduce=True)
-        member += "member" in fired
-        internal += "internal" in fired
-    assert member >= 5 and internal >= 5, (member, internal)
+        shared += "shared" in fired
+        far += "far" in fired
+    assert shared >= 5 and far >= 5, (shared, far)

@@ -25,9 +25,8 @@ from dimkit.oracle import all_dims, count_dims, oracle_dim, verify_dim
 from dimkit.patterns import P9_VERIFIED, P9_VIOLATED, classify_p9
 from conftest import complete_graph, cycle_graph, disjoint_union, path_graph
 from naive_reference import induced_paths_naive, pick_unknown_naive
-from test_component_solver import BRANCHY
 
-ENGINE_ONLY = SolveConfig(complete_search_budget=0)
+ENGINE_ONLY = SolveConfig(branch_budget=0)
 
 
 def test_hexagon():
@@ -120,7 +119,7 @@ def test_long_path_instance_still_decided():
 def test_try_edge_radius_blowup_is_undecided():
     g = path_graph(8)
     stats = {"edges_tried": 0, "forced_edges": 0, "branches": 0}
-    status, reason = try_edge(g, g.full_mask(), 0, 1, Coloring(g), SolveConfig(), stats)
+    status, reason = try_edge(g, g.full_mask(), 0, 1, Coloring(g), stats)
     assert status == "undecided"
     assert "farther than" in reason
 
@@ -259,12 +258,6 @@ def test_solve_never_runs_the_pattern_detectors(corpus7, monkeypatch):
     # a K4 refutes the dense draw before any trial or search
     assert dense_out.status == "no-dim"
     assert "complete subgraph" in dense_out.reason
-
-
-def test_zero_branch_budget_means_no_branches():
-    out = solve(BRANCHY, SolveConfig(branch_budget=0, complete_search_budget=0))
-    assert out.status == "inconclusive"
-    assert "branch budget 0 exhausted" in out.reason
 
 
 def test_centre_tie_break_pinned_end_to_end():
@@ -535,7 +528,7 @@ def test_search_decides_before_the_engine(corpus7, monkeypatch):
         _assert_agrees_with_oracle(g, out)
     # a one-branch search runs out, and the engine then decides
     for g in (cycle_graph(9), _pinned_graph(*IN_CLASS_PINS[3][0])):
-        out = solve(g, SolveConfig(complete_search_budget=1))
+        out = solve(g, SolveConfig(branch_budget=1))
         assert out.stats["edges_tried"] > 0
         _assert_agrees_with_oracle(g, out)
 
