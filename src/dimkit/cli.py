@@ -91,8 +91,9 @@ def cli():
               help="report whether the graph is free of induced nine-vertex paths "
                    "(the scan decides no verdict)")
 @click.option("--budget-branches", type=click.IntRange(min=0), default=None,
-              help="branch cap of the first exact search of each component "
-                   "[default: max(4096, 8*size)]; at 0 the engine runs alone")
+              help="branch cap of the exact search of each component, root probe "
+                   "trials included [default: max(4096, 8*size)]; at 0 the engine "
+                   "runs alone")
 def solve_cmd(graph_path, as_json, check_p9, budget_branches):
     """Decide whether GRAPH_PATH has a dominating induced matching."""
     g = _load_graph(graph_path)

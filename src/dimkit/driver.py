@@ -2,9 +2,14 @@
 
 Outline per connected component: refute on a four-clique (a K4 kills the
 whole graph); look for a single dominating edge; then run a complete
-search that branches on vertex colors and lets propagation prune.  That
-search decides the component unless it runs out of branches; its cap,
-`SolveConfig.branch_budget`, is the only budget a caller sets.  Only then
+search that branches on vertex colors and lets propagation prune.  The
+search runs in three stages: PROBE_AFTER branches from the root; if that
+runs out, failed-vertex probing at the root (a vertex where one color
+fails under propagation takes the other, and one where both fail refutes
+the component); then the search again from the probed coloring.  It
+decides the component unless it runs out of branches; its cap,
+`SolveConfig.branch_budget`, covers all three stages (a probe trial
+counts as a branch) and is the only budget a caller sets.  Only then
 does the paper's engine run, as the backstop: it repeatedly picks a
 central vertex x of the still-active part and trials every edge xy at it
 through the level decomposition.  A successful trial colors the whole
@@ -25,6 +30,8 @@ import json
 from dataclasses import dataclass
 
 from .coloring import (
+    BLACK,
+    UNKNOWN,
     WHITE,
     Coloring,
     assign_and_propagate,
@@ -39,11 +46,16 @@ from .graph import Edge, Graph, bits, central_vertex, connected_components
 from .oracle import verify_dim
 from .patterns import P9_UNCHECKED, classify_p9, find_k4
 
+# branches of the first search before the root is probed (see `probe`)
+PROBE_AFTER = 256
+
 
 @dataclass
 class SolveConfig:
     check_p9: bool = True
-    branch_budget: int | None = None  # first search per component; default max(4096, 8*size)
+    # branches of the exact search per component, probe trials included;
+    # default max(4096, 8*size)
+    branch_budget: int | None = None
 
 
 @dataclass
@@ -121,24 +133,77 @@ def try_edge(
     return "dim", None
 
 
+def probe(c: Coloring, scope: int, budget: int) -> tuple[str, int, str | None]:
+    """Failed-vertex probing at the root: try each unknown vertex of scope,
+    in id order, black and then white under propagation.  When one color
+    fails the vertex takes the other (the successful trial's coloring is
+    kept); rounds repeat until one fixes nothing.  Every fix holds in every
+    completion, so a search may resume from the probed coloring.
+
+    Returns (status, trials, reason): "infeasible" with the reason when both
+    colors fail at a vertex, "budget" on trial budget + 1, else "probed"
+    with c at the probed fixpoint.  Only "probed" leaves c meaningful.
+    """
+    trials = 0
+    fixed = True
+    while fixed:
+        fixed = False
+        for v in bits(c.unknown_mask(scope)):
+            if c.color_of(v) != UNKNOWN:
+                continue
+            snap = c.snapshot()
+            tried = []
+            for color in (BLACK, WHITE):
+                trials += 1
+                if trials > budget:
+                    return "budget", trials, None
+                c.restore(snap)
+                tried.append((assign_and_propagate(c, v, color), c.snapshot()))
+            (black_bad, black), (white_bad, _) = tried
+            if black_bad and white_bad:
+                return "infeasible", trials, (
+                    f"no color fits at vertex {v}: black gives {black_bad}; "
+                    f"white gives {white_bad}"
+                )
+            if not (black_bad or white_bad):
+                c.restore(snap)
+                continue
+            fixed = True
+            if white_bad:
+                c.restore(black)
+    return "probed", trials, None
+
+
 def _complete_search(
     comp: int, master: Coloring, budget: int, stats: dict
 ) -> tuple[str, tuple[Edge, ...] | None, str | None]:
     """Exact decision for one component by branching on vertex colors.
 
     Starts from the uncolored component, so exhaustion is a true negative
-    and any completion is a certificate.  The search colors the master; on
-    "no-dim", or on "budget" when cut short, the master is restored.
+    and any completion is a certificate.  A search that runs out of its
+    first PROBE_AFTER branches restarts from a probed root (see `probe`)
+    with what is left of the budget; each probe trial counts as a branch.
+    The search colors the master; on "no-dim", or on "budget" when cut
+    short, the master is restored.
     """
     snap = master.snapshot()
-    status, branches = search(master, comp, branch_pick(master.g, comp), budget)
-    stats["branches"] += branches
+    pick = branch_pick(master.g, comp)
+    status, spent = search(master, comp, pick, min(budget, PROBE_AFTER))
+    reason = None
+    if status == "budget" and budget > PROBE_AFTER:
+        master.restore(snap)
+        status, trials, reason = probe(master, comp, budget - spent)
+        spent += trials
+        if status == "probed":
+            status, branches = search(master, comp, pick, budget - spent)
+            spent += branches
+    stats["branches"] += spent
     if status == "colored":
         return "dim", extract_matching(master, comp), None
     master.restore(snap)
     if status == "budget":
         return "budget", None, None
-    return "no-dim", None, "exhaustive color search over the component"
+    return "no-dim", None, reason or "exhaustive color search over the component"
 
 
 def solve_top_component(

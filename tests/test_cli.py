@@ -107,15 +107,18 @@ def test_cross_check_negative_count_exit_three(capsys):
 
 
 def test_budget_branches_caps_the_first_search(graph_file, capsys):
-    # a pendant-C4 no-instance holding a P9: the default cap leaves it to
-    # the engine, whose trial ends on the radius; a larger cap lets the
-    # first search refute it
+    # a pendant-C4 no-instance holding a P9: a cap below the probe stage
+    # leaves it to the engine, whose trial ends on the radius; at the
+    # default cap and above, 257 search branches and 248 probe trials
+    # refute it
     path = graph_file(gen_c4_augmented(214, 47, 119, 1107))
-    assert main(["solve", path]) == 2
-    assert "branches=4097" in capsys.readouterr().out
-    assert main(["solve", path, "--budget-branches", "20000"]) == 1
+    assert main(["solve", path, "--budget-branches", "100"]) == 2
     out = capsys.readouterr().out
-    assert "status: no-dim" in out and "edges_tried=0" in out and "branches=10986" in out
+    assert "status: inconclusive" in out and "edges_tried=2" in out and "branches=101" in out
+    for flags in ([], ["--budget-branches", "20000"]):
+        assert main(["solve", path, *flags]) == 1
+        out = capsys.readouterr().out
+        assert "status: no-dim" in out and "edges_tried=0" in out and "branches=505" in out
 
 
 def test_oracle_negative_node_limit_exit_three(graph_file, capsys):

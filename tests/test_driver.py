@@ -6,8 +6,10 @@ import pytest
 
 from dimkit.coloring import Coloring
 from dimkit.driver import (
+    PROBE_AFTER,
     SolveConfig,
     SolveOutcome,
+    probe,
     solve,
     try_edge,
     trivial_dim,
@@ -21,7 +23,7 @@ import dimkit.component_solver
 import dimkit.driver
 import dimkit.oracle
 import dimkit.patterns
-from dimkit.oracle import all_dims, count_dims, oracle_dim, verify_dim
+from dimkit.oracle import all_dims, count_dims, enumerate_dims, oracle_dim, verify_dim
 from dimkit.patterns import P9_VERIFIED, P9_VIOLATED, classify_p9
 from conftest import complete_graph, cycle_graph, disjoint_union, path_graph
 from naive_reference import induced_paths_naive, pick_unknown_naive
@@ -328,6 +330,94 @@ def _planted_draws():
         graphs.append(gen_planted(n, k, extra, seed).graph)
         graphs.append(gen_c4_augmented(n, k, extra, seed))
     return graphs
+
+
+def _induced(g, comp):
+    """The subgraph of g on the vertex mask comp, relabelled in id order,
+    and the original id of each new vertex."""
+    ids = list(bits(comp))
+    index = {v: i for i, v in enumerate(ids)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if comp >> u & 1 and comp >> v & 1]
+    return Graph.from_edges(len(ids), edges), ids
+
+
+def test_probe_fixes_only_what_every_dim_agrees_on(corpus7):
+    # Probing a component from scratch: a vertex where both colours fail
+    # means the component has no d.i.m., and every vertex the probe leaves
+    # black (white) is matched (unmatched) in every d.i.m. of the component.
+    graphs = [*corpus7, *_gnp_draws(), *(g for g in _planted_draws() if g.n <= 18)]
+    fired = 0
+    for g in graphs:
+        hit = False
+        for comp in connected_components(g):
+            c = Coloring(g)
+            status, _, reason = probe(c, comp, 10**6)
+            sub, ids = _induced(g, comp)
+            matched = [{ids[v] for e in m for v in e} for m in enumerate_dims(sub)]
+            if status == "infeasible":
+                assert not matched, (g.edges(), reason)
+                assert reason.startswith("no color fits at vertex"), reason
+                hit = True
+                continue
+            assert status == "probed"
+            for m in matched:
+                assert all(v in m for v in bits(c.black & comp)), g.edges()
+                assert not any(v in m for v in bits(c.white & comp)), g.edges()
+            hit = hit or bool((c.black | c.white) & comp)
+        fired += hit
+    assert fired >= 20, fired
+
+
+# gen_c4_augmented arguments -> branches and reason of the default solve:
+# 257 branches of the first search, then probe trials up to the four-cycle
+# (ids n..n+3), whose far corner fits neither colour
+PENDANT_C4_REFUTATIONS = [
+    ((214, 47, 119, 1107), 505,
+     "no color fits at vertex 215: black gives white-white-edge at 216,217; "
+     "white gives two-black-neighbors at 217,214,216"),
+    ((377, 89, 263, 1149), 663,
+     "no color fits at vertex 378: black gives white-white-edge at 379,380; "
+     "white gives two-black-neighbors at 380,377,379"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,branches,reason", PENDANT_C4_REFUTATIONS,
+    ids=[f"n{args[0]}" for args, *_ in PENDANT_C4_REFUTATIONS],
+)
+def test_probe_refutes_pendant_c4_at_the_default_budget(args, branches, reason):
+    # The pick ranks the four-cycle's far corner last (degree 2), so a
+    # search alone runs out of its default budget before reaching it.
+    out = solve(gen_c4_augmented(*args))
+    assert (out.status, out.reason) == ("no-dim", reason)
+    assert out.stats["branches"] == branches and out.stats["edges_tried"] == 0
+
+
+def test_no_pendant_c4_instance_left_inconclusive():
+    # a search alone leaves 3 of these 40 no-instances inconclusive
+    rng = random.Random(2)
+    for _ in range(40):
+        n = rng.randint(80, 400)
+        k = rng.randint(n // 8, n // 4 - 1)
+        extra = rng.randint(n // 4, n - 1)
+        seed = rng.randrange(10**6)
+        out = solve(gen_c4_augmented(n, k, extra, seed))
+        assert out.status == "no-dim", (n, k, extra, seed, out.reason)
+
+
+def test_probe_refutes_pendant_c4_at_n_8000():
+    assert solve(gen_c4_augmented(8000, 1333, 4000, 5)).status == "no-dim"
+
+
+def test_probe_trials_count_against_the_budget():
+    # the refutation needs 505 branches: 257 of search and 248 probe trials
+    g = gen_c4_augmented(214, 47, 119, 1107)
+    for cap in (PROBE_AFTER + 1, 300, 504):
+        out = solve(g, SolveConfig(branch_budget=cap))
+        assert out.status == "inconclusive"
+        assert out.stats["branches"] == cap + 1
+    out = solve(g, SolveConfig(branch_budget=505))
+    assert (out.status, out.stats["branches"]) == ("no-dim", 505)
 
 
 # connected graphs where some pick of the engine's search is not the
