@@ -6,7 +6,7 @@ exactly one black neighbor, its partner), white vertices are unmatched
 A complete feasible coloring is exactly a dominating induced matching:
 read the matching off the black partner pairs.
 
-Propagation rules, run to a fixpoint over a dirty queue:
+Propagation rules, all applied by `Coloring.extend`:
   (a) a white vertex forces all its neighbors black;
   (b) two adjacent blacks become partners and force every other neighbor
       of either endpoint white;
@@ -14,6 +14,15 @@ Propagation rules, run to a fixpoint over a dirty queue:
       left forces that neighbor black;
   (d) contradictions: white-white edge, black with two black neighbors,
       black with no candidate partner left, conflicting assignment.
+
+`extend` runs them to a fixpoint in waves of masks: a wave colors a set of
+vertices at once, applies the rules to them and to the unpartnered blacks
+beside its whites, and ORs what those force into the next wave, until a
+wave forces nothing new.  Every rule only adds colors, so whether a
+contradiction occurs, and the fixpoint when none does, do not depend on
+the order of work; only which contradiction is reported first does.  On a
+contradiction the state is left partly extended, and callers restore a
+snapshot.
 
 The state is three bitmasks: `white`, `black` and `mated`, the blacks
 that have a partner, so the unpartnered blacks are `black & ~mated` with
@@ -29,15 +38,12 @@ vertex's colored neighbors are exactly its unpartnered black ones.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 from .graph import Edge, Graph, bits
 
 UNKNOWN, WHITE, BLACK = 0, 1, 2
-
-_NAMES = {WHITE: "white", BLACK: "black"}
 
 
 @dataclass(frozen=True)
@@ -56,21 +62,19 @@ Snapshot = tuple[int, int, int]
 class Coloring:
     """Mutable coloring state over a fixed graph."""
 
-    __slots__ = ("g", "white", "black", "mated", "dirty")
+    __slots__ = ("g", "white", "black", "mated")
 
     def __init__(self, g: Graph):
         self.g = g
         self.white = 0
         self.black = 0
         self.mated = 0
-        self.dirty: deque[int] = deque()
 
     def snapshot(self) -> Snapshot:
         return (self.white, self.black, self.mated)
 
     def restore(self, snap: Snapshot) -> None:
         self.white, self.black, self.mated = snap
-        self.dirty.clear()
 
     # -- queries -----------------------------------------------------------
 
@@ -98,106 +102,84 @@ class Coloring:
 
     # -- mutation ----------------------------------------------------------
 
-    def _set(self, v: int, color: int) -> Contradiction | None:
-        bit = 1 << v
-        cur = self.color_of(v)
-        if cur == color:
-            return None
-        if cur != UNKNOWN:
-            return Contradiction("conflict", (v,))
-        if color == WHITE:
-            self.white |= bit
-            self.dirty.append(v)
-            # unpartnered black neighbors lost a candidate
-            self.dirty.extend(bits(self.g.rows[v] & self.black & ~self.mated))
-        else:
-            self.black |= bit
-            self.dirty.append(v)
-            for u in bits(self.g.rows[v] & self.black & ~bit):
-                self.dirty.append(u)
+    def extend(self, white: int = 0, black: int = 0) -> Contradiction | None:
+        """Color the vertices of `white` white and those of `black` black,
+        then propagate to a fixpoint in waves: each wave applies the rules
+        to the vertices it colors and to the unpartnered blacks beside its
+        whites, and collects what those force into the next wave.  On a
+        contradiction the state is left partly extended; callers restore
+        a snapshot."""
+        rows = self.g.rows
+        while white or black:
+            clash = white & black | white & self.black | black & self.white
+            if clash:
+                return Contradiction("conflict", (next(bits(clash)),))
+            white &= ~self.white
+            black &= ~self.black
+            self.white |= white
+            self.black |= black
+            forced_white = forced_black = 0
+            # an old black beside a new one is settled from the new one's
+            # side: it pairs with it or shows up as its two-black witness
+            touched = black
+            for v in bits(white):
+                row = rows[v]
+                ww = row & self.white
+                if ww:
+                    return Contradiction("white-white-edge", (v, next(bits(ww))))
+                forced_black |= row
+                # unpartnered black neighbors lost a candidate
+                touched |= row & self.black & ~self.mated
+            for v in bits(touched):
+                row = rows[v]
+                nb_black = row & self.black
+                k = nb_black.bit_count()
+                if k >= 2:
+                    return _two_black(v, nb_black)
+                if k == 0:
+                    # colors only grow, so v is unmated
+                    cand = row & ~self.white
+                    if not cand:
+                        return Contradiction("black-unmatchable", (v,))
+                    if cand.bit_count() == 1:
+                        forced_black |= cand
+                elif not self.mated >> v & 1:
+                    # v pairs with its one black neighbor u; a mated u would
+                    # have its partner as a second black neighbor
+                    u = nb_black.bit_length() - 1
+                    if rows[u] & self.black != 1 << v:
+                        return _two_black(u, rows[u] & self.black)
+                    pair = 1 << v | nb_black
+                    self.mated |= pair
+                    forced_white |= (row | rows[u]) & ~pair
+            white, black = forced_white, forced_black
         return None
 
-    def _scan(self, v: int) -> Contradiction | None:
-        g = self.g
-        bit = 1 << v
-        if self.white & bit:
-            row = g.rows[v]
-            ww = row & self.white
-            if ww:
-                return Contradiction("white-white-edge", (v, next(bits(ww))))
-            for u in bits(row & ~self.white & ~self.black):
-                bad = self._set(u, BLACK)
-                if bad:
-                    return bad
-            return None
-        if not self.black & bit:
-            return None
-        row = g.rows[v]
-        nb_black = row & self.black
-        k = nb_black.bit_count()
-        if k >= 2:
-            it = bits(nb_black)
-            return Contradiction("two-black-neighbors", (v, next(it), next(it)))
-        if k == 1:
-            u = next(bits(nb_black))
-            if self.mated & bit:
-                # mated v already has u, its only black neighbor, as partner
-                return None
-            if self.mated >> u & 1:
-                return Contradiction("partner-clash", (v, u))
-            self.mated |= bit | 1 << u
-            spread = (row | g.rows[u]) & ~bit & ~(1 << u)
-            for w in bits(spread & ~self.white & ~self.black):
-                bad = self._set(w, WHITE)
-                if bad:
-                    return bad
-            self.dirty.append(u)
-            return None
-        # no black neighbor available; colors only grow, so v is unmated
-        cand = row & ~self.white
-        if not cand:
-            return Contradiction("black-unmatchable", (v,))
-        if cand.bit_count() == 1:
-            return self._set(next(bits(cand)), BLACK)
-        return None
 
-    def propagate(self) -> Contradiction | None:
-        while self.dirty:
-            v = self.dirty.popleft()
-            bad = self._scan(v)
-            if bad:
-                self.dirty.clear()
-                return bad
-        return None
+def _two_black(v: int, nb_black: int) -> Contradiction:
+    it = bits(nb_black)
+    return Contradiction("two-black-neighbors", (v, next(it), next(it)))
 
 
 def assign_and_propagate(c: Coloring, v: int, color: int) -> Contradiction | None:
     """Set v to color and run propagation to a fixpoint."""
-    if color not in (WHITE, BLACK):
-        raise ValueError(f"bad color {color}")
-    bad = c._set(v, color)
-    if bad:
-        c.dirty.clear()
-        return bad
-    return c.propagate()
+    if color == WHITE:
+        return c.extend(white=1 << v)
+    if color == BLACK:
+        return c.extend(black=1 << v)
+    raise ValueError(f"bad color {color}")
 
 
 def force_pair(c: Coloring, u: int, v: int) -> Contradiction | None:
     """Force edge uv into the matching: both endpoints black, partnered."""
     if not c.g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
-    bad = c._set(u, BLACK)
-    if bad is None:
-        bad = c._set(v, BLACK)
-    if bad is None:
-        bad = c.propagate()
-    if bad:
-        c.dirty.clear()
-        return bad
-    if c.g.rows[u] & c.black != 1 << v:
-        # partners resolved differently during propagation
+    bad = c.extend(black=1 << u | 1 << v)
+    if bad is None and c.g.rows[u] & c.black != 1 << v:
+        # a clean fixpoint leaves v as u's only black neighbor; this guards
+        # the pair against a coloring that was not at a fixpoint
         return Contradiction("partner-clash", (u, v))
-    return None
+    return bad
 
 
 def is_complete_feasible(c: Coloring, scope: int | None = None) -> bool:

@@ -5,7 +5,8 @@ vertices (unknowns plus unpartnered blacks) split into independent
 components.  Each is finished in two steps, both valid on every graph:
 
   * an L4 vertex with no live L4 neighbor is white (its partner would
-    have to sit in L4), run to a fixpoint with propagation;
+    have to sit in L4); each pass whitens every such vertex in one
+    `Coloring.extend` call, which propagates, until a pass finds none;
   * the backtracking search of `coloring.search` under the same pick as
     the complete search (`coloring.branch_pick`), capped by a branch
     budget that the caller derives from the component's size.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import WHITE, branch_pick, search
+from .coloring import branch_pick, search
 from .decomposition import XyDecomposition
 from .graph import bits
 
@@ -31,24 +32,22 @@ class ComponentResult:
 
 
 def reduce_l4(dec: XyDecomposition, comp: int) -> tuple[str, str | None]:
-    """Whiten the L4 vertices with no live L4 neighbor, to a fixpoint."""
+    """Whiten the L4 vertices with no live L4 neighbor, to a fixpoint.
+
+    Each pass whitens all such vertices in one call: two adjacent unknown
+    L4 vertices are live L4 neighbors of each other, so no two vertices of
+    a pass are adjacent."""
     g, c = dec.g, dec.coloring
-    l4c = dec.l4 & comp
-    for _ in range(g.n + 1):
-        changed = False
-        unknown4 = l4c & c.unknown_mask()
-        for v in bits(unknown4):
+    while True:
+        lone = 0
+        for v in bits(dec.l4 & comp & c.unknown_mask()):
             if not g.rows[v] & dec.l4 & ~c.white:
-                bad = c._set(v, WHITE)
-                if bad:
-                    return "infeasible", str(bad)
-                changed = True
-        bad = c.propagate()
+                lone |= 1 << v
+        if not lone:
+            return "ok", None
+        bad = c.extend(white=lone)
         if bad:
             return "infeasible", str(bad)
-        if not changed:
-            return "ok", None
-    return "ok", None
 
 
 def solve_component(dec: XyDecomposition, comp: int, branch_budget: int) -> ComponentResult:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coloring import WHITE, Coloring, Contradiction, force_pair
+from .coloring import Coloring, Contradiction, force_pair
 from .graph import Edge, Graph, bfs_layers, bits
 
 MAX_RADIUS = 4
@@ -103,8 +103,4 @@ def apply_initial_facts(dec: XyDecomposition) -> Contradiction | None:
         if (g.rows[v] & anchor_mask).bit_count() >= 2:
             s3 |= 1 << v
     dec.s3_mask = s3
-    for v in bits(s3 & c.unknown_mask()):
-        bad = c._set(v, WHITE)
-        if bad:
-            return bad
-    return c.propagate()
+    return c.extend(white=s3 & c.unknown_mask())

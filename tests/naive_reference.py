@@ -112,6 +112,63 @@ def pick_unknown_naive(comp: int, c: Coloring) -> int:
     return best
 
 
+def propagate_naive(g: Graph, white: int, black: int):
+    """The fixpoint of the coloring rules from the masks white and black,
+    applied one vertex at a time until a sweep over all vertices changes
+    nothing:
+      (a) a white vertex makes every neighbor black;
+      (b) a black vertex with one black neighbor is partnered with it, and
+          every other neighbor of either becomes white;
+      (c) a black vertex with no black neighbor and one non-white neighbor
+          makes that neighbor black;
+      (d) a vertex given both colors, two adjacent whites, a black with two
+          black neighbors, or a black with only white neighbors is a
+          contradiction.
+    Returns None on a contradiction, else the (white, black, mated) masks,
+    mated holding the partnered vertices."""
+    color = {}
+    for v in range(g.n):
+        if white >> v & 1 and black >> v & 1:
+            return None
+        if white >> v & 1:
+            color[v] = "white"
+        elif black >> v & 1:
+            color[v] = "black"
+    mated = set()
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.n):
+            nbrs = g.neighbors(v)
+            forced = []
+            if color.get(v) == "white":
+                forced = [(u, "black") for u in nbrs]
+            elif color.get(v) == "black":
+                blacks = [u for u in nbrs if color.get(u) == "black"]
+                if len(blacks) >= 2:
+                    return None
+                if blacks:
+                    u = blacks[0]
+                    mated |= {u, v}
+                    forced = [(w, "white") for w in set(nbrs + g.neighbors(u)) - {u, v}]
+                else:
+                    candidates = [u for u in nbrs if color.get(u) != "white"]
+                    if not candidates:
+                        return None
+                    if len(candidates) == 1:
+                        forced = [(candidates[0], "black")]
+            for u, col in forced:
+                if u not in color:
+                    color[u] = col
+                    changed = True
+                elif color[u] != col:
+                    return None
+    masks = {"white": 0, "black": 0}
+    for v, col in color.items():
+        masks[col] |= 1 << v
+    return masks["white"], masks["black"], sum(1 << v for v in mated)
+
+
 def _is_induced_path(g: Graph, seq) -> bool:
     k = len(seq)
     for i in range(k):

@@ -18,6 +18,7 @@ from dimkit.coloring import (
 )
 from dimkit.graph import Graph, bits
 from conftest import cycle_graph, path_graph, star_graph
+from naive_reference import propagate_naive
 
 
 def test_white_forces_neighbors_black():
@@ -67,29 +68,21 @@ def test_p4_middle_pair_completes():
 def test_two_black_neighbors_contradiction():
     g = path_graph(3)
     c = Coloring(g)
-    c._set(0, BLACK)
-    c._set(1, BLACK)
-    c._set(2, BLACK)
-    bad = c.propagate()
-    assert bad is not None
-    assert bad.rule == "two-black-neighbors"
+    bad = c.extend(black=0b111)
+    assert bad == Contradiction("two-black-neighbors", (1, 0, 2))
 
 
 def test_white_white_contradiction():
     g = path_graph(2)
     c = Coloring(g)
-    c._set(0, WHITE)
-    c._set(1, WHITE)
-    bad = c.propagate()
-    assert bad is not None and bad.rule == "white-white-edge"
+    bad = c.extend(white=0b11)
+    assert bad == Contradiction("white-white-edge", (0, 1))
 
 
 def test_black_unmatchable_contradiction():
     g = path_graph(3)
     c = Coloring(g)
-    c._set(0, WHITE)
-    c._set(2, WHITE)
-    bad = c.propagate()
+    bad = c.extend(white=0b101)
     # middle vertex turns black with both neighbors white
     assert bad is not None and bad.rule == "black-unmatchable"
     assert bad.witnesses == (1,)
@@ -99,8 +92,10 @@ def test_conflicting_assignment():
     g = path_graph(3)
     c = Coloring(g)
     assert assign_and_propagate(c, 0, WHITE) is None
-    bad = c._set(0, BLACK)
-    assert bad is not None and bad.rule == "conflict"
+    assert c.extend(black=0b001) == Contradiction("conflict", (0,))
+    # one call that asks for both colors at a vertex conflicts too
+    c = Coloring(g)
+    assert c.extend(white=0b110, black=0b011) == Contradiction("conflict", (1,))
 
 
 def test_single_candidate_partner_forced():
@@ -133,7 +128,7 @@ def test_snapshot_restore():
     assert c.color_of(0) == BLACK
     assert c.mated == 0
     assert c.unmated_black_mask() == 0b1
-    assert not c.dirty
+    assert c.snapshot() == snap
 
 
 def _random_graph(rng):
@@ -179,23 +174,51 @@ def test_fixpoint_unknowns_see_only_unmated_blacks():
     assert checked > 1000
 
 
-def test_partner_clash_on_diamond():
-    # Diamond with spine 0-3 and tips 1, 2.  Whitening 0 blackens the rest;
-    # tip 1 pairs with 3 first, so tip 2 finds its only black neighbor
-    # already taken.
+def test_diamond_tips_clash_at_the_spine():
+    # Diamond with spine 0-3 and tips 1, 2.  Whitening 0 blackens the rest
+    # in one wave; tip 1's only black neighbor 3 also sees tip 2, so
+    # nothing pairs.
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
     c = Coloring(g)
     bad = assign_and_propagate(c, 0, WHITE)
-    assert bad == Contradiction("partner-clash", (2, 3))
-    assert c.mated == 0b1010 and c.partner(3) == 1
-    # With tip 2 black first, 2 pairs with 3 and tip 1 clashes.  Vertex 3
-    # is left with two black neighbors; its partner is still 2, the mated
-    # one, not its lowest black neighbor 1.
+    assert bad == Contradiction("two-black-neighbors", (3, 1, 2))
+    assert (c.white, c.black, c.mated) == (0b0001, 0b1110, 0)
+    # With tip 2 black first, whitening 0 also leaves 3 as 2's only
+    # candidate; 3 and tip 1 turn black in the same wave, and 3 again sees
+    # two black tips.
     c = Coloring(g)
     assert assign_and_propagate(c, 2, BLACK) is None
     bad = assign_and_propagate(c, 0, WHITE)
-    assert bad == Contradiction("partner-clash", (1, 3))
-    assert c.mated == 0b1100 and c.partner(3) == 2 and c.partner(2) == 3
+    assert bad == Contradiction("two-black-neighbors", (3, 1, 2))
+    assert (c.white, c.black, c.mated) == (0b0001, 0b1110, 0)
+
+
+def test_extend_reaches_the_naive_fixpoint(corpus7):
+    # Waves of masks must end where the rules applied one vertex at a time
+    # end: the same contradiction-or-not, and the same state when none.
+    # Each random partial coloring goes in as two calls, so the second
+    # starts from the fixpoint of the first.
+    rng = random.Random(1818)
+    graphs = list(corpus7)
+    for _ in range(300):
+        n, p = rng.randint(8, 40), rng.choice((0.05, 0.1, 0.2, 0.4))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        graphs.append(Graph.from_edges(n, edges))
+    contradictions = fixpoints = 0
+    for g in graphs:
+        p = rng.choice((0.05, 0.1, 0.2))
+        white, black = (sum(1 << v for v in range(g.n) if rng.random() < p) for _ in "wb")
+        first = rng.getrandbits(g.n)
+        want = propagate_naive(g, white, black)
+        c = Coloring(g)
+        bad = c.extend(white & first, black & first) or c.extend(white, black)
+        if want is None:
+            assert bad is not None, g.edges()
+            contradictions += 1
+        else:
+            assert bad is None and (c.white, c.black, c.mated) == want, g.edges()
+            fixpoints += 1
+    assert contradictions >= 200 and fixpoints >= 200, (contradictions, fixpoints)
 
 
 def test_force_pair_requires_edge():

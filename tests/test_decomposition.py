@@ -132,18 +132,18 @@ def test_trial_facts_sound_on_random_graphs(monkeypatch):
     assert ran > 500
     # the gadgets plus random edges at up to four extra vertices reach both
     # whitening rules; a rule fired when apply_initial_facts (shared L3) or
-    # reduce_l4 (far layer) itself called Coloring._set
+    # reduce_l4 (far layer) itself called Coloring.extend with some whites
     fired = set()
     rules = {apply_initial_facts.__code__: "shared", reduce_l4.__code__: "far"}
-    real_set = Coloring._set
+    real_extend = Coloring.extend
 
-    def spy(*args):
+    def spy(self, white=0, black=0):
         rule = rules.get(sys._getframe(1).f_code)
-        if rule:
+        if rule and white:
             fired.add(rule)
-        return real_set(*args)
+        return real_extend(self, white, black)
 
-    monkeypatch.setattr(Coloring, "_set", spy)
+    monkeypatch.setattr(Coloring, "extend", spy)
     shared = far = 0
     for _ in range(400):
         base, edges = rng.choice(WHITENING_GADGETS)

@@ -555,8 +555,10 @@ def test_engine_agrees_with_oracle_on_a_live_family():
 # .to_json() of verified P9-free false-twin expansions whose trials reach
 # the engine's per-component search (the last no-dim case branches there);
 # recorded while the engine still had its class-specific reductions, which
-# these pins show changed no certificate, reason or counter.  Each count of
-# branches includes the one refused by the zero-budget search.
+# these pins show changed no certificate, reason or counter.  The host91
+# reason was re-derived when propagation moved to waves of masks, which
+# moves only the contradiction reported first.  Each count of branches
+# includes the one refused by the zero-budget search.
 IN_CLASS_PINS = [
     ((15, (11, 12), 40, 151),
      '{"status": "dim", "matching": [[0, 1], [6, 8], [10, 20], [30, 34]], "reason": null, '
@@ -576,8 +578,8 @@ IN_CLASS_PINS = [
      '"millis": 0}, "p9_checked": true}'),
     ((91, (0,), 35, 913),
      '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 4: '
-     'partner-clash at 3,14", "stats": {"edges_tried": 3, "forced_edges": 0, "branches": 1, '
-     '"millis": 0}, "p9_checked": true}'),
+     'two-black-neighbors at 14,0,1", "stats": {"edges_tried": 3, "forced_edges": 0, '
+     '"branches": 1, "millis": 0}, "p9_checked": true}'),
     ((185, (5,), 36, 1850),
      '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 24: '
      'black-unmatchable at 16", "stats": {"edges_tried": 4, "forced_edges": 0, "branches": 1, '
