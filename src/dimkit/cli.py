@@ -10,7 +10,7 @@ out-of-memory included, exits 4 (internal error) with its traceback on
 standard error, so a crash never reads as a verdict.
 
 cross-check fans whole instances out to a process pool sized by
-DIMKIT_THREADS (default: all cores); an instance is never split.
+DIMKIT_THREADS (default and cap: all cores); an instance is never split.
 """
 
 from __future__ import annotations
@@ -58,13 +58,15 @@ def _load_matching(path: str):
 
 
 def _workers() -> int:
+    """DIMKIT_THREADS if set, capped at the core count; else all cores."""
+    cores = max(1, os.cpu_count() or 1)
     env = os.environ.get("DIMKIT_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return max(1, min(int(env), cores))
         except ValueError:
             raise InputError(f"DIMKIT_THREADS must be an integer, got {env!r}") from None
-    return max(1, os.cpu_count() or 1)
+    return cores
 
 
 def _map_jobs(fn, jobs: list):
@@ -206,12 +208,13 @@ def _verts(mask: int) -> list[int]:
 def explain_cmd(graph_path, x, y):
     """Dump the distance-level decomposition rooted at matched edge (X, Y).
 
-    JSON on stdout: BFS levels, colors and forced edges after the initial
-    rules, the anchors and the L3 vertices they share, and the leftover
-    pieces branching would explore.  Exit 0 when the decomposition stands,
-    1 when the rules prove the edge in no solution (the first
-    contradiction, with rule id and witnesses, is included), 2 when some
-    vertex sits farther than four levels from the edge.
+    JSON on stdout: BFS levels, colors and forced edges after the level
+    facts (lone-L4 whitening included), the anchors and the L3 vertices
+    they share, and the leftover pieces the trial would search.  Exit 0
+    when the decomposition stands, 1 when the rules prove the edge in no
+    solution (the first contradiction, with rule id and witnesses, is
+    included), 2 when some vertex sits farther than four levels from the
+    edge.
     """
     g = _load_graph(graph_path)
     if not (0 <= x < g.n and 0 <= y < g.n) or not g.has_edge(x, y):

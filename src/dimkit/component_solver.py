@@ -1,71 +1,60 @@
-"""Per-component search run inside an xy-trial.
+"""The engine's xy-trial: levels, facts, one search per piece.
 
-After the level decomposition and its initial facts, the still-active
-vertices (unknowns plus unpartnered blacks) split into independent
-components.  Each is finished in two steps, both valid on every graph:
-
-  * an L4 vertex with no live L4 neighbor is white (its partner would
-    have to sit in L4); each pass whitens every such vertex in one
-    `Coloring.extend` call, which propagates, until a pass finds none;
-  * the backtracking search of `coloring.search` under the same pick as
-    the complete search (`coloring.branch_pick`), capped by a branch
-    budget that the caller derives from the component's size.
+Fixing xy as a matching edge, `decomposition.build_levels` lays the
+component out in distance levels L1..L4 and `apply_initial_facts` fires
+the level facts, the lone-L4 whitening among them.  The still-active
+vertices (unknowns plus unpartnered blacks) then split into independent
+pieces, and each is finished by the backtracking search of
+`coloring.search` under the same pick as the complete search
+(`coloring.branch_pick`), capped at max(64, size**2) branches.
 
 The search is exact within its budget, so "infeasible" is a proof that no
-completion matches the trial edge and "budget" only gives up.
+completion matches the trial edge and "undecided" only gives up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .coloring import branch_pick, search
-from .decomposition import XyDecomposition
-from .graph import bits
+from .coloring import Coloring, branch_pick, search
+from .decomposition import RadiusExceeded, apply_initial_facts, build_levels
+from .graph import Graph, connected_components
 
 
-@dataclass
-class ComponentResult:
-    status: str  # "colored" | "infeasible" | "budget"
-    detail: str | None = None
-    branches: int = 0
+def try_edge(
+    g: Graph,
+    scope: int,
+    x: int,
+    y: int,
+    master: Coloring,
+    stats: dict,
+) -> tuple[str, str | None]:
+    """Decide whether some completion matches the edge xy, coloring the
+    master as it goes; on failure the master is restored.  Returns
+    ("dim", None), ("infeasible", reason) or ("undecided", reason).
 
+    A vertex of scope more than four levels from xy leaves the trial
+    undecided: it rules nothing out.  At a central x of a connected scope
+    free of induced nine-vertex paths that never happens.
+    """
+    snap = master.snapshot()
+    try:
+        dec = build_levels(g, scope, x, y, master)
+    except RadiusExceeded as exc:
+        return "undecided", str(exc)
+    bad = apply_initial_facts(dec)
+    if bad:
+        master.restore(snap)
+        return "infeasible", str(bad)
 
-def reduce_l4(dec: XyDecomposition, comp: int) -> tuple[str, str | None]:
-    """Whiten the L4 vertices with no live L4 neighbor, to a fixpoint.
+    active = master.unknown_mask(scope) | master.unmated_black_mask(scope)
+    for piece in connected_components(g, active):
+        budget = max(64, piece.bit_count() ** 2)
+        status, branches = search(master, piece, branch_pick(g, piece), budget)
+        stats["branches"] += branches
+        if status != "colored":
+            master.restore(snap)
+            if status == "budget":
+                return "undecided", f"branch budget {budget} exhausted"
+            return "infeasible", "every branch failed"
 
-    Each pass whitens all such vertices in one call: two adjacent unknown
-    L4 vertices are live L4 neighbors of each other, so no two vertices of
-    a pass are adjacent."""
-    g, c = dec.g, dec.coloring
-    while True:
-        lone = 0
-        for v in bits(dec.l4 & comp & c.unknown_mask()):
-            if not g.rows[v] & dec.l4 & ~c.white:
-                lone |= 1 << v
-        if not lone:
-            return "ok", None
-        bad = c.extend(white=lone)
-        if bad:
-            return "infeasible", str(bad)
-
-
-def solve_component(dec: XyDecomposition, comp: int, branch_budget: int) -> ComponentResult:
-    """Color one active component completely, or report why not; on
-    failure the coloring may be left partly extended, and the caller
-    restores it."""
-    c = dec.coloring
-
-    status, detail = reduce_l4(dec, comp)
-    if status != "ok":
-        return ComponentResult(status, detail)
-
-    if not c.unknown_mask(comp) and not c.unmated_black_mask(comp):
-        return ComponentResult("colored")
-
-    status, branches = search(c, comp, branch_pick(dec.g, comp), branch_budget)
-    if status == "colored":
-        return ComponentResult("colored", branches=branches)
-    if status == "budget":
-        return ComponentResult("budget", f"branch budget {branch_budget} exhausted", branches)
-    return ComponentResult("infeasible", "every branch failed", branches)
+    stats["forced_edges"] += len(dec.forced)
+    return "dim", None

@@ -11,7 +11,12 @@ structure forces a cascade of facts:
   * no edge inside L3 and no L3-L4 edge can be a matching edge: every L3
     vertex sees a black L2 vertex, so propagation pairs a black L3 vertex
     with that neighbor and needs no rule of its own;
-  * an L3 vertex seeing two or more anchors must be white.
+  * an L3 vertex seeing two or more anchors must be white;
+  * an L4 vertex with no non-white L4 neighbor must be white (its partner
+    would have to sit in L4).
+
+These are facts of the whole trial: they run over the whole scope before
+its leftover vertices are split into pieces.
 """
 
 from __future__ import annotations
@@ -78,8 +83,8 @@ def build_levels(g: Graph, scope: int, x: int, y: int, coloring: Coloring) -> Xy
 
 
 def apply_initial_facts(dec: XyDecomposition) -> Contradiction | None:
-    """Root pair (which colors L1 and L2 and pairs L2's edges) and
-    multi-anchor whites, propagated to a fixpoint."""
+    """Root pair (which colors L1 and L2 and pairs L2's edges),
+    multi-anchor whites and lone-L4 whites, propagated to a fixpoint."""
     g, c = dec.g, dec.coloring
     bad = force_pair(c, dec.x, dec.y)
     if bad:
@@ -103,4 +108,18 @@ def apply_initial_facts(dec: XyDecomposition) -> Contradiction | None:
         if (g.rows[v] & anchor_mask).bit_count() >= 2:
             s3 |= 1 << v
     dec.s3_mask = s3
-    return c.extend(white=s3 & c.unknown_mask())
+    bad = c.extend(white=s3 & c.unknown_mask())
+
+    # each pass whitens every lone L4 unknown in one call: two adjacent
+    # unknown L4 vertices are non-white L4 neighbors of each other, so no
+    # two vertices of a pass are adjacent
+    l4 = dec.l4
+    while not bad:
+        lone = 0
+        for v in bits(l4 & c.unknown_mask()):
+            if not g.rows[v] & l4 & ~c.white:
+                lone |= 1 << v
+        if not lone:
+            break
+        bad = c.extend(white=lone)
+    return bad

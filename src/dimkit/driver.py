@@ -12,12 +12,12 @@ decides the component unless it runs out of branches; its cap,
 counts as a branch) and is the only budget a caller sets.  Only then
 does the paper's engine run, as the backstop: it repeatedly picks a
 central vertex x of the still-active part and trials every edge xy at it
-through the level decomposition.  A successful trial colors the whole
-piece; the search inside a trial is capped by the size of its piece.
-If every edge at x is proven infeasible, x is unmatched in any solution,
-so x turns white and the loop continues on the shrunken remainder.
-Trials that end undecided (budget or radius) make the component
-inconclusive; the engine's verdict is final.
+(`component_solver.try_edge`: levels, level facts, one search per
+leftover piece, capped by the piece's size).  A successful trial colors
+the whole part.  If every edge at x is proven infeasible, x is unmatched
+in any solution, so x turns white and the loop continues on the shrunken
+remainder.  Trials that end undecided (budget or radius) make the
+component inconclusive; the engine's verdict is final.
 
 Verdict soundness: "dim" and "no-dim" are certificates.  Every rule used
 is valid in any graph.  A trial whose levels run deeper than four (the
@@ -40,8 +40,7 @@ from .coloring import (
     force_pair,
     search,
 )
-from .component_solver import solve_component
-from .decomposition import RadiusExceeded, build_levels, apply_initial_facts
+from .component_solver import try_edge
 from .graph import Edge, Graph, bits, central_vertex, connected_components
 from .oracle import verify_dim
 from .patterns import P9_UNCHECKED, classify_p9, find_k4
@@ -88,49 +87,14 @@ def trivial_dim(g: Graph, comp: int) -> Edge | None:
     """An edge whose endpoints touch every edge of the component, if any."""
     deg = {v: (g.rows[v] & comp).bit_count() for v in bits(comp)}
     m_comp = sum(deg.values()) // 2
+    # such an edge uv touches deg(u) + deg(v) - 1 edges
+    if 2 * max(deg.values(), default=0) - 1 < m_comp:
+        return None
     for u in bits(comp):
         for v in bits(g.rows[u] & comp >> (u + 1) << (u + 1)):
             if deg[u] + deg[v] - 1 == m_comp:
                 return (u, v)
     return None
-
-
-def try_edge(
-    g: Graph,
-    scope: int,
-    x: int,
-    y: int,
-    master: Coloring,
-    stats: dict,
-) -> tuple[str, str | None]:
-    """Decide whether some completion matches the edge xy, coloring the
-    master as it goes; on failure the master is restored.  Each leftover
-    piece is searched under a budget of max(64, size**2) branches.
-
-    A vertex of scope more than four levels from xy leaves the trial
-    undecided: it rules nothing out.  At a central x of a connected scope
-    free of induced nine-vertex paths that never happens.
-    """
-    snap = master.snapshot()
-    try:
-        dec = build_levels(g, scope, x, y, master)
-    except RadiusExceeded as exc:
-        return "undecided", str(exc)
-    bad = apply_initial_facts(dec)
-    if bad:
-        master.restore(snap)
-        return "infeasible", str(bad)
-
-    active = master.unknown_mask(scope) | master.unmated_black_mask(scope)
-    for piece in connected_components(g, active):
-        res = solve_component(dec, piece, max(64, piece.bit_count() ** 2))
-        stats["branches"] += res.branches
-        if res.status != "colored":
-            master.restore(snap)
-            return ("infeasible" if res.status == "infeasible" else "undecided"), res.detail
-
-    stats["forced_edges"] += len(dec.forced)
-    return "dim", None
 
 
 def probe(c: Coloring, scope: int, budget: int) -> tuple[str, int, str | None]:

@@ -36,6 +36,8 @@ def find_k4(g: Graph, within: int | None = None) -> PatternHit | None:
     scope = (1 << g.n) - 1 if within is None else within
     for a in bits(scope):
         row_a = g.rows[a] & scope >> (a + 1) << (a + 1)  # neighbors above a
+        if row_a.bit_count() < 3:  # a cannot be the lowest vertex of a K4
+            continue
         for b in bits(row_a):
             common_ab = g.rows[a] & g.rows[b] & scope
             for c in bits(common_ab >> (b + 1) << (b + 1)):

@@ -9,7 +9,6 @@ from collections import deque
 from itertools import combinations
 
 from dimkit.coloring import Coloring
-from dimkit.component_solver import reduce_l4
 from dimkit.decomposition import RadiusExceeded, apply_initial_facts, build_levels
 from dimkit.graph import Graph, bits, connected_components
 from dimkit.oracle import all_dims
@@ -32,6 +31,16 @@ def k4_sets_naive(g: Graph) -> set[frozenset]:
         if _induced_edge_count(g, quad) == 6:
             out.add(frozenset(quad))
     return out
+
+
+def dominating_edge_naive(g: Graph, comp: int):
+    """The first edge (u, v), u < v, in lexicographic order, inside comp
+    whose endpoints meet every edge inside comp, or None."""
+    edges = [(u, v) for u, v in g.edges() if comp >> u & 1 and comp >> v & 1]
+    for u, v in sorted(edges):
+        if all({a, b} & {u, v} for a, b in edges):
+            return (u, v)
+    return None
 
 
 def diamond_hits_naive(g: Graph) -> set[tuple[frozenset, tuple]]:
@@ -222,10 +231,9 @@ def induced_cycle_sets_naive(g: Graph, max_len: int) -> set[frozenset]:
 # -- trial-stage soundness harness -------------------------------------------
 
 
-def trial_facts(g: Graph, x: int, y: int, reduce: bool = False):
-    """Run the xy trial through level building and initial facts on a
-    fresh coloring; with reduce=True, also fire the far-layer reduction on
-    every leftover piece.
+def trial_facts(g: Graph, x: int, y: int):
+    """Run the xy trial through level building and its level facts on a
+    fresh coloring.
 
     Returns ("infeasible", reason) when a stage proves no solution matches
     xy, ("skip", reason) when a stage cannot run (radius), and
@@ -239,16 +247,10 @@ def trial_facts(g: Graph, x: int, y: int, reduce: bool = False):
     bad = apply_initial_facts(dec)
     if bad:
         return "infeasible", str(bad)
-    if reduce:
-        active = c.unknown_mask(dec.scope) | c.unmated_black_mask(dec.scope)
-        for piece in connected_components(g, active):
-            status, reason = reduce_l4(dec, piece)
-            if status != "ok":
-                return "infeasible", reason
     return "ok", (set(dec.forced), c.white, c.black)
 
 
-def assert_trial_facts_sound(g: Graph, x: int, y: int, reduce: bool = False):
+def assert_trial_facts_sound(g: Graph, x: int, y: int):
     """Every fact derived under the assumption "xy is matched" must hold in
     every actual solution containing xy; infeasible means there are none.
 
@@ -257,7 +259,7 @@ def assert_trial_facts_sound(g: Graph, x: int, y: int, reduce: bool = False):
     """
     e = (x, y) if x < y else (y, x)
     dims_with_xy = [m for m in all_dims(g) if e in m]
-    status, payload = trial_facts(g, x, y, reduce=reduce)
+    status, payload = trial_facts(g, x, y)
     if status == "skip":
         return 0
     if status == "infeasible":

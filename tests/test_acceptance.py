@@ -110,7 +110,7 @@ def test_acceptance_4_forced_rule_soundness(corpus7, capsys):
     """Every fact a forcing rule derives holds in every enumerated
     solution, on every graph where the rule fires: the edges an induced
     diamond or butterfly pins (which `check` reports and `solve()` does
-    not force), the initial trial facts and the far-layer reduction."""
+    not force) and the trial's level facts, lone-L4 whitening among them."""
     pattern_checks = trial_confirmations = 0
     for g in corpus7:
         dims = all_dims(g)
@@ -122,14 +122,14 @@ def test_acceptance_4_forced_rule_soundness(corpus7, capsys):
         comp = connected_components(g)[0]
         x = central_vertex(g, comp)
         for y in bits(g.rows[x]):
-            trial_confirmations += assert_trial_facts_sound(g, x, y, reduce=True)
+            trial_confirmations += assert_trial_facts_sound(g, x, y)
     rng = random.Random(424242)
     random_trials = 0
     for i in range(600):
         n = rng.randint(4, 8)
         g = gen_random(n, rng.choice([0.2, 0.3, 0.4]), 50_000 + i).graph
         for u, v in g.edges():
-            assert_trial_facts_sound(g, u, v, reduce=True)
+            assert_trial_facts_sound(g, u, v)
             random_trials += 1
     _verdict(
         capsys, "acceptance 4/8 forced-rule soundness",

@@ -375,3 +375,21 @@ def test_cross_check_bad_threads_env_exit_three(monkeypatch, capsys):
     assert main(["cross-check", "--count", "2"]) == 3
     capsys.readouterr()
 
+
+
+def test_thread_count_capped_at_cores(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    for env, want in (("100000", 3), ("2", 2), ("0", 1)):
+        monkeypatch.setenv("DIMKIT_THREADS", env)
+        assert cli._workers() == want
+    monkeypatch.delenv("DIMKIT_THREADS")
+    assert cli._workers() == 3
+
+    # on one core the jobs run in this process, whatever DIMKIT_THREADS asks
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    monkeypatch.setenv("DIMKIT_THREADS", "100000")
+    monkeypatch.setattr(cli.multiprocessing, "get_context", no_pool)
+    assert cli._map_jobs(abs, [-1, -2, 3]) == [1, 2, 3]

@@ -1,9 +1,11 @@
-"""Focused tests for the per-component search.  End-to-end behavior is
+"""Focused tests for the engine's xy-trial.  End-to-end behavior is
 covered by the driver tests; here we freeze a few instances whose trials
-survive the propagation stages with real work left."""
+survive the level facts with real work left, and run them through
+`try_edge` or through `search` on the prepared pieces."""
 
-from dimkit.coloring import Coloring, extract_matching, is_complete_feasible
-from dimkit.component_solver import solve_component
+import dimkit.component_solver
+from dimkit.coloring import Coloring, branch_pick, extract_matching, is_complete_feasible, search
+from dimkit.component_solver import try_edge
 from dimkit.decomposition import apply_initial_facts, build_levels
 from dimkit.graph import Graph, connected_components
 from dimkit.oracle import all_dims
@@ -15,7 +17,7 @@ BRANCHY = Graph.from_edges(11, [
     (4, 5), (4, 7), (7, 10), (9, 10),
 ])
 
-# trial (6,7) survives the propagation stages but has no completion
+# trial (6,7) has no completion; the level facts refute it
 DOOMED = Graph.from_edges(9, [
     (0, 3), (0, 5), (0, 8), (1, 2), (1, 5), (2, 8), (3, 6), (4, 5), (4, 8), (6, 7),
 ])
@@ -37,33 +39,51 @@ def _prepared_trial(g, x, y):
     return dec, c, connected_components(g, active)
 
 
+def _searched(g, dec, piece, budget):
+    return search(dec.coloring, piece, branch_pick(g, piece), budget)
+
+
+def _trial(g, x, y):
+    c = Coloring(g)
+    stats = {"branches": 0, "forced_edges": 0}
+    return try_edge(g, g.full_mask(), x, y, c, stats), c, stats
+
+
 def test_branching_piece_colored():
     dec, c, pieces = _prepared_trial(BRANCHY, 4, 5)
     assert len(pieces) == 1
-    res = solve_component(dec, pieces[0], 512)
-    assert res.status == "colored"
-    assert res.branches == 1
+    assert _searched(BRANCHY, dec, pieces[0], 512) == ("colored", 1)
     assert is_complete_feasible(c, dec.scope)
     got = extract_matching(c, dec.scope)
     assert got in [m for m in all_dims(BRANCHY) if (4, 5) in m]
     assert got == ((0, 8), (2, 10), (4, 5))  # black-first branching order
+    (status, _), c, stats = _trial(BRANCHY, 4, 5)
+    assert status == "dim" and stats == {"branches": 1, "forced_edges": 1}
+    assert extract_matching(c) == got
 
 
-def test_branch_budget_reports_budget():
+def test_branch_budget_reports_budget(monkeypatch):
     dec, _, pieces = _prepared_trial(BRANCHY, 4, 5)
-    res = solve_component(dec, pieces[0], 0)
-    assert res.status == "budget"
-    assert "branch budget" in res.detail
+    assert _searched(BRANCHY, dec, pieces[0], 0) == ("budget", 1)
+    # through the trial, whose cap for this 7-vertex piece is 64 branches
+    real_search = dimkit.component_solver.search
+    monkeypatch.setattr(
+        dimkit.component_solver, "search", lambda c, scope, pick, budget: real_search(c, scope, pick, 0)
+    )
+    (status, reason), c, _ = _trial(BRANCHY, 4, 5)
+    assert (status, reason) == ("undecided", "branch budget 64 exhausted")
+    assert c.snapshot() == Coloring(BRANCHY).snapshot()
 
 
 def test_doomed_piece_reports_infeasible():
     assert not [m for m in all_dims(DOOMED) if (6, 7) in m]
-    dec, _, pieces = _prepared_trial(DOOMED, 6, 7)
-    statuses = {
-        solve_component(dec, p, 512).status
-        for p in pieces
-    }
-    assert "infeasible" in statuses
+    c = Coloring(DOOMED)
+    dec = build_levels(DOOMED, DOOMED.full_mask(), 6, 7, c)
+    assert str(apply_initial_facts(dec)) == "two-black-neighbors at 0,5,8"
+    (status, reason), c, stats = _trial(DOOMED, 6, 7)
+    assert (status, reason) == ("infeasible", "two-black-neighbors at 0,5,8")
+    assert c.snapshot() == Coloring(DOOMED).snapshot()
+    assert stats == {"branches": 0, "forced_edges": 0}
 
 
 def test_bridged_families_colored_by_first_branch():
@@ -72,9 +92,7 @@ def test_bridged_families_colored_by_first_branch():
     ]
     dec, c, pieces = _prepared_trial(BRIDGED, 0, 1)
     assert len(pieces) == 1
-    res = solve_component(dec, pieces[0], 512)
-    assert res.status == "colored"
-    assert res.branches == 1
+    assert _searched(BRIDGED, dec, pieces[0], 512) == ("colored", 1)
     assert extract_matching(c, dec.scope) == ((0, 1), (4, 6), (5, 9), (11, 12))
 
 
@@ -83,8 +101,7 @@ def test_interchangeable_family_members():
     g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6)])
     dec, c, pieces = _prepared_trial(g, 0, 1)
     assert pieces == [0b1110000]
-    res = solve_component(dec, pieces[0], 256)
-    assert res.status == "colored"
+    assert _searched(g, dec, pieces[0], 256) == ("colored", 1)
     assert is_complete_feasible(c, dec.scope)
     assert c.partner(4) in (5, 6)
 
@@ -94,6 +111,8 @@ def test_fully_propagated_trial_leaves_no_work():
     dec, c, pieces = _prepared_trial(g, 0, 1)
     assert pieces == []
     assert is_complete_feasible(c, dec.scope)
+    (status, _), _, stats = _trial(g, 0, 1)
+    assert status == "dim" and stats == {"branches": 0, "forced_edges": 1}
 
 
 def _comb(teeth):
@@ -115,5 +134,6 @@ def test_long_l4_path_refuted_without_recursion():
         dec, _, pieces = _prepared_trial(g, 0, 1)
         assert dec.l4 == sum(1 << (4 + teeth + i) for i in range(teeth))
         assert len(pieces) == 1
-        res = solve_component(dec, pieces[0], (4 + 2 * teeth) ** 2)
-        assert res.status == "infeasible"
+        assert _searched(g, dec, pieces[0], (4 + 2 * teeth) ** 2) == ("infeasible", 2)
+        (status, reason), _, _ = _trial(g, 0, 1)
+        assert (status, reason) == ("infeasible", "every branch failed")

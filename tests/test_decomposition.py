@@ -3,7 +3,6 @@ import sys
 
 import pytest
 
-from dimkit.component_solver import reduce_l4
 from dimkit.coloring import BLACK, WHITE, Coloring
 from dimkit.decomposition import (
     MAX_RADIUS,
@@ -131,16 +130,19 @@ def test_trial_facts_sound_on_random_graphs(monkeypatch):
         ran += 1
     assert ran > 500
     # the gadgets plus random edges at up to four extra vertices reach both
-    # whitening rules; a rule fired when apply_initial_facts (shared L3) or
-    # reduce_l4 (far layer) itself called Coloring.extend with some whites
+    # whitening rules; a rule fired when apply_initial_facts itself called
+    # Coloring.extend with some whites in L3 (shared) or in L4 (far layer)
     fired = set()
-    rules = {apply_initial_facts.__code__: "shared", reduce_l4.__code__: "far"}
     real_extend = Coloring.extend
 
     def spy(self, white=0, black=0):
-        rule = rules.get(sys._getframe(1).f_code)
-        if rule and white:
-            fired.add(rule)
+        caller = sys._getframe(1)
+        if caller.f_code is apply_initial_facts.__code__:
+            dec = caller.f_locals["dec"]
+            if white & dec.l3:
+                fired.add("shared")
+            if white & dec.l4:
+                fired.add("far")
         return real_extend(self, white, black)
 
     monkeypatch.setattr(Coloring, "extend", spy)
@@ -150,7 +152,7 @@ def test_trial_facts_sound_on_random_graphs(monkeypatch):
         n = rng.randint(base, base + 4)
         extra = [(u, v) for v in range(base, n) for u in range(v) if rng.random() < 0.15]
         fired.clear()
-        assert_trial_facts_sound(Graph.from_edges(n, edges + extra), 0, 1, reduce=True)
+        assert_trial_facts_sound(Graph.from_edges(n, edges + extra), 0, 1)
         shared += "shared" in fired
         far += "far" in fired
     assert shared >= 5 and far >= 5, (shared, far)

@@ -26,7 +26,7 @@ import dimkit.patterns
 from dimkit.oracle import all_dims, count_dims, enumerate_dims, oracle_dim, verify_dim
 from dimkit.patterns import P9_VERIFIED, P9_VIOLATED, classify_p9
 from conftest import complete_graph, cycle_graph, disjoint_union, path_graph
-from naive_reference import induced_paths_naive, pick_unknown_naive
+from naive_reference import dominating_edge_naive, induced_paths_naive, pick_unknown_naive
 
 ENGINE_ONLY = SolveConfig(branch_budget=0)
 
@@ -110,6 +110,40 @@ def test_trivial_dim_helper():
     assert trivial_dim(g, g.full_mask()) == (0, 1)
     g = cycle_graph(6)
     assert trivial_dim(g, g.full_mask()) is None
+
+
+def _star_like_draws(rng, count):
+    """Seeded stars and double stars, each perturbed by up to two random
+    edges, mixed with sparse G(n, p) graphs."""
+    for _ in range(count):
+        kind = rng.randrange(3)
+        n = rng.randint(2, 12)
+        if kind == 0:  # star at 0
+            edges = [(0, v) for v in range(1, n)]
+        elif kind == 1:  # double star on the edge 01
+            edges = [(0, 1)] + [(rng.randrange(2), v) for v in range(2, n)]
+        else:
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25]
+        if kind < 2:
+            edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(3))]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield Graph.from_edges(n, sorted({tuple(sorted((perm[u], perm[v]))) for u, v in edges}))
+
+
+def test_trivial_dim_matches_the_naive_edge():
+    # trivial_dim returns early when twice the largest degree, less one,
+    # is below the edge count; a dominating edge uv covers exactly
+    # deg(u) + deg(v) - 1 edges, so the early exit loses no answer
+    found = tight = 0
+    for g in _star_like_draws(random.Random(1919), 1500):
+        for comp in connected_components(g):
+            got = trivial_dim(g, comp)
+            assert got == dominating_edge_naive(g, comp), (g.edges(), comp)
+            degs = [(g.rows[v] & comp).bit_count() for v in bits(comp)]
+            found += got is not None
+            tight += got is not None and 2 * max(degs) - 1 == sum(degs) // 2
+    assert found > 500 and tight > 100, (found, tight)
 
 
 def test_long_path_instance_still_decided():
@@ -553,12 +587,14 @@ def test_engine_agrees_with_oracle_on_a_live_family():
 
 # (host seed, expanded classes, n, relabelling seed) -> solve(g, ENGINE_ONLY)
 # .to_json() of verified P9-free false-twin expansions whose trials reach
-# the engine's per-component search (the last no-dim case branches there);
-# recorded while the engine still had its class-specific reductions, which
-# these pins show changed no certificate, reason or counter.  The host91
-# reason was re-derived when propagation moved to waves of masks, which
-# moves only the contradiction reported first.  Each count of branches
-# includes the one refused by the zero-budget search.
+# the engine's per-component search; recorded while the engine still had
+# its class-specific reductions, which these pins show changed no
+# certificate, reason or counter.  The host91 reason was re-derived when
+# propagation moved to waves of masks, which moves only the contradiction
+# reported first.  The host130 count was re-derived (2 -> 1) when lone-L4
+# whitening moved ahead of the split into pieces: its trial (3, 5) is now
+# refuted before one piece is searched.  Each count of branches includes
+# the one refused by the zero-budget search.
 IN_CLASS_PINS = [
     ((15, (11, 12), 40, 151),
      '{"status": "dim", "matching": [[0, 1], [6, 8], [10, 20], [30, 34]], "reason": null, '
@@ -586,7 +622,7 @@ IN_CLASS_PINS = [
      '"millis": 0}, "p9_checked": true}'),
     ((130, (5, 7), 20, 1300),
      '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 3: '
-     'conflict at 3", "stats": {"edges_tried": 7, "forced_edges": 0, "branches": 2, '
+     'conflict at 3", "stats": {"edges_tried": 7, "forced_edges": 0, "branches": 1, '
      '"millis": 0}, "p9_checked": true}'),
 ]
 

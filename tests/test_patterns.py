@@ -107,15 +107,19 @@ def test_p9_scan_answers_small_graphs_without_a_step():
 
 def test_detectors_match_naive_on_random_graphs():
     rng = random.Random(20240817)
+    masks = random.Random(4)
     for trial in range(1000):
         n = rng.randint(4, 8)
         g = random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7)))
 
-        hit = find_k4(g)
+        # the first K4 is the lexicographically least, inside any mask
         naive_k4 = k4_sets_naive(g)
-        assert (hit is not None) == bool(naive_k4), (trial, g.edges())
-        if hit is not None:
-            assert frozenset(hit.vertices) in naive_k4
+        within = masks.getrandbits(n)
+        inside = {s for s in naive_k4 if all(within >> v & 1 for v in s)}
+        for scope, sets in ((None, naive_k4), (within, inside)):
+            hit = find_k4(g, scope)
+            want = min((tuple(sorted(s)) for s in sets), default=None)
+            assert (hit and hit.vertices) == want, (trial, g.edges(), scope)
 
         got_d = {(frozenset(h.vertices), h.forced_edges[0]) for h in iter_diamonds(g)}
         assert got_d == diamond_hits_naive(g), (trial, g.edges())
