@@ -9,15 +9,13 @@ graph header above ``graph.MAX_VERTICES``) exits 3; any other failure,
 out-of-memory included, exits 4 (internal error) with its traceback on
 standard error, so a crash never reads as a verdict.
 
-cross-check fans whole instances out to a process pool sized by
-DIMKIT_THREADS (default and cap: all cores); an instance is never split.
+cross-check solves and oracle-checks its instances one after another in
+this process.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -31,7 +29,6 @@ from .generator import (
     emit_small_corpus,
     gen_planted,
     gen_random,
-    p9_label,
     RANDOM_FILTERS,
 )
 from .graph import Graph, GraphFormatError, bits, connected_components, load_graph, serialize_graph
@@ -55,27 +52,6 @@ def _load_matching(path: str):
         return parse_matching(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot load matching {path}: {exc}") from exc
-
-
-def _workers() -> int:
-    """DIMKIT_THREADS if set, capped at the core count; else all cores."""
-    cores = max(1, os.cpu_count() or 1)
-    env = os.environ.get("DIMKIT_THREADS")
-    if env:
-        try:
-            return max(1, min(int(env), cores))
-        except ValueError:
-            raise InputError(f"DIMKIT_THREADS must be an integer, got {env!r}") from None
-    return cores
-
-
-def _map_jobs(fn, jobs: list):
-    """Run fn over jobs, possibly in a process pool; order is preserved."""
-    workers = _workers()
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with multiprocessing.get_context("fork").Pool(min(workers, len(jobs))) as pool:
-        return pool.map(fn, jobs)
 
 
 @click.group()
@@ -318,7 +294,7 @@ def gen_random_cmd(n, p, seed, count, filters, attempt_cap, out_dir):
             continue
         stem = f"random_n{n}_p{p}_s{s}"
         row = {"path": f"{stem}.graph", "n": n, "m": draw.graph.m, "label": None,
-               "p9_free": p9_label(draw.graph), "seed": s}
+               "p9_free": classify_p9(draw.graph)[0], "seed": s}
         _write_instance(out, stem, draw.graph, row)
         click.echo(f"wrote {stem}.graph ({draw.graph.m} edges, {draw.attempts} attempts)")
     return 1 if failures == count and count > 0 else 0
@@ -367,7 +343,7 @@ def cross_check_cmd(max_n, count, seed):
     for i in range(count):
         n = 2 + (seed + i) % (max_n - 1)
         jobs.append((n, ps[i % len(ps)], seed + i))
-    results = _map_jobs(_xcheck_one, jobs)
+    results = [_xcheck_one(job) for job in jobs]
     disagreements = [r for r in results if not r[6] or not r[5]]
     inconclusive = sum(1 for r in results if r[3] == "inconclusive")
     for n, p, s, st, ost, verified, agree in disagreements:

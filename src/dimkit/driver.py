@@ -42,7 +42,7 @@ from .coloring import (
 )
 from .component_solver import try_edge
 from .graph import Edge, Graph, bits, central_vertex, connected_components
-from .oracle import verify_dim
+from .oracle import VerifyResult, verify_dim
 from .patterns import P9_UNCHECKED, classify_p9, find_k4
 
 # branches of the first search before the root is probed (see `probe`)
@@ -259,6 +259,4 @@ def verify_outcome(g: Graph, outcome: SolveOutcome):
     """Re-check a solve result; only a "dim" verdict carries a certificate."""
     if outcome.status == "dim":
         return verify_dim(g, outcome.matching or ())
-    from .oracle import VerifyResult
-
     return VerifyResult(True, None)

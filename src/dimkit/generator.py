@@ -27,14 +27,6 @@ from .graph import Edge, Graph, bits, serialize_graph
 from .oracle import oracle_dim, verify_dim
 from .patterns import P9_VERIFIED, classify_p9, find_k4, iter_butterflies, iter_diamonds
 
-# generated instances are labeled under a smaller scan budget than solve()'s
-GEN_P9_SCAN_LIMIT = 2_000_000
-
-
-def p9_label(g: Graph) -> str:
-    """The manifest's p9_free state of a generated graph."""
-    return classify_p9(g, GEN_P9_SCAN_LIMIT)[0]
-
 
 # ---------------------------------------------------------------------------
 # Planted yes-instances
@@ -111,7 +103,7 @@ def gen_planted(n: int, k: int, extra: int, seed: int) -> PlantedInstance:
     g = Graph.from_edges(n, edges)
     check = verify_dim(g, planted)
     assert check.ok, f"planted matching failed verification: {check.reason}"
-    return PlantedInstance(graph=g, planted=planted, seed=seed, p9_free=p9_label(g))
+    return PlantedInstance(graph=g, planted=planted, seed=seed, p9_free=classify_p9(g)[0])
 
 
 def gen_c4_augmented(n: int, k: int, extra: int, seed: int) -> Graph:
@@ -170,7 +162,7 @@ def _first_failed_filter(g: Graph, filters: tuple[str, ...]) -> str | None:
             if next(iter_butterflies(g), None) is not None:
                 return f
         elif f == "p9_free":
-            if p9_label(g) != P9_VERIFIED:
+            if classify_p9(g)[0] != P9_VERIFIED:
                 return f
     return None
 

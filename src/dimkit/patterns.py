@@ -8,8 +8,8 @@ in an induced butterfly (two triangles sharing one vertex) both non-center
 edges must be.  The solver does not force those edges (its search reaches the
 same verdicts); `dimkit check` counts the patterns and the random
 generator's filters reject graphs holding them.  The P9 scan lives here
-too; it falls back to the twin quotient.  Detection works on bit-rows; everything is deterministic,
-ascending-id order.
+too; it falls back to the twin quotient.  Detection works on bit-rows;
+everything is deterministic, ascending-id order.
 """
 
 from __future__ import annotations

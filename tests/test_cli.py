@@ -142,14 +142,15 @@ def test_solve_internal_error_exit_four(graph_file, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
-def test_import_leaves_networkx_unloaded():
-    # the corpus builder too: networkx is a test-only dependency
+def test_import_leaves_networkx_and_multiprocessing_unloaded():
+    # the corpus builder too: networkx is a test-only dependency; and no
+    # verb needs a process pool, so solve does not pay for importing one
     code = ("import sys, dimkit.cli; list(dimkit.generator.iter_small_corpus(5)); "
-            "print('networkx' in sys.modules)")
+            "print('networkx' in sys.modules, 'multiprocessing' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
 
 
 def test_solve_missing_file_exit_three(tmp_path, capsys):
@@ -343,22 +344,24 @@ def test_gen_corpus(tmp_path, capsys):
 # -- cross-check --------------------------------------------------------
 
 
-def test_cross_check_serial(monkeypatch, capsys):
-    monkeypatch.setenv("DIMKIT_THREADS", "1")
+def test_cross_check_serial(capsys):
     rc = main(["cross-check", "--max-n", "6", "--count", "12", "--seed", "0"])
     assert rc == 0
     assert "checked=12 disagreements=0" in capsys.readouterr().out
 
 
 def test_cross_check_worker_pool(monkeypatch, capsys):
-    monkeypatch.setenv("DIMKIT_THREADS", "2")
+    # there is no pool: every job runs through this process's _xcheck_one
+    seen = []
+    real = cli._xcheck_one
+    monkeypatch.setattr(cli, "_xcheck_one", lambda job: seen.append(job) or real(job))
     rc = main(["cross-check", "--max-n", "5", "--count", "6", "--seed", "1"])
     assert rc == 0
-    assert "disagreements=0" in capsys.readouterr().out
+    assert "checked=6 disagreements=0" in capsys.readouterr().out
+    assert len(seen) == 6
 
 
 def test_cross_check_flags_disagreement(monkeypatch, capsys):
-    monkeypatch.setenv("DIMKIT_THREADS", "1")
     monkeypatch.setattr(
         cli, "_xcheck_one",
         lambda job: (job[0], job[1], job[2], "dim", "no-dim", True, False),
@@ -368,28 +371,3 @@ def test_cross_check_flags_disagreement(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DISAGREE" in out
     assert "disagreements=3" in out
-
-
-def test_cross_check_bad_threads_env_exit_three(monkeypatch, capsys):
-    monkeypatch.setenv("DIMKIT_THREADS", "lots")
-    assert main(["cross-check", "--count", "2"]) == 3
-    capsys.readouterr()
-
-
-
-def test_thread_count_capped_at_cores(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    for env, want in (("100000", 3), ("2", 2), ("0", 1)):
-        monkeypatch.setenv("DIMKIT_THREADS", env)
-        assert cli._workers() == want
-    monkeypatch.delenv("DIMKIT_THREADS")
-    assert cli._workers() == 3
-
-    # on one core the jobs run in this process, whatever DIMKIT_THREADS asks
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-    monkeypatch.setenv("DIMKIT_THREADS", "100000")
-    monkeypatch.setattr(cli.multiprocessing, "get_context", no_pool)
-    assert cli._map_jobs(abs, [-1, -2, 3]) == [1, 2, 3]
