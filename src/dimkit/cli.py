@@ -31,7 +31,7 @@ from .generator import (
     gen_random,
     RANDOM_FILTERS,
 )
-from .graph import Graph, GraphFormatError, bits, connected_components, load_graph, serialize_graph
+from .graph import MAX_VERTICES, Graph, GraphFormatError, bits, connected_components, load_graph, serialize_graph
 from .oracle import oracle_dim, verify_dim
 from .patterns import classify_p9, find_k4, iter_butterflies, iter_diamonds
 
@@ -242,7 +242,7 @@ def gen_group():
 
 
 @gen_group.command("planted")
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=0, max=MAX_VERTICES), required=True)
 @click.option("--k", type=int, default=None, help="matched pairs [default: n//4]")
 @click.option("--extra", type=int, default=None, help="cross edges [default: n]")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -268,7 +268,7 @@ def gen_planted_cmd(n, k, extra, seed, count, out_dir):
 
 
 @gen_group.command("random")
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=0, max=MAX_VERTICES), required=True)
 @click.option("--p", type=float, default=0.2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--count", type=click.IntRange(min=0), default=1, show_default=True)

@@ -34,6 +34,9 @@ vertex's colored neighbors are exactly its unpartnered black ones.
 
 `search` backtracks over vertex colors under one pick rule,
 `branch_pick`, shared by the complete search and the engine's pieces.
+The pick carries bit-sliced unmated-black neighbor counts from one call to
+the next, adding and subtracting the rows of the blacks that changed; it
+recounts from scratch only when more rows changed than the mask holds.
 """
 
 from __future__ import annotations
@@ -122,7 +125,11 @@ class Coloring:
             # an old black beside a new one is settled from the new one's
             # side: it pairs with it or shows up as its two-black witness
             touched = black
-            for v in bits(white):
+            rest = white
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
                 row = rows[v]
                 ww = row & self.white
                 if ww:
@@ -130,7 +137,10 @@ class Coloring:
                 forced_black |= row
                 # unpartnered black neighbors lost a candidate
                 touched |= row & self.black & ~self.mated
-            for v in bits(touched):
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                v = low.bit_length() - 1
                 row = rows[v]
                 nb_black = row & self.black
                 k = nb_black.bit_count()
@@ -209,12 +219,19 @@ def branch_pick(g: Graph, comp: int) -> Callable[[Coloring], int]:
     unmated black neighbors ranks the unknowns exactly as counting all
     colored neighbors would.
 
-    The neighbor counts of all unknown vertices are summed at once in
+    The unmated-black neighbor counts of all vertices are kept in
     bit-sliced counters (slice i holds bit i of every count), one row per
-    unmated black; the maximum is then narrowed from the top slice down.
-    The degree classes of comp are built once, highest first.  Both loops
-    walk set bits by hand: a `bits` generator per call shows on graphs of a
-    dozen vertices, where the whole search takes tens of microseconds.
+    unmated black; the maximum over the unknowns is then narrowed from the
+    top slice down.  The counters are carried from one call to the next:
+    the rows of blacks that joined the unmated-black mask since the last
+    call are added (carry) and those that left are subtracted (borrow).
+    They are recounted from scratch only when more rows changed than the
+    mask now holds, as after a restore to a much earlier snapshot.  The
+    counts are a function of the mask alone, so backtracking and restores
+    need nothing more.  The degree classes of comp are built once, highest
+    first.  Every loop walks set bits by hand: a `bits` generator per call
+    shows on graphs of a dozen vertices, where the whole search takes tens
+    of microseconds.
     """
     rows = g.rows
     by_degree = [0] * comp.bit_count()
@@ -224,17 +241,25 @@ def branch_pick(g: Graph, comp: int) -> Callable[[Coloring], int]:
         rest ^= low
         by_degree[(rows[low.bit_length() - 1] & comp).bit_count()] |= low
     classes = [cls for cls in reversed(by_degree) if cls]
+    slices: list[int] = []
+    counted = 0  # the unmated-black mask that `slices` counts
 
     def pick(c: Coloring) -> int:
+        nonlocal counted
         unknown = c.unknown_mask(comp)
         if not unknown:
             return -1
-        slices: list[int] = []
         blacks = c.unmated_black_mask(comp)
-        while blacks:
-            low = blacks & -blacks
-            blacks ^= low
-            carry = rows[low.bit_length() - 1] & unknown
+        added = blacks & ~counted
+        removed = counted & ~blacks
+        if added.bit_count() + removed.bit_count() > blacks.bit_count():
+            slices.clear()
+            added, removed = blacks, 0
+        counted = blacks
+        while added:
+            low = added & -added
+            added ^= low
+            carry = rows[low.bit_length() - 1]
             i = 0
             while carry:
                 if i == len(slices):
@@ -243,6 +268,17 @@ def branch_pick(g: Graph, comp: int) -> Callable[[Coloring], int]:
                 s = slices[i]
                 slices[i] = s ^ carry
                 carry &= s
+                i += 1
+        while removed:
+            low = removed & -removed
+            removed ^= low
+            # every vertex of the row counts at least this black
+            borrow = rows[low.bit_length() - 1]
+            i = 0
+            while borrow:
+                s = slices[i]
+                slices[i] = s ^ borrow
+                borrow &= ~s
                 i += 1
         best = unknown
         for s in reversed(slices):

@@ -85,13 +85,20 @@ class SolveOutcome:
 
 def trivial_dim(g: Graph, comp: int) -> Edge | None:
     """An edge whose endpoints touch every edge of the component, if any."""
-    deg = {v: (g.rows[v] & comp).bit_count() for v in bits(comp)}
+    rows = g.rows
+    deg: dict[int, int] = {}
+    rest = comp
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        deg[v] = (rows[v] & comp).bit_count()
     m_comp = sum(deg.values()) // 2
     # such an edge uv touches deg(u) + deg(v) - 1 edges
     if 2 * max(deg.values(), default=0) - 1 < m_comp:
         return None
     for u in bits(comp):
-        for v in bits(g.rows[u] & comp >> (u + 1) << (u + 1)):
+        for v in bits(rows[u] & comp >> (u + 1) << (u + 1)):
             if deg[u] + deg[v] - 1 == m_comp:
                 return (u, v)
     return None

@@ -193,12 +193,15 @@ def save_graph(g: Graph, path: str) -> None:
 def bfs_layers(g: Graph, seed: int, scope: int) -> Iterator[int]:
     """Yield the BFS layer masks at distance 1, 2, ... from the seed mask,
     restricted to `scope`; the seed itself is not yielded."""
+    rows = g.rows
     visited = seed
     frontier = seed
     while True:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= g.rows[v]
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= rows[low.bit_length() - 1]
         nxt &= scope & ~visited
         if not nxt:
             return

@@ -33,15 +33,19 @@ class ScanBudget(Exception):
 
 def find_k4(g: Graph, within: int | None = None) -> PatternHit | None:
     """Lexicographically first K4 (inside `within` if given), or None."""
-    scope = (1 << g.n) - 1 if within is None else within
-    for a in bits(scope):
-        row_a = g.rows[a] & scope >> (a + 1) << (a + 1)  # neighbors above a
+    rows = g.rows
+    rest = (1 << g.n) - 1 if within is None else within
+    while rest:  # walked upward by hand, so rest is the scope above a
+        low = rest & -rest
+        rest ^= low
+        a = low.bit_length() - 1
+        row_a = rows[a] & rest  # neighbors above a
         if row_a.bit_count() < 3:  # a cannot be the lowest vertex of a K4
             continue
         for b in bits(row_a):
-            common_ab = g.rows[a] & g.rows[b] & scope
+            common_ab = row_a & rows[b]
             for c in bits(common_ab >> (b + 1) << (b + 1)):
-                for d in bits(common_ab & g.rows[c] >> (c + 1) << (c + 1)):
+                for d in bits(common_ab & rows[c] >> (c + 1) << (c + 1)):
                     return PatternHit("K4", (a, b, c, d), ())
     return None
 

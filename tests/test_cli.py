@@ -13,7 +13,7 @@ from dimkit.cli import main
 from dimkit.coloring import parse_matching
 from dimkit.driver import SolveOutcome
 from dimkit.generator import gen_c4_augmented
-from dimkit.graph import load_graph, save_graph
+from dimkit.graph import MAX_VERTICES, load_graph, save_graph
 from dimkit.oracle import verify_dim
 from conftest import complete_graph, cycle_graph, path_graph
 
@@ -97,6 +97,17 @@ def test_gen_negative_count_exit_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--count" in err and "--attempt-cap" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["planted", "random"])
+@pytest.mark.parametrize("n", [MAX_VERTICES + 1, -3])
+def test_gen_vertex_count_out_of_range_exit_three(tmp_path, capsys, verb, n):
+    # a graph above MAX_VERTICES could not be loaded back, so gen refuses
+    # the flag before it draws anything
+    out = tmp_path / "out"
+    assert main(["gen", verb, "--n", str(n), "--out", str(out)]) == 3
+    assert "--n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cross_check_negative_count_exit_three(capsys):

@@ -9,6 +9,7 @@ from dimkit.coloring import (
     Coloring,
     Contradiction,
     assign_and_propagate,
+    branch_pick,
     extract_matching,
     force_pair,
     is_complete_feasible,
@@ -16,9 +17,10 @@ from dimkit.coloring import (
     search,
     serialize_matching,
 )
-from dimkit.graph import Graph, bits
+from dimkit.generator import gen_c4_augmented, gen_planted
+from dimkit.graph import Graph, bits, connected_components
 from conftest import cycle_graph, path_graph, star_graph
-from naive_reference import propagate_naive
+from naive_reference import pick_unknown_naive, propagate_naive
 
 
 def test_white_forces_neighbors_black():
@@ -273,6 +275,47 @@ def test_search_exhausts_a_square():
 def test_search_stops_past_the_budget():
     g = path_graph(5)
     assert search(Coloring(g), g.full_mask(), _first_unknown, 0) == ("budget", 1)
+
+
+def test_branch_pick_carries_its_counters_across_restores():
+    # Seeded walks of extend and restore on planted and pendant-C4 graphs,
+    # with restores to much earlier snapshots as the probe restart does.
+    # Every pick must name the naive scan's vertex, and both ways of
+    # bringing the counters up to date must run: adding and subtracting
+    # the rows of the unmated blacks that changed since the last call, and
+    # the full recount when more changed than the mask holds.
+    rng = random.Random(4)
+    paths = {"carry": 0, "recount": 0}
+    for i in range(6):
+        n = rng.randint(200, 600)
+        k = rng.randint(n // 8, n // 4)
+        extra = rng.randint(n // 2, n)
+        if i % 2:
+            g = gen_c4_augmented(n, k, extra, i)
+        else:
+            g = gen_planted(n, k, extra, i).graph
+        comp = max(connected_components(g), key=int.bit_count)
+        c = Coloring(g)
+        pick = branch_pick(g, comp)
+        counted = 0  # mask of the last call that found an unknown vertex
+        snaps = [c.snapshot()]
+        for _ in range(250):
+            v = pick(c)
+            assert v == pick_unknown_naive(comp, c), (i, len(snaps))
+            if v >= 0:
+                blacks = c.unmated_black_mask(comp)
+                changed = (blacks ^ counted).bit_count()
+                paths["recount" if changed > blacks.bit_count() else "carry"] += 1
+                counted = blacks
+            roll = rng.random()
+            if v < 0 or roll < 0.1:
+                del snaps[rng.randrange(1 + len(snaps) // 4) + 1:]
+            elif roll < 0.25:
+                del snaps[max(1, len(snaps) - 3):]
+            elif assign_and_propagate(c, v, rng.choice((WHITE, BLACK))) is None:
+                snaps.append(c.snapshot())
+            c.restore(snaps[-1])
+    assert paths["carry"] >= 20 and paths["recount"] >= 20, paths
 
 
 def test_matching_roundtrip():
