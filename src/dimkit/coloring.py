@@ -32,6 +32,10 @@ neighbor, and `partner` reads it off.  At a fixpoint rules (a) and (b)
 leave no unknown vertex next to a white or a partnered black: an unknown
 vertex's colored neighbors are exactly its unpartnered black ones.
 
+Callers drive the state by masks alone: a decision is a vertex bit and a
+color, `extend(black=bit)` or `extend(white=bit)`, and a query is a mask
+read (`unknown_mask(bit)` is nonzero while the vertex is uncolored).
+
 `search` backtracks over vertex colors under one pick rule,
 `branch_pick`, shared by the complete search and the engine's pieces.
 The pick carries bit-sliced unmated-black neighbor counts from one call to
@@ -45,8 +49,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graph import Edge, Graph, bits
-
-UNKNOWN, WHITE, BLACK = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -80,14 +82,6 @@ class Coloring:
         self.white, self.black, self.mated = snap
 
     # -- queries -----------------------------------------------------------
-
-    def color_of(self, v: int) -> int:
-        bit = 1 << v
-        if self.white & bit:
-            return WHITE
-        if self.black & bit:
-            return BLACK
-        return UNKNOWN
 
     def unknown_mask(self, scope: int | None = None) -> int:
         full = self.g.full_mask() if scope is None else scope
@@ -169,27 +163,6 @@ class Coloring:
 def _two_black(v: int, nb_black: int) -> Contradiction:
     it = bits(nb_black)
     return Contradiction("two-black-neighbors", (v, next(it), next(it)))
-
-
-def assign_and_propagate(c: Coloring, v: int, color: int) -> Contradiction | None:
-    """Set v to color and run propagation to a fixpoint."""
-    if color == WHITE:
-        return c.extend(white=1 << v)
-    if color == BLACK:
-        return c.extend(black=1 << v)
-    raise ValueError(f"bad color {color}")
-
-
-def force_pair(c: Coloring, u: int, v: int) -> Contradiction | None:
-    """Force edge uv into the matching: both endpoints black, partnered."""
-    if not c.g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-    bad = c.extend(black=1 << u | 1 << v)
-    if bad is None and c.g.rows[u] & c.black != 1 << v:
-        # a clean fixpoint leaves v as u's only black neighbor; this guards
-        # the pair against a coloring that was not at a fixpoint
-        return Contradiction("partner-clash", (u, v))
-    return bad
 
 
 def is_complete_feasible(c: Coloring, scope: int | None = None) -> bool:
@@ -300,31 +273,34 @@ def search(
 
     `pick` names the next vertex to branch on, or -1 when nothing is left
     to branch on; such a leaf is accepted when the coloring of `scope` is
-    complete and feasible.  Returns (status, branches) with status
-    "colored" (c holds the completion), "infeasible" (every branch failed)
-    or "budget" (more than `budget` branches were needed).
+    complete and feasible.  A stack entry is (snapshot, vertex bit, black):
+    the decision is `extend(black=bit)` or `extend(white=bit)` on the
+    restored snapshot.  Returns (status, branches) with status "colored"
+    (c holds the completion), "infeasible" (every branch failed) or
+    "budget" (more than `budget` branches were needed).
     """
     v = pick(c)
     if v < 0:
         return ("colored" if is_complete_feasible(c, scope) else "infeasible"), 0
     branches = 0
-    stack = [(c.snapshot(), v, BLACK)]
+    stack = [(c.snapshot(), 1 << v, True)]
     while stack:
-        snap, v, color = stack.pop()
+        snap, bit, black = stack.pop()
         c.restore(snap)
-        if color == BLACK:
-            stack.append((snap, v, WHITE))
+        if black:
+            stack.append((snap, bit, False))
         branches += 1
         if branches > budget:
             return "budget", branches
-        if assign_and_propagate(c, v, color) is not None:
+        bad = c.extend(black=bit) if black else c.extend(white=bit)
+        if bad is not None:
             continue
         u = pick(c)
         if u < 0:
             if is_complete_feasible(c, scope):
                 return "colored", branches
             continue
-        stack.append((c.snapshot(), u, BLACK))
+        stack.append((c.snapshot(), 1 << u, True))
     return "infeasible", branches
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coloring import Coloring, Contradiction, force_pair
+from .coloring import Coloring, Contradiction
 from .graph import Edge, Graph, bfs_layers, bits
 
 MAX_RADIUS = 4
@@ -86,7 +86,7 @@ def apply_initial_facts(dec: XyDecomposition) -> Contradiction | None:
     """Root pair (which colors L1 and L2 and pairs L2's edges),
     multi-anchor whites and lone-L4 whites, propagated to a fixpoint."""
     g, c = dec.g, dec.coloring
-    bad = force_pair(c, dec.x, dec.y)
+    bad = c.extend(black=dec.levels[0])
     if bad:
         return bad
     dec.forced.append((dec.x, dec.y) if dec.x < dec.y else (dec.y, dec.x))

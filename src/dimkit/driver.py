@@ -29,17 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .coloring import (
-    BLACK,
-    UNKNOWN,
-    WHITE,
-    Coloring,
-    assign_and_propagate,
-    branch_pick,
-    extract_matching,
-    force_pair,
-    search,
-)
+from .coloring import Coloring, branch_pick, extract_matching, search
 from .component_solver import try_edge
 from .graph import Edge, Graph, bits, central_vertex, connected_components
 from .oracle import VerifyResult, verify_dim
@@ -106,9 +96,10 @@ def trivial_dim(g: Graph, comp: int) -> Edge | None:
 
 def probe(c: Coloring, scope: int, budget: int) -> tuple[str, int, str | None]:
     """Failed-vertex probing at the root: try each unknown vertex of scope,
-    in id order, black and then white under propagation.  When one color
-    fails the vertex takes the other (the successful trial's coloring is
-    kept); rounds repeat until one fixes nothing.  Every fix holds in every
+    in id order, as `extend(black=bit)` and then `extend(white=bit)`; a
+    vertex that an earlier fix colored is skipped (`unknown_mask(bit)` is
+    0).  When one color fails the vertex takes the other (the successful
+    trial's coloring is kept); rounds repeat until one fixes nothing.  Every fix holds in every
     completion, so a search may resume from the probed coloring.
 
     Returns (status, trials, reason): "infeasible" with the reason when both
@@ -120,16 +111,17 @@ def probe(c: Coloring, scope: int, budget: int) -> tuple[str, int, str | None]:
     while fixed:
         fixed = False
         for v in bits(c.unknown_mask(scope)):
-            if c.color_of(v) != UNKNOWN:
+            bit = 1 << v
+            if not c.unknown_mask(bit):
                 continue
             snap = c.snapshot()
             tried = []
-            for color in (BLACK, WHITE):
+            for white_black in ((0, bit), (bit, 0)):
                 trials += 1
                 if trials > budget:
                     return "budget", trials, None
                 c.restore(snap)
-                tried.append((assign_and_propagate(c, v, color), c.snapshot()))
+                tried.append((c.extend(*white_black), c.snapshot()))
             (black_bad, black), (white_bad, _) = tried
             if black_bad and white_bad:
                 return "infeasible", trials, (
@@ -186,8 +178,7 @@ def solve_top_component(
 ) -> tuple[str, tuple[Edge, ...] | None, str | None]:
     """Returns (status, matching piece, reason) for one component of g."""
     if comp.bit_count() == 1:
-        v = next(bits(comp))
-        assign_and_propagate(master, v, WHITE)
+        master.extend(white=comp)
         return "dim", (), None
 
     hit = find_k4(g, comp)
@@ -198,7 +189,7 @@ def solve_top_component(
     if e is not None:
         # every edge touches e, so propagation whitens the rest of the
         # component without a clash
-        force_pair(master, e[0], e[1])
+        master.extend(black=1 << e[0] | 1 << e[1])
         stats["forced_edges"] += 1
         return "dim", extract_matching(master, comp), None
 
@@ -230,7 +221,7 @@ def solve_top_component(
         if undecided is not None:
             return "inconclusive", None, undecided
         # every edge at x is impossible, so x stays unmatched
-        bad = assign_and_propagate(master, x, WHITE)
+        bad = master.extend(white=1 << x)
         if bad:
             return "no-dim", None, f"no matching edge fits at vertex {x}: {bad}"
         active = master.unknown_mask(sub) | master.unmated_black_mask(sub)

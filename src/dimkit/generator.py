@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from .graph import Edge, Graph, bits, serialize_graph
@@ -90,15 +92,21 @@ def gen_planted(n: int, k: int, extra: int, seed: int) -> PlantedInstance:
             budget -= 1
 
     if budget > 0:
-        used = {frozenset(e) for e in edges}
-        free = [
-            (u, m)
-            for u in unmatched
-            for m in matched
-            if frozenset((u, m)) not in used
-        ]
-        for u, m in rng.sample(free, budget):
-            edges.append((min(u, m), max(u, m)))
+        # The free (unmatched, matched) pairs in row-major order, drawn by
+        # index so that they are never listed: row u holds the matched
+        # vertices minus those of its repair edges, and `starts` holds each
+        # row's first index.
+        taken: dict[int, list[int]] = {u: [] for u in unmatched}
+        for m, u in edges[k:]:
+            taken[u].append(m)
+        starts = list(accumulate((2 * k - len(taken[u]) for u in unmatched), initial=0))
+        for i in rng.sample(range(starts[-1]), budget):
+            r = bisect_right(starts, i) - 1
+            u, m = unmatched[r], i - starts[r]
+            for t in sorted(taken[u]):
+                if t <= m:
+                    m += 1
+            edges.append((m, u))
 
     g = Graph.from_edges(n, edges)
     check = verify_dim(g, planted)

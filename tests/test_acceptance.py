@@ -10,7 +10,7 @@ import random
 import time
 
 from dimkit.cli import main as cli_main
-from dimkit.coloring import BLACK, WHITE, Coloring, assign_and_propagate, extract_matching
+from dimkit.coloring import Coloring, extract_matching
 from dimkit.driver import solve
 from dimkit.generator import gen_planted, gen_random
 from dimkit.graph import bits, central_vertex, connected_components, save_graph
@@ -147,10 +147,10 @@ def _assert_coloring_bijection(g):
     for black in feasible_black_masks(g):
         c = Coloring(g)
         for v in bits(black):
-            assert assign_and_propagate(c, v, BLACK) is None
+            assert c.extend(black=1 << v) is None
         for w in bits(full & ~black):
-            if not (c.white >> w & 1 or c.black >> w & 1):
-                assert assign_and_propagate(c, w, WHITE) is None
+            if c.unknown_mask(1 << w):
+                assert c.extend(white=1 << w) is None
         assert c.black == black  # propagation may fill, never flip
         matchings.add(extract_matching(c, full))
         masks += 1

@@ -352,6 +352,14 @@ def test_gen_corpus(tmp_path, capsys):
     assert len(rows) == 9  # 1 + 2 + 6 connected graphs on 2..4 vertices
 
 
+@pytest.mark.parametrize("max_n", ["9", "1"])
+def test_gen_corpus_max_n_out_of_range_exit_three(tmp_path, capsys, max_n):
+    out = tmp_path / "corpus"
+    assert main(["gen", "corpus", "--max-n", max_n, "--out", str(out)]) == 3
+    assert "--max-n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- cross-check --------------------------------------------------------
 
 
@@ -382,3 +390,16 @@ def test_cross_check_flags_disagreement(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DISAGREE" in out
     assert "disagreements=3" in out
+
+
+@pytest.mark.parametrize("max_n", ["1", "100000"])
+def test_cross_check_max_n_out_of_range_exit_three(monkeypatch, capsys, max_n):
+    # a graph above MAX_VERTICES could not be loaded back, so cross-check
+    # refuses the flag before it runs a job
+    seen = []
+    monkeypatch.setattr(cli, "_xcheck_one", seen.append)
+    assert main(["cross-check", "--max-n", max_n, "--seed", "70000", "--count", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "--max-n" in captured.err
+    assert "checked=" not in captured.out
+    assert seen == []

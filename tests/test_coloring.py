@@ -3,15 +3,10 @@ import random
 import pytest
 
 from dimkit.coloring import (
-    BLACK,
-    UNKNOWN,
-    WHITE,
     Coloring,
     Contradiction,
-    assign_and_propagate,
     branch_pick,
     extract_matching,
-    force_pair,
     is_complete_feasible,
     parse_matching,
     search,
@@ -26,24 +21,22 @@ from naive_reference import pick_unknown_naive, propagate_naive
 def test_white_forces_neighbors_black():
     g = star_graph(4)  # center 0, leaves 1..3
     c = Coloring(g)
-    assert assign_and_propagate(c, 1, WHITE) is None
+    assert c.extend(white=1 << 1) is None
     # center must be black; it then needs a partner among the other leaves,
     # but with two candidates nothing more is forced
-    assert c.color_of(0) == BLACK
-    assert c.color_of(2) == UNKNOWN
-    assert c.color_of(3) == UNKNOWN
+    assert (c.white, c.black) == (0b0010, 0b0001)
 
 
 def test_adjacent_blacks_partner_and_whiten():
     g = cycle_graph(6)
     c = Coloring(g)
-    assert assign_and_propagate(c, 2, BLACK) is None
-    assert assign_and_propagate(c, 1, BLACK) is None
+    assert c.extend(black=1 << 2) is None
+    assert c.extend(black=1 << 1) is None
     assert c.partner(1) == 2 and c.partner(2) == 1
     # neighbors of the pair whiten, and the whitening cascades around
     # the cycle to the opposite pair
-    assert c.color_of(0) == WHITE
-    assert c.color_of(3) == WHITE
+    assert c.white >> 0 & 1
+    assert c.white >> 3 & 1
     assert c.partner(4) == 5
     assert is_complete_feasible(c)
 
@@ -52,8 +45,8 @@ def test_black_pair_on_path_five_refutes():
     # committing edge (1,2) on a five-path strands vertex 4
     g = path_graph(5)
     c = Coloring(g)
-    assert assign_and_propagate(c, 2, BLACK) is None
-    bad = assign_and_propagate(c, 1, BLACK)
+    assert c.extend(black=1 << 2) is None
+    bad = c.extend(black=1 << 1)
     assert bad is not None and bad.rule == "black-unmatchable"
     assert bad.witnesses == (4,)
 
@@ -61,7 +54,7 @@ def test_black_pair_on_path_five_refutes():
 def test_p4_middle_pair_completes():
     g = path_graph(4)
     c = Coloring(g)
-    assert force_pair(c, 1, 2) is None
+    assert c.extend(black=0b0110) is None
     assert c.white == 0b1001
     assert is_complete_feasible(c)
     assert extract_matching(c) == ((1, 2),)
@@ -93,7 +86,7 @@ def test_black_unmatchable_contradiction():
 def test_conflicting_assignment():
     g = path_graph(3)
     c = Coloring(g)
-    assert assign_and_propagate(c, 0, WHITE) is None
+    assert c.extend(white=0b001) is None
     assert c.extend(black=0b001) == Contradiction("conflict", (0,))
     # one call that asks for both colors at a vertex conflicts too
     c = Coloring(g)
@@ -105,9 +98,9 @@ def test_single_candidate_partner_forced():
     # and the forcing chains down the whole path
     g = path_graph(5)
     c = Coloring(g)
-    assert assign_and_propagate(c, 0, BLACK) is None
+    assert c.extend(black=1 << 0) is None
     assert c.partner(0) == 1
-    assert c.color_of(2) == WHITE
+    assert c.white >> 2 & 1
     assert c.partner(3) == 4
     assert is_complete_feasible(c)
     assert extract_matching(c) == ((0, 1), (3, 4))
@@ -116,18 +109,17 @@ def test_single_candidate_partner_forced():
 def test_snapshot_restore():
     g = star_graph(5)
     c = Coloring(g)
-    assert assign_and_propagate(c, 1, WHITE) is None
-    assert c.color_of(0) == BLACK
+    assert c.extend(white=1 << 1) is None
+    assert (c.white, c.black) == (0b00010, 0b00001)
     snap = c.snapshot()
-    assert assign_and_propagate(c, 2, WHITE) is None
-    assert c.color_of(2) == WHITE
+    assert c.extend(white=1 << 2) is None
+    assert c.white >> 2 & 1
     # the centre pairs with leaf 3 only after the snapshot
-    assert assign_and_propagate(c, 3, BLACK) is None
+    assert c.extend(black=1 << 3) is None
     assert c.mated == 0b1001 and c.unmated_black_mask() == 0
     assert c.partner(0) == 3
     c.restore(snap)
-    assert c.color_of(2) == UNKNOWN
-    assert c.color_of(0) == BLACK
+    assert (c.white, c.black) == (0b00010, 0b00001)
     assert c.mated == 0
     assert c.unmated_black_mask() == 0b1
     assert c.snapshot() == snap
@@ -157,9 +149,9 @@ def test_fixpoint_unknowns_see_only_unmated_blacks():
             v = rng.choice(unknown)
             snap = c.snapshot()
             if g.rows[v] and rng.random() < 0.3:
-                bad = force_pair(c, v, rng.choice(g.neighbors(v)))
+                bad = c.extend(black=1 << v | 1 << rng.choice(g.neighbors(v)))
             else:
-                bad = assign_and_propagate(c, v, rng.choice((WHITE, BLACK)))
+                bad = c.extend(*rng.choice(((1 << v, 0), (0, 1 << v))))
             if bad is not None:
                 c.restore(snap)
                 continue
@@ -182,15 +174,15 @@ def test_diamond_tips_clash_at_the_spine():
     # nothing pairs.
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
     c = Coloring(g)
-    bad = assign_and_propagate(c, 0, WHITE)
+    bad = c.extend(white=1 << 0)
     assert bad == Contradiction("two-black-neighbors", (3, 1, 2))
     assert (c.white, c.black, c.mated) == (0b0001, 0b1110, 0)
     # With tip 2 black first, whitening 0 also leaves 3 as 2's only
     # candidate; 3 and tip 1 turn black in the same wave, and 3 again sees
     # two black tips.
     c = Coloring(g)
-    assert assign_and_propagate(c, 2, BLACK) is None
-    bad = assign_and_propagate(c, 0, WHITE)
+    assert c.extend(black=1 << 2) is None
+    bad = c.extend(white=1 << 0)
     assert bad == Contradiction("two-black-neighbors", (3, 1, 2))
     assert (c.white, c.black, c.mated) == (0b0001, 0b1110, 0)
 
@@ -223,22 +215,16 @@ def test_extend_reaches_the_naive_fixpoint(corpus7):
     assert contradictions >= 200 and fixpoints >= 200, (contradictions, fixpoints)
 
 
-def test_force_pair_requires_edge():
-    g = path_graph(3)
-    with pytest.raises(ValueError):
-        force_pair(Coloring(g), 0, 2)
-
-
-def test_force_pair_contradicts_on_square():
+def test_black_pair_contradicts_on_square():
     g = cycle_graph(4)
     c = Coloring(g)
-    assert force_pair(c, 0, 1) is not None
+    assert c.extend(black=0b11) is not None
 
 
 def test_incomplete_not_feasible():
     g = star_graph(4)
     c = Coloring(g)
-    assert assign_and_propagate(c, 1, WHITE) is None
+    assert c.extend(white=1 << 1) is None
     # center black, two leaves still undecided
     assert c.unknown_mask() == 0b1100
     assert not is_complete_feasible(c)
@@ -247,7 +233,7 @@ def test_incomplete_not_feasible():
 def test_scoped_feasibility_ignores_outside():
     g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
     c = Coloring(g)
-    assert force_pair(c, 0, 1) is None
+    assert c.extend(black=0b00011) is None
     assert is_complete_feasible(c, scope=0b00011)
     assert extract_matching(c, scope=0b00011) == ((0, 1),)
 
@@ -312,7 +298,7 @@ def test_branch_pick_carries_its_counters_across_restores():
                 del snaps[rng.randrange(1 + len(snaps) // 4) + 1:]
             elif roll < 0.25:
                 del snaps[max(1, len(snaps) - 3):]
-            elif assign_and_propagate(c, v, rng.choice((WHITE, BLACK))) is None:
+            elif c.extend(*rng.choice(((1 << v, 0), (0, 1 << v)))) is None:
                 snaps.append(c.snapshot())
             c.restore(snaps[-1])
     assert paths["carry"] >= 20 and paths["recount"] >= 20, paths

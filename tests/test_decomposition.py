@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from dimkit.coloring import BLACK, WHITE, Coloring
+from dimkit.coloring import Coloring
 from dimkit.decomposition import (
     MAX_RADIUS,
     RadiusExceeded,
@@ -87,7 +87,7 @@ def test_shared_third_level_vertex_of_two_anchors_is_white():
     assert apply_initial_facts(dec) is None
     assert sorted(dec.anchors) == [4, 5]
     assert dec.s3_mask == 1 << 6
-    assert c.color_of(6) == WHITE
+    assert c.white >> 6 & 1
     assert c.partner(4) == 7 and c.partner(5) == 8
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -71,6 +72,38 @@ def test_planted_edge_cases():
 def test_planted_full_capacity():
     inst = gen_planted(6, 2, 8, seed=9)  # capacity = 2*2*(6-4) = 8
     assert inst.graph.m == 2 + 8
+
+
+# sha256 of the concatenated serialize_graph output of the 60 draws in
+# test_planted_uniform_edges_pinned, computed by sampling a list of every
+# free (unmatched, matched) pair; drawing by index must give the same edges
+PLANTED_UNIFORM_SHA256 = "c7ab1ccf168eb10a7e0f17cdd63b0eaadf971f3081378d235689c31595bce8ea"
+
+
+def test_planted_uniform_edges_pinned():
+    # every draw spends more than its repair edges, so the uniform cross
+    # edges are drawn, some of them at full capacity
+    rng = random.Random(2323)
+    h = hashlib.sha256()
+    for _ in range(60):
+        n = rng.randint(5, 90)
+        k = rng.randint(1, (n - 1) // 2)
+        repairs = n - 2 * k + min(k - 1, n - 2 * k)
+        extra = rng.randint(repairs + 1, 2 * k * (n - 2 * k))
+        h.update(serialize_graph(gen_planted(n, k, extra, rng.randrange(10**6)).graph).encode())
+    assert h.hexdigest() == PLANTED_UNIFORM_SHA256
+
+
+def test_planted_memory_stays_linear():
+    # a list of all 250,000 free pairs at n = 1000 peaks near 16 MB; the
+    # draw by index stays under 1 MB
+    tracemalloc.start()
+    try:
+        gen_planted(1000, 250, 1000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 @pytest.mark.parametrize(
