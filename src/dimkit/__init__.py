@@ -9,7 +9,7 @@ search runs out; a brute-force oracle (which the solver never consults)
 and a certificate verifier keep it honest.
 """
 
-from .coloring import Coloring, extract_matching, is_complete_feasible, parse_matching, serialize_matching
+from .coloring import Coloring, extract_matching, parse_matching, serialize_matching
 from .driver import SolveConfig, SolveOutcome, solve, verify_outcome
 from .generator import (
     PlantedInstance,
@@ -39,7 +39,6 @@ __all__ = [
     "gen_c4_augmented",
     "gen_planted",
     "gen_random",
-    "is_complete_feasible",
     "iter_small_corpus",
     "load_graph",
     "oracle_dim",

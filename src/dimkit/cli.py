@@ -244,14 +244,15 @@ def gen_group():
 @gen_group.command("planted")
 @click.option("--n", type=click.IntRange(min=0, max=MAX_VERTICES), required=True)
 @click.option("--k", type=int, default=None, help="matched pairs [default: n//4]")
-@click.option("--extra", type=int, default=None, help="cross edges [default: n]")
+@click.option("--extra", type=int, default=None,
+              help="cross edges [default: n, capped at the cross-edge capacity 2k(n-2k)]")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--count", type=click.IntRange(min=0), default=1, show_default=True)
 @click.option("--out", "out_dir", default="instances", show_default=True)
 def gen_planted_cmd(n, k, extra, seed, count, out_dir):
     """Instances carrying a known solution (written alongside as .matching)."""
     k = n // 4 if k is None else k
-    extra = n if extra is None else extra
+    extra = min(n, 2 * k * max(0, n - 2 * k)) if extra is None else extra
     out = Path(out_dir)
     for i in range(count):
         s = seed + i

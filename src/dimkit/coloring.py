@@ -38,6 +38,10 @@ read (`unknown_mask(bit)` is nonzero while the vertex is uncolored).
 
 `search` backtracks over vertex colors under one pick rule,
 `branch_pick`, shared by the complete search and the engine's pieces.
+Each of its leaves is a contradiction or the solution: at a fixpoint with
+nothing left unknown the rules have paired every black, so the coloring
+is not rescanned; `driver.solve` checks the finished matching once,
+against the definition (`oracle.verify_dim`).
 The pick carries bit-sliced unmated-black neighbor counts from one call to
 the next, adding and subtracting the rows of the blacks that changed; it
 recounts from scratch only when more rows changed than the mask holds.
@@ -165,23 +169,6 @@ def _two_black(v: int, nb_black: int) -> Contradiction:
     return Contradiction("two-black-neighbors", (v, next(it), next(it)))
 
 
-def is_complete_feasible(c: Coloring, scope: int | None = None) -> bool:
-    """Every vertex colored, whites independent, every black partnered with
-    exactly one black neighbor."""
-    g = c.g
-    full = g.full_mask() if scope is None else scope
-    if c.unknown_mask(full):
-        return False
-    for v in bits(c.white & full):
-        if g.rows[v] & c.white & full:
-            return False
-    for v in bits(c.black & full):
-        nb = g.rows[v] & c.black & full
-        if nb.bit_count() != 1 or not c.mated >> v & 1:
-            return False
-    return True
-
-
 def branch_pick(g: Graph, comp: int) -> Callable[[Coloring], int]:
     """Pick for the search over `comp`: the unknown vertex with the most
     unmated black neighbors, then the highest degree in comp, then the
@@ -266,22 +253,23 @@ def branch_pick(g: Graph, comp: int) -> Callable[[Coloring], int]:
     return pick
 
 
-def search(
-    c: Coloring, scope: int, pick: Callable[[Coloring], int], budget: int
-) -> tuple[str, int]:
-    """Backtracking over vertex colors within `scope`, black tried first.
+def search(c: Coloring, pick: Callable[[Coloring], int], budget: int) -> tuple[str, int]:
+    """Backtracking over vertex colors, black tried first.
 
-    `pick` names the next vertex to branch on, or -1 when nothing is left
-    to branch on; such a leaf is accepted when the coloring of `scope` is
-    complete and feasible.  A stack entry is (snapshot, vertex bit, black):
-    the decision is `extend(black=bit)` or `extend(white=bit)` on the
-    restored snapshot.  Returns (status, branches) with status "colored"
-    (c holds the completion), "infeasible" (every branch failed) or
-    "budget" (more than `budget` branches were needed).
+    `pick` names the next vertex to branch on, or -1 when its scope holds
+    no unknown vertex.  A stack entry is (snapshot, vertex bit, black): the
+    decision is `extend(black=bit)` or `extend(white=bit)` on the restored
+    snapshot.  Every leaf is a contradiction or the solution: -1 after an
+    `extend` that found no contradiction leaves the scope complete at a
+    fixpoint, and there no white touches a white and every black has its
+    one black partner, or the rules would have reported it.  Returns
+    (status, branches) with status "colored" (c holds the completion),
+    "infeasible" (every branch failed) or "budget" (more than `budget`
+    branches were needed).
     """
     v = pick(c)
     if v < 0:
-        return ("colored" if is_complete_feasible(c, scope) else "infeasible"), 0
+        return "colored", 0
     branches = 0
     stack = [(c.snapshot(), 1 << v, True)]
     while stack:
@@ -297,9 +285,7 @@ def search(
             continue
         u = pick(c)
         if u < 0:
-            if is_complete_feasible(c, scope):
-                return "colored", branches
-            continue
+            return "colored", branches
         stack.append((c.snapshot(), 1 << u, True))
     return "infeasible", branches
 

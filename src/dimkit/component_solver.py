@@ -48,7 +48,7 @@ def try_edge(
     active = master.unknown_mask(scope) | master.unmated_black_mask(scope)
     for piece in connected_components(g, active):
         budget = max(64, piece.bit_count() ** 2)
-        status, branches = search(master, piece, branch_pick(g, piece), budget)
+        status, branches = search(master, branch_pick(g, piece), budget)
         stats["branches"] += branches
         if status != "colored":
             master.restore(snap)

@@ -22,7 +22,11 @@ component inconclusive; the engine's verdict is final.
 Verdict soundness: "dim" and "no-dim" are certificates.  Every rule used
 is valid in any graph.  A trial whose levels run deeper than four (the
 paper's bound for graphs without an induced nine-vertex path) only ends
-undecided, so the P9 scan decides nothing: it fills `p9_checked`."""
+undecided, so the P9 scan decides nothing: it fills `p9_checked`.  A
+solved component is kept only in the master coloring (each search leaf
+is a contradiction or the solution, see `coloring.search`); `solve`
+reads the matching off it once and checks it once, against the
+definition (`verify_dim`)."""
 
 from __future__ import annotations
 
@@ -137,36 +141,34 @@ def probe(c: Coloring, scope: int, budget: int) -> tuple[str, int, str | None]:
     return "probed", trials, None
 
 
-def _complete_search(
-    comp: int, master: Coloring, budget: int, stats: dict
-) -> tuple[str, tuple[Edge, ...] | None, str | None]:
+def _complete_search(comp: int, master: Coloring, budget: int, stats: dict) -> tuple[str, str | None]:
     """Exact decision for one component by branching on vertex colors.
 
     Starts from the uncolored component, so exhaustion is a true negative
     and any completion is a certificate.  A search that runs out of its
     first PROBE_AFTER branches restarts from a probed root (see `probe`)
     with what is left of the budget; each probe trial counts as a branch.
-    The search colors the master; on "no-dim", or on "budget" when cut
-    short, the master is restored.
+    Returns (status, reason).  On "dim" the master holds the component's
+    coloring; on "no-dim", or on "budget" when cut short, it is restored.
     """
     snap = master.snapshot()
     pick = branch_pick(master.g, comp)
-    status, spent = search(master, comp, pick, min(budget, PROBE_AFTER))
+    status, spent = search(master, pick, min(budget, PROBE_AFTER))
     reason = None
     if status == "budget" and budget > PROBE_AFTER:
         master.restore(snap)
         status, trials, reason = probe(master, comp, budget - spent)
         spent += trials
         if status == "probed":
-            status, branches = search(master, comp, pick, budget - spent)
+            status, branches = search(master, pick, budget - spent)
             spent += branches
     stats["branches"] += spent
     if status == "colored":
-        return "dim", extract_matching(master, comp), None
+        return "dim", None
     master.restore(snap)
     if status == "budget":
-        return "budget", None, None
-    return "no-dim", None, reason or "exhaustive color search over the component"
+        return "budget", None
+    return "no-dim", reason or "exhaustive color search over the component"
 
 
 def solve_top_component(
@@ -175,15 +177,16 @@ def solve_top_component(
     master: Coloring,
     cfg: SolveConfig,
     stats: dict,
-) -> tuple[str, tuple[Edge, ...] | None, str | None]:
-    """Returns (status, matching piece, reason) for one component of g."""
+) -> tuple[str, str | None]:
+    """Returns (status, reason) for one component of g; on "dim" the
+    master holds the component's coloring."""
     if comp.bit_count() == 1:
         master.extend(white=comp)
-        return "dim", (), None
+        return "dim", None
 
     hit = find_k4(g, comp)
     if hit is not None:
-        return "no-dim", None, f"complete subgraph on vertices {hit.vertices}"
+        return "no-dim", f"complete subgraph on vertices {hit.vertices}"
 
     e = trivial_dim(g, comp)
     if e is not None:
@@ -191,17 +194,19 @@ def solve_top_component(
         # component without a clash
         master.extend(black=1 << e[0] | 1 << e[1])
         stats["forced_edges"] += 1
-        return "dim", extract_matching(master, comp), None
+        return "dim", None
 
     budget = cfg.branch_budget
     if budget is None:
         budget = max(4096, 8 * comp.bit_count())
-    status, piece, reason = _complete_search(comp, master, budget, stats)
+    status, reason = _complete_search(comp, master, budget, stats)
     if status != "budget":
-        return status, piece, reason
+        return status, reason
 
     # the search ran out, so the engine decides; nothing in comp is
-    # colored yet, so the work starts from comp itself
+    # colored yet, so the work starts from comp itself.  Each sub is
+    # either colored whole by a successful trial or whitened at x and
+    # split again, so comp ends colored.
     work = [comp]
     while work:
         sub = work.pop(0)
@@ -219,17 +224,14 @@ def solve_top_component(
         if found:
             continue
         if undecided is not None:
-            return "inconclusive", None, undecided
+            return "inconclusive", undecided
         # every edge at x is impossible, so x stays unmatched
         bad = master.extend(white=1 << x)
         if bad:
-            return "no-dim", None, f"no matching edge fits at vertex {x}: {bad}"
+            return "no-dim", f"no matching edge fits at vertex {x}: {bad}"
         active = master.unknown_mask(sub) | master.unmated_black_mask(sub)
         work.extend(connected_components(g, active))
-
-    if master.unknown_mask(comp) or master.unmated_black_mask(comp):
-        return "inconclusive", None, "component left partially colored"
-    return "dim", extract_matching(master, comp), None
+    return "dim", None
 
 
 def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveOutcome:
@@ -239,14 +241,12 @@ def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveOutcome:
     p9_checked = cfg.check_p9 and classify_p9(g)[0] != P9_UNCHECKED
 
     master = Coloring(g)
-    pieces: list[Edge] = []
     for comp in connected_components(g):
-        status, piece, reason = solve_top_component(g, comp, master, cfg, stats)
+        status, reason = solve_top_component(g, comp, master, cfg, stats)
         if status != "dim":
             return SolveOutcome(status, None, reason, stats, p9_checked)
-        pieces.extend(piece)
 
-    matching = tuple(sorted(pieces))
+    matching = extract_matching(master)
     check = verify_dim(g, matching)
     if not check.ok:
         raise AssertionError(f"internal error: produced matching fails verification: {check.reason}")

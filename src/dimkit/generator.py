@@ -264,8 +264,9 @@ def _extend(parent: Graph, mask: int) -> Graph:
 
 
 def iter_small_corpus(max_n: int):
-    """Yield one representative per isomorphism class of connected graphs
-    on 2..max_n vertices, in a deterministic order.
+    """An iterator over one representative per isomorphism class of
+    connected graphs on 2..max_n vertices, in a deterministic order.  A
+    max_n outside 2..8 raises ValueError at the call, before any graph.
 
     Every connected graph on n >= 3 vertices has a vertex whose removal
     leaves it connected, so extending each (n-1)-vertex representative by
@@ -275,6 +276,10 @@ def iter_small_corpus(max_n: int):
     """
     if not 2 <= max_n <= 8:
         raise ValueError(f"max_n must be in 2..8, got {max_n}")
+    return _grow_small_corpus(max_n)
+
+
+def _grow_small_corpus(max_n: int):
     layer = [Graph.from_edges(2, [(0, 1)])]
     yield layer[0]
     for n in range(3, max_n + 1):
@@ -298,11 +303,12 @@ def emit_small_corpus(out_dir: str | Path, max_n: int) -> list[dict]:
     Graphs on at most eight vertices cannot contain an induced nine-vertex
     path, so p9_free is verified by construction.
     """
+    graphs = iter_small_corpus(max_n)  # checks max_n before anything is written
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     counter: dict[int, int] = {}
-    for g in iter_small_corpus(max_n):
+    for g in graphs:
         idx = counter.get(g.n, 0)
         counter[g.n] = idx + 1
         name = f"n{g.n}_{idx:04d}.graph"

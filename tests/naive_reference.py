@@ -121,6 +121,27 @@ def pick_unknown_naive(comp: int, c: Coloring) -> int:
     return best
 
 
+def coloring_is_complete_dim(c: Coloring, scope: int | None = None) -> bool:
+    """The colors of scope (default: every vertex) read as a dominating
+    induced matching, by the definition alone: every vertex of scope is
+    exactly one of white and black, no white of scope has a white
+    neighbor, and every black of scope has exactly one black neighbor.
+    Neighbors are counted in the whole graph."""
+    g = c.g
+    for v in range(g.n):
+        if scope is not None and not scope >> v & 1:
+            continue
+        white, black = c.white >> v & 1, c.black >> v & 1
+        if white == black:
+            return False
+        nbrs = g.neighbors(v)
+        if white and any(c.white >> u & 1 for u in nbrs):
+            return False
+        if black and sum(c.black >> u & 1 for u in nbrs) != 1:
+            return False
+    return True
+
+
 def propagate_naive(g: Graph, white: int, black: int):
     """The fixpoint of the coloring rules from the masks white and black,
     applied one vertex at a time until a sweep over all vertices changes

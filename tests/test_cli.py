@@ -308,6 +308,21 @@ def test_gen_planted_writes_instance_and_certificate(tmp_path, capsys):
     assert rows[0]["path"] == "planted_n12_k3_x12_s7.graph"
 
 
+@pytest.mark.parametrize("args, stem", [
+    (["--n", "3"], "planted_n3_k0_x0_s0"),
+    (["--n", "10", "--k", "5"], "planted_n10_k5_x0_s0"),
+    (["--n", "7", "--k", "1"], "planted_n7_k1_x7_s0"),
+])
+def test_gen_planted_default_extra_fits_the_capacity(tmp_path, capsys, args, stem):
+    # the default extra is n, capped at the cross-edge capacity 2k(n - 2k)
+    out = tmp_path / "inst"
+    assert main(["gen", "planted", *args, "--out", str(out)]) == 0
+    assert f"wrote {stem}.graph" in capsys.readouterr().out
+    g = load_graph(str(out / f"{stem}.graph"))
+    m = parse_matching((out / f"{stem}.matching").read_text())
+    assert verify_dim(g, m).ok
+
+
 def test_gen_planted_bad_params_exit_three(tmp_path, capsys):
     rc = main(["gen", "planted", "--n", "5", "--k", "3", "--out", str(tmp_path / "x")])
     assert rc == 3

@@ -7,7 +7,6 @@ from dimkit.coloring import (
     Contradiction,
     branch_pick,
     extract_matching,
-    is_complete_feasible,
     parse_matching,
     search,
     serialize_matching,
@@ -15,7 +14,7 @@ from dimkit.coloring import (
 from dimkit.generator import gen_c4_augmented, gen_planted
 from dimkit.graph import Graph, bits, connected_components
 from conftest import cycle_graph, path_graph, star_graph
-from naive_reference import pick_unknown_naive, propagate_naive
+from naive_reference import coloring_is_complete_dim, pick_unknown_naive, propagate_naive
 
 
 def test_white_forces_neighbors_black():
@@ -38,7 +37,7 @@ def test_adjacent_blacks_partner_and_whiten():
     assert c.white >> 0 & 1
     assert c.white >> 3 & 1
     assert c.partner(4) == 5
-    assert is_complete_feasible(c)
+    assert coloring_is_complete_dim(c)
 
 
 def test_black_pair_on_path_five_refutes():
@@ -56,7 +55,7 @@ def test_p4_middle_pair_completes():
     c = Coloring(g)
     assert c.extend(black=0b0110) is None
     assert c.white == 0b1001
-    assert is_complete_feasible(c)
+    assert coloring_is_complete_dim(c)
     assert extract_matching(c) == ((1, 2),)
 
 
@@ -102,7 +101,7 @@ def test_single_candidate_partner_forced():
     assert c.partner(0) == 1
     assert c.white >> 2 & 1
     assert c.partner(3) == 4
-    assert is_complete_feasible(c)
+    assert coloring_is_complete_dim(c)
     assert extract_matching(c) == ((0, 1), (3, 4))
 
 
@@ -227,14 +226,14 @@ def test_incomplete_not_feasible():
     assert c.extend(white=1 << 1) is None
     # center black, two leaves still undecided
     assert c.unknown_mask() == 0b1100
-    assert not is_complete_feasible(c)
+    assert not coloring_is_complete_dim(c)
 
 
 def test_scoped_feasibility_ignores_outside():
     g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])
     c = Coloring(g)
     assert c.extend(black=0b00011) is None
-    assert is_complete_feasible(c, scope=0b00011)
+    assert coloring_is_complete_dim(c, scope=0b00011)
     assert extract_matching(c, scope=0b00011) == ((0, 1),)
 
 
@@ -245,22 +244,22 @@ def _first_unknown(c):
 def test_search_colors_a_path():
     g = path_graph(5)  # its only d.i.m. is (0,1), (3,4)
     c = Coloring(g)
-    assert search(c, g.full_mask(), _first_unknown, 100) == ("colored", 1)
-    assert is_complete_feasible(c)
+    assert search(c, _first_unknown, 100) == ("colored", 1)
+    assert coloring_is_complete_dim(c)
     assert extract_matching(c) == ((0, 1), (3, 4))
 
 
 def test_search_exhausts_a_square():
     g = cycle_graph(4)
     c = Coloring(g)
-    status, branches = search(c, g.full_mask(), _first_unknown, 100)
+    status, branches = search(c, _first_unknown, 100)
     assert status == "infeasible"
     assert branches >= 2  # both colors of the first vertex were tried
 
 
 def test_search_stops_past_the_budget():
     g = path_graph(5)
-    assert search(Coloring(g), g.full_mask(), _first_unknown, 0) == ("budget", 1)
+    assert search(Coloring(g), _first_unknown, 0) == ("budget", 1)
 
 
 def test_branch_pick_carries_its_counters_across_restores():

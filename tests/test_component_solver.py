@@ -4,12 +4,13 @@ survive the level facts with real work left, and run them through
 `try_edge` or through `search` on the prepared pieces."""
 
 import dimkit.component_solver
-from dimkit.coloring import Coloring, branch_pick, extract_matching, is_complete_feasible, search
+from dimkit.coloring import Coloring, branch_pick, extract_matching, search
 from dimkit.component_solver import try_edge
 from dimkit.decomposition import apply_initial_facts, build_levels
 from dimkit.graph import Graph, connected_components
 from dimkit.oracle import all_dims
 from conftest import cycle_graph
+from naive_reference import coloring_is_complete_dim
 
 # trial (4,5) leaves one undecided component that needs one branch
 BRANCHY = Graph.from_edges(11, [
@@ -40,7 +41,7 @@ def _prepared_trial(g, x, y):
 
 
 def _searched(g, dec, piece, budget):
-    return search(dec.coloring, piece, branch_pick(g, piece), budget)
+    return search(dec.coloring, branch_pick(g, piece), budget)
 
 
 def _trial(g, x, y):
@@ -53,7 +54,7 @@ def test_branching_piece_colored():
     dec, c, pieces = _prepared_trial(BRANCHY, 4, 5)
     assert len(pieces) == 1
     assert _searched(BRANCHY, dec, pieces[0], 512) == ("colored", 1)
-    assert is_complete_feasible(c, dec.scope)
+    assert coloring_is_complete_dim(c, dec.scope)
     got = extract_matching(c, dec.scope)
     assert got in [m for m in all_dims(BRANCHY) if (4, 5) in m]
     assert got == ((0, 8), (2, 10), (4, 5))  # black-first branching order
@@ -68,7 +69,7 @@ def test_branch_budget_reports_budget(monkeypatch):
     # through the trial, whose cap for this 7-vertex piece is 64 branches
     real_search = dimkit.component_solver.search
     monkeypatch.setattr(
-        dimkit.component_solver, "search", lambda c, scope, pick, budget: real_search(c, scope, pick, 0)
+        dimkit.component_solver, "search", lambda c, pick, budget: real_search(c, pick, 0)
     )
     (status, reason), c, _ = _trial(BRANCHY, 4, 5)
     assert (status, reason) == ("undecided", "branch budget 64 exhausted")
@@ -102,7 +103,7 @@ def test_interchangeable_family_members():
     dec, c, pieces = _prepared_trial(g, 0, 1)
     assert pieces == [0b1110000]
     assert _searched(g, dec, pieces[0], 256) == ("colored", 1)
-    assert is_complete_feasible(c, dec.scope)
+    assert coloring_is_complete_dim(c, dec.scope)
     assert c.partner(4) in (5, 6)
 
 
@@ -110,7 +111,8 @@ def test_fully_propagated_trial_leaves_no_work():
     g = cycle_graph(9)
     dec, c, pieces = _prepared_trial(g, 0, 1)
     assert pieces == []
-    assert is_complete_feasible(c, dec.scope)
+    assert coloring_is_complete_dim(c, dec.scope)
+    assert extract_matching(c) == ((0, 1), (3, 4), (6, 7))
     (status, _), _, stats = _trial(g, 0, 1)
     assert status == "dim" and stats == {"branches": 0, "forced_edges": 1}
 

@@ -26,7 +26,12 @@ import dimkit.patterns
 from dimkit.oracle import all_dims, count_dims, enumerate_dims, oracle_dim, verify_dim
 from dimkit.patterns import P9_VERIFIED, P9_VIOLATED, classify_p9
 from conftest import complete_graph, cycle_graph, disjoint_union, path_graph
-from naive_reference import dominating_edge_naive, induced_paths_naive, pick_unknown_naive
+from naive_reference import (
+    coloring_is_complete_dim,
+    dominating_edge_naive,
+    induced_paths_naive,
+    pick_unknown_naive,
+)
 
 ENGINE_ONLY = SolveConfig(branch_budget=0)
 
@@ -470,11 +475,13 @@ def test_branch_pick_matches_the_naive_pick(corpus7, monkeypatch):
     # Every pick of the complete search, and of the engine's search over
     # its pieces, must name the vertex that the naive scan names, at every
     # call, with both tie-breaks exercised.
-    real_search = dimkit.coloring.search
+    real_branch_pick = dimkit.coloring.branch_pick
     seen = collections.Counter()
 
     def checked(kind):
-        def checked_search(c, scope, pick, budget):
+        def checked_branch_pick(g, scope):
+            pick = real_branch_pick(g, scope)
+
             def both(c):
                 got = pick(c)
                 want = pick_unknown_naive(scope, c)
@@ -494,12 +501,12 @@ def test_branch_pick_matches_the_naive_pick(corpus7, monkeypatch):
                     seen[kind + " off lowest"] += want != next(bits(unknown))
                 return got
 
-            return real_search(c, scope, both, budget)
+            return both
 
-        return checked_search
+        return checked_branch_pick
 
-    monkeypatch.setattr(dimkit.driver, "search", checked("search"))
-    monkeypatch.setattr(dimkit.component_solver, "search", checked("engine"))
+    monkeypatch.setattr(dimkit.driver, "branch_pick", checked("search"))
+    monkeypatch.setattr(dimkit.component_solver, "branch_pick", checked("engine"))
     graphs = [*corpus7, *_gnp_draws(), *_planted_draws()]
     for g in graphs:
         solve(g, SolveConfig(check_p9=False))
@@ -511,6 +518,48 @@ def test_branch_pick_matches_the_naive_pick(corpus7, monkeypatch):
     for g in graphs:
         solve(g, ENGINE_ONLY)
     assert seen["engine"] >= 20 and seen["engine off lowest"] >= 3, seen
+
+
+def test_every_colored_leaf_is_a_dim_of_its_scope(corpus7, monkeypatch):
+    # `search` accepts a leaf without rescanning it; the definition-level
+    # check runs at every "colored" return of the complete search and of
+    # the engine's pieces instead, and the mated mask, which the matching
+    # is read from, must be exactly the scope's blacks.
+    real_branch_pick = dimkit.coloring.branch_pick
+    real_search = dimkit.coloring.search
+    scopes = {}
+    seen = collections.Counter()
+
+    def scoped_branch_pick(g, scope):
+        pick = real_branch_pick(g, scope)
+        scopes[pick] = scope
+        return pick
+
+    def checked(kind):
+        def checked_search(c, pick, budget):
+            status, branches = real_search(c, pick, budget)
+            if status == "colored":
+                scope = scopes[pick]
+                assert coloring_is_complete_dim(c, scope), (kind, c.g.edges(), scope)
+                assert c.mated & scope == c.black & scope, (kind, c.g.edges(), scope)
+                seen[kind] += 1
+            return status, branches
+
+        return checked_search
+
+    for module, kind in ((dimkit.driver, "search"), (dimkit.component_solver, "engine")):
+        monkeypatch.setattr(module, "branch_pick", scoped_branch_pick)
+        monkeypatch.setattr(module, "search", checked(kind))
+    graphs = [*corpus7, *_gnp_draws(), *_planted_draws()]
+    for g in graphs:
+        solve(g, SolveConfig(check_p9=False))
+    assert seen["search"] > 200, seen
+    graphs += [g for *_, g, _ in _false_twin_draws()]
+    graphs += [_pinned_graph(*case) for case, _ in IN_CLASS_PINS]
+    graphs += ENGINE_PICKS_OFF_LOWEST
+    for g in graphs:
+        solve(g, SolveConfig(check_p9=False, branch_budget=0))
+    assert seen["engine"] >= 10, seen
 
 
 def _false_twin_expansion(host, classes, n, rng):

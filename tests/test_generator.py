@@ -236,6 +236,13 @@ def test_corpus_range_validation():
         list(iter_small_corpus(9))
 
 
+def test_emit_small_corpus_checks_max_n_before_writing(tmp_path):
+    out = tmp_path / "corpus"
+    with pytest.raises(ValueError):
+        emit_small_corpus(out, 9)
+    assert not out.exists()
+
+
 def test_emit_small_corpus(tmp_path):
     rows = emit_small_corpus(tmp_path, 4)
     assert len(rows) == 1 + 2 + 6
