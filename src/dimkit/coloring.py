@@ -169,10 +169,11 @@ def _two_black(v: int, nb_black: int) -> Contradiction:
     return Contradiction("two-black-neighbors", (v, next(it), next(it)))
 
 
-def branch_pick(g: Graph, comp: int) -> Callable[[Coloring], int]:
+def branch_pick(g: Graph, comp: int, by_degree: list[int]) -> Callable[[Coloring], int]:
     """Pick for the search over `comp`: the unknown vertex with the most
     unmated black neighbors, then the highest degree in comp, then the
-    smallest id; -1 when nothing is unknown.
+    smallest id; -1 when nothing is unknown.  `by_degree` holds comp's
+    degree classes (`graph.degree_classes`).
 
     `search` calls the pick only at a propagation fixpoint, where no
     unknown vertex has a white or a mated black neighbor; so counting
@@ -188,18 +189,11 @@ def branch_pick(g: Graph, comp: int) -> Callable[[Coloring], int]:
     They are recounted from scratch only when more rows changed than the
     mask now holds, as after a restore to a much earlier snapshot.  The
     counts are a function of the mask alone, so backtracking and restores
-    need nothing more.  The degree classes of comp are built once, highest
-    first.  Every loop walks set bits by hand: a `bits` generator per call
-    shows on graphs of a dozen vertices, where the whole search takes tens
-    of microseconds.
+    need nothing more.  Every loop walks set bits by hand: a `bits`
+    generator per call shows on graphs of a dozen vertices, where the whole
+    search takes tens of microseconds.
     """
     rows = g.rows
-    by_degree = [0] * comp.bit_count()
-    rest = comp
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        by_degree[(rows[low.bit_length() - 1] & comp).bit_count()] |= low
     classes = [cls for cls in reversed(by_degree) if cls]
     slices: list[int] = []
     counted = 0  # the unmated-black mask that `slices` counts
@@ -291,10 +285,18 @@ def search(c: Coloring, pick: Callable[[Coloring], int], budget: int) -> tuple[s
 
 
 def extract_matching(c: Coloring, scope: int | None = None) -> tuple[Edge, ...]:
-    full = c.g.full_mask() if scope is None else scope
+    """Pairs (v, partner(v)), v < partner(v), over the mated v of scope; a
+    coloring left by a contradiction may pair asymmetrically."""
+    rows = c.g.rows
+    mated = c.mated
+    rest = mated if scope is None else mated & scope
     out = []
-    for v in bits(c.mated & full):
-        u = c.partner(v)
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        mates = rows[v] & mated
+        u = (mates & -mates).bit_length() - 1
         if u > v:
             out.append((v, u))
     return tuple(out)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .coloring import Coloring, branch_pick, search
 from .decomposition import RadiusExceeded, apply_initial_facts, build_levels
-from .graph import Graph, connected_components
+from .graph import Graph, connected_components, degree_classes
 
 
 def try_edge(
@@ -48,7 +48,8 @@ def try_edge(
     active = master.unknown_mask(scope) | master.unmated_black_mask(scope)
     for piece in connected_components(g, active):
         budget = max(64, piece.bit_count() ** 2)
-        status, branches = search(master, branch_pick(g, piece), budget)
+        pick = branch_pick(g, piece, degree_classes(g, piece, piece))
+        status, branches = search(master, pick, budget)
         stats["branches"] += branches
         if status != "colored":
             master.restore(snap)

@@ -1,13 +1,15 @@
 """Top-level solver: decide whether a graph has a dominating induced matching.
 
-Outline per connected component: refute on a four-clique (a K4 kills the
-whole graph); look for a single dominating edge; then run a complete
-search that branches on vertex colors and lets propagation prune.  The
-search runs in three stages: PROBE_AFTER branches from the root; if that
-runs out, failed-vertex probing at the root (a vertex where one color
-fails under propagation takes the other, and one where both fail refutes
-the component); then the search again from the probed coloring.  It
-decides the component unless it runs out of branches; its cap,
+Outline per connected component: one pass sorts its vertices into degree
+classes (`graph.degree_classes`), which the next three steps share.
+Refute on a four-clique (a K4 kills the whole graph) among the vertices
+of degree three or more; look for a single dominating edge; then run a
+complete search that branches on vertex colors and lets propagation
+prune.  The search runs in three stages: PROBE_AFTER branches from the
+root; if that runs out, failed-vertex probing at the root (a vertex
+where one color fails under propagation takes the other, and one where
+both fail refutes the component); then the search again from the probed
+coloring.  It decides the component unless it runs out of branches; its cap,
 `SolveConfig.branch_budget`, covers all three stages (a probe trial
 counts as a branch) and is the only budget a caller sets.  Only then
 does the paper's engine run, as the backstop: it repeatedly picks a
@@ -32,10 +34,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from .coloring import Coloring, branch_pick, extract_matching, search
 from .component_solver import try_edge
-from .graph import Edge, Graph, bits, central_vertex, connected_components
+from .graph import Edge, Graph, bits, central_vertex, connected_components, degree_classes
 from .oracle import VerifyResult, verify_dim
 from .patterns import P9_UNCHECKED, classify_p9, find_k4
 
@@ -77,23 +80,21 @@ class SolveOutcome:
         return json.dumps(self.to_json_dict())
 
 
-def trivial_dim(g: Graph, comp: int) -> Edge | None:
-    """An edge whose endpoints touch every edge of the component, if any."""
-    rows = g.rows
-    deg: dict[int, int] = {}
-    rest = comp
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        deg[v] = (rows[v] & comp).bit_count()
-    m_comp = sum(deg.values()) // 2
-    # such an edge uv touches deg(u) + deg(v) - 1 edges
-    if 2 * max(deg.values(), default=0) - 1 < m_comp:
+def trivial_dim(g: Graph, comp: int, by_degree: list[int]) -> Edge | None:
+    """An edge whose endpoints touch every edge of the component, if any;
+    `by_degree` holds the component's degree classes (`degree_classes`)."""
+    top = len(by_degree) - 1
+    m_comp = sum(d * cls.bit_count() for d, cls in enumerate(by_degree)) // 2
+    # such an edge uv touches deg(u) + deg(v) - 1 edges, so both ends have
+    # degree at least m + 1 - top; past top (2 * top - 1 < m) there is none
+    least = m_comp + 1 - top
+    if least > top:
         return None
-    for u in bits(comp):
-        for v in bits(rows[u] & comp >> (u + 1) << (u + 1)):
-            if deg[u] + deg[v] - 1 == m_comp:
+    ends = sum(by_degree[least:])  # the classes are disjoint masks
+    for u in bits(ends):
+        deg_u = (g.rows[u] & comp).bit_count()
+        for v in bits(g.rows[u] & ends >> (u + 1) << (u + 1)):
+            if deg_u + (g.rows[v] & comp).bit_count() - 1 == m_comp:
                 return (u, v)
     return None
 
@@ -141,7 +142,9 @@ def probe(c: Coloring, scope: int, budget: int) -> tuple[str, int, str | None]:
     return "probed", trials, None
 
 
-def _complete_search(comp: int, master: Coloring, budget: int, stats: dict) -> tuple[str, str | None]:
+def _complete_search(
+    comp: int, master: Coloring, pick: Callable[[Coloring], int], budget: int, stats: dict
+) -> tuple[str, str | None]:
     """Exact decision for one component by branching on vertex colors.
 
     Starts from the uncolored component, so exhaustion is a true negative
@@ -152,7 +155,6 @@ def _complete_search(comp: int, master: Coloring, budget: int, stats: dict) -> t
     coloring; on "no-dim", or on "budget" when cut short, it is restored.
     """
     snap = master.snapshot()
-    pick = branch_pick(master.g, comp)
     status, spent = search(master, pick, min(budget, PROBE_AFTER))
     reason = None
     if status == "budget" and budget > PROBE_AFTER:
@@ -184,11 +186,13 @@ def solve_top_component(
         master.extend(white=comp)
         return "dim", None
 
-    hit = find_k4(g, comp)
+    by_degree = degree_classes(g, comp)
+    # a K4 vertex has degree at least three
+    hit = find_k4(g, sum(by_degree[3:]))
     if hit is not None:
         return "no-dim", f"complete subgraph on vertices {hit.vertices}"
 
-    e = trivial_dim(g, comp)
+    e = trivial_dim(g, comp, by_degree)
     if e is not None:
         # every edge touches e, so propagation whitens the rest of the
         # component without a clash
@@ -199,7 +203,8 @@ def solve_top_component(
     budget = cfg.branch_budget
     if budget is None:
         budget = max(4096, 8 * comp.bit_count())
-    status, reason = _complete_search(comp, master, budget, stats)
+    pick = branch_pick(g, comp, by_degree)
+    status, reason = _complete_search(comp, master, pick, budget, stats)
     if status != "budget":
         return status, reason
 

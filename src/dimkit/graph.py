@@ -224,6 +224,23 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
     return comps
 
 
+def degree_classes(g: Graph, verts: int, within: int | None = None) -> list[int]:
+    """Entry d masks the vertices of `verts` with d neighbours in `within`,
+    up to the top degree.  With `within` None whole rows are counted: the
+    induced degree when `verts` is a union of components."""
+    rows = g.rows
+    by_degree = [0] * ((verts if within is None else within).bit_count() + 1)
+    rest = verts
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = rows[low.bit_length() - 1]
+        by_degree[(row if within is None else row & within).bit_count()] |= low
+    while by_degree and not by_degree[-1]:
+        by_degree.pop()
+    return by_degree
+
+
 def central_vertex(g: Graph, within: int | None = None) -> int:
     """Vertex of minimum eccentricity, smallest id on ties.
 

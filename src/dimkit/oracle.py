@@ -3,7 +3,8 @@
 Independent of the production solver on purpose: everything here is written
 straight from the problem statement (a set of edges M such that every edge
 of the graph shares a vertex with exactly one member of M) so the two sides
-can be compared differentially.  Only the Graph container is shared.
+can be compared differentially.  Only the Graph container is shared;
+`verify_dim` reads its bit-rows and nothing of `coloring`.
 """
 
 from __future__ import annotations
@@ -34,30 +35,34 @@ def verify_dim(g: Graph, matching: Sequence[Edge]) -> VerifyResult:
 
     An edge in the matching that does not exist in g is a caller error and
     raises ValueError; a structural failure returns ok=False with the first
-    violating edge in the reason.
+    violating edge (u, w), u < w, in the reason.
+
+    Written from the definition over `g.rows` alone: an edge meets two
+    members of a matching when both ends are matched to others, and none
+    when both are unmatched.  Rows are checked in id order, and a bad edge
+    fails at both ends, so the first failing row u fails only above u.
     """
-    in_match = [False] * g.n
     partner = [-1] * g.n
-    seen: set[Edge] = set()
+    matched = 0
     for e in matching:
         u, v = e
         if not (0 <= u < g.n and 0 <= v < g.n) or u == v or not g.has_edge(u, v):
             raise ValueError(f"matching edge ({u},{v}) is not an edge of the graph")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if partner[u] == v:
             raise ValueError(f"matching repeats edge ({u},{v})")
-        seen.add(key)
-        if in_match[u] or in_match[v]:
-            w = u if in_match[u] else v
+        if partner[u] >= 0 or partner[v] >= 0:
+            w = u if partner[u] >= 0 else v
             return VerifyResult(False, f"vertex {w} lies in two matching edges")
-        in_match[u] = in_match[v] = True
+        matched |= 1 << u | 1 << v
         partner[u], partner[v] = v, u
-    for u, v in g.edges():
-        if in_match[u] and in_match[v]:
-            if partner[u] != v:
-                return VerifyResult(False, f"edge ({u},{v}) dominated twice")
-        elif not in_match[u] and not in_match[v]:
-            return VerifyResult(False, f"edge ({u},{v}) not dominated")
+    unmatched = g.full_mask() ^ matched
+    for u, row in enumerate(g.rows):
+        p = partner[u]
+        bad = row & unmatched if p < 0 else row & matched ^ 1 << p
+        if bad:
+            w = (bad & -bad).bit_length() - 1
+            what = "not dominated" if p < 0 else "dominated twice"
+            return VerifyResult(False, f"edge ({u},{w}) {what}")
     return VerifyResult(True, None)
 
 

@@ -104,6 +104,35 @@ def central_vertex_naive(g: Graph, within: int) -> int:
     return best_v
 
 
+def verify_dim_naive(g: Graph, matching):
+    """`oracle.verify_dim` by a walk over g's edges in lexicographic order:
+    the same (ok, reason) and the same ValueError messages, the reason
+    naming the first violating edge."""
+    in_match = [False] * g.n
+    partner = [-1] * g.n
+    seen = set()
+    for e in matching:
+        u, v = e
+        if not (0 <= u < g.n and 0 <= v < g.n) or u == v or not g.has_edge(u, v):
+            raise ValueError(f"matching edge ({u},{v}) is not an edge of the graph")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"matching repeats edge ({u},{v})")
+        seen.add(key)
+        if in_match[u] or in_match[v]:
+            w = u if in_match[u] else v
+            return False, f"vertex {w} lies in two matching edges"
+        in_match[u] = in_match[v] = True
+        partner[u], partner[v] = v, u
+    for u, v in g.edges():
+        if in_match[u] and in_match[v]:
+            if partner[u] != v:
+                return False, f"edge ({u},{v}) dominated twice"
+        elif not in_match[u] and not in_match[v]:
+            return False, f"edge ({u},{v}) not dominated"
+    return True, None
+
+
 def pick_unknown_naive(comp: int, c: Coloring) -> int:
     """The complete search's branch vertex by one scan over the unknown
     vertices of comp: most colored neighbors, then highest degree in comp,

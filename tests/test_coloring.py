@@ -12,7 +12,7 @@ from dimkit.coloring import (
     serialize_matching,
 )
 from dimkit.generator import gen_c4_augmented, gen_planted
-from dimkit.graph import Graph, bits, connected_components
+from dimkit.graph import Graph, bits, connected_components, degree_classes
 from conftest import cycle_graph, path_graph, star_graph
 from naive_reference import coloring_is_complete_dim, pick_unknown_naive, propagate_naive
 
@@ -281,7 +281,7 @@ def test_branch_pick_carries_its_counters_across_restores():
             g = gen_planted(n, k, extra, i).graph
         comp = max(connected_components(g), key=int.bit_count)
         c = Coloring(g)
-        pick = branch_pick(g, comp)
+        pick = branch_pick(g, comp, degree_classes(g, comp))
         counted = 0  # mask of the last call that found an unknown vertex
         snaps = [c.snapshot()]
         for _ in range(250):

@@ -7,7 +7,7 @@ import dimkit.component_solver
 from dimkit.coloring import Coloring, branch_pick, extract_matching, search
 from dimkit.component_solver import try_edge
 from dimkit.decomposition import apply_initial_facts, build_levels
-from dimkit.graph import Graph, connected_components
+from dimkit.graph import Graph, connected_components, degree_classes
 from dimkit.oracle import all_dims
 from conftest import cycle_graph
 from naive_reference import coloring_is_complete_dim
@@ -41,7 +41,7 @@ def _prepared_trial(g, x, y):
 
 
 def _searched(g, dec, piece, budget):
-    return search(dec.coloring, branch_pick(g, piece), budget)
+    return search(dec.coloring, branch_pick(g, piece, degree_classes(g, piece, piece)), budget)
 
 
 def _trial(g, x, y):

@@ -17,14 +17,14 @@ from dimkit.driver import (
 )
 from dimkit.generator import gen_c4_augmented, gen_planted
 from dimkit.decomposition import build_levels
-from dimkit.graph import Graph, bfs_layers, bits, central_vertex, connected_components
+from dimkit.graph import Graph, bfs_layers, bits, central_vertex, connected_components, degree_classes
 import dimkit.coloring
 import dimkit.component_solver
 import dimkit.driver
 import dimkit.oracle
 import dimkit.patterns
 from dimkit.oracle import all_dims, count_dims, enumerate_dims, oracle_dim, verify_dim
-from dimkit.patterns import P9_VERIFIED, P9_VIOLATED, classify_p9
+from dimkit.patterns import P9_VERIFIED, P9_VIOLATED, classify_p9, find_k4
 from conftest import complete_graph, cycle_graph, disjoint_union, path_graph
 from naive_reference import (
     coloring_is_complete_dim,
@@ -112,9 +112,9 @@ def test_edgeless_graph():
 
 def test_trivial_dim_helper():
     g = complete_graph(3)
-    assert trivial_dim(g, g.full_mask()) == (0, 1)
+    assert trivial_dim(g, g.full_mask(), degree_classes(g, g.full_mask())) == (0, 1)
     g = cycle_graph(6)
-    assert trivial_dim(g, g.full_mask()) is None
+    assert trivial_dim(g, g.full_mask(), degree_classes(g, g.full_mask())) is None
 
 
 def _star_like_draws(rng, count):
@@ -143,12 +143,36 @@ def test_trivial_dim_matches_the_naive_edge():
     found = tight = 0
     for g in _star_like_draws(random.Random(1919), 1500):
         for comp in connected_components(g):
-            got = trivial_dim(g, comp)
+            got = trivial_dim(g, comp, degree_classes(g, comp))
             assert got == dominating_edge_naive(g, comp), (g.edges(), comp)
             degs = [(g.rows[v] & comp).bit_count() for v in bits(comp)]
             found += got is not None
             tight += got is not None and 2 * max(degs) - 1 == sum(degs) // 2
     assert found > 500 and tight > 100, (found, tight)
+
+
+def test_k4_reason_is_the_unrestricted_first_k4():
+    # solve_top_component scans for a K4 only among the vertices of degree
+    # three or more; the K4 it reports must be the one the scan over the
+    # whole component finds, also where a K4 vertex has degree exactly 3
+    rng = random.Random(2511)
+    hits = tight = 0
+    for _ in range(3000):
+        n = rng.randint(4, 10)
+        p = rng.choice((0.3, 0.4, 0.5, 0.6, 0.8))
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        edged = [comp for comp in connected_components(g) if comp & comp - 1]
+        if len(edged) != 1:  # the verdict is the first failing component's
+            continue
+        comp = edged[0]
+        want = find_k4(g, comp)
+        if want is None:
+            continue
+        out = solve(g, SolveConfig(check_p9=False))
+        assert out.reason == f"complete subgraph on vertices {want.vertices}", g.edges()
+        hits += 1
+        tight += any((g.rows[v] & comp).bit_count() == 3 for v in want.vertices)
+    assert hits > 900 and tight > 250, (hits, tight)
 
 
 def test_long_path_instance_still_decided():
@@ -479,8 +503,8 @@ def test_branch_pick_matches_the_naive_pick(corpus7, monkeypatch):
     seen = collections.Counter()
 
     def checked(kind):
-        def checked_branch_pick(g, scope):
-            pick = real_branch_pick(g, scope)
+        def checked_branch_pick(g, scope, by_degree):
+            pick = real_branch_pick(g, scope, by_degree)
 
             def both(c):
                 got = pick(c)
@@ -530,8 +554,8 @@ def test_every_colored_leaf_is_a_dim_of_its_scope(corpus7, monkeypatch):
     scopes = {}
     seen = collections.Counter()
 
-    def scoped_branch_pick(g, scope):
-        pick = real_branch_pick(g, scope)
+    def scoped_branch_pick(g, scope, by_degree):
+        pick = real_branch_pick(g, scope, by_degree)
         scopes[pick] = scope
         return pick
 

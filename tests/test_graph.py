@@ -10,6 +10,7 @@ from dimkit.graph import (
     bits,
     central_vertex,
     connected_components,
+    degree_classes,
     parse_graph,
     serialize_graph,
 )
@@ -164,6 +165,31 @@ def test_central_vertex_matches_naive_on_random_scopes():
     assert not _same_centre(g, 0)
     # the mix must exercise both outcomes, not only one
     assert centred > 1000 and raised > 200
+
+
+def _degree_classes_naive(g: Graph, verts: int, within: int) -> list[int]:
+    degree = {v: sum(within >> u & 1 for u in g.neighbors(v)) for v in range(g.n) if verts >> v & 1}
+    classes = [0] * (max(degree.values()) + 1 if degree else 0)
+    for v, d in degree.items():
+        classes[d] |= 1 << v
+    return classes
+
+
+def test_degree_classes_match_naive_degrees():
+    # unions of components read whole rows; any other scope is masked
+    rng = random.Random(2510)
+    for _ in range(1500):
+        n = rng.randint(0, 30)
+        p = rng.choice((0.05, 0.1, 0.2, 0.4, 0.7))
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        comps = connected_components(g)
+        union = sum(c for c in comps if rng.random() < 0.5)
+        assert degree_classes(g, union) == _degree_classes_naive(g, union, union), g.edges()
+        verts, within = rng.getrandbits(n), rng.getrandbits(n)
+        assert degree_classes(g, verts, within) == _degree_classes_naive(g, verts, within), g.edges()
+        assert degree_classes(g, verts, verts) == _degree_classes_naive(g, verts, verts), g.edges()
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
+import collections
 import random
 
 import pytest
 
+from dimkit.driver import SolveConfig, solve
 from dimkit.graph import Graph
 from dimkit.oracle import all_dims, count_dims, enumerate_dims, oracle_dim, verify_dim
 from conftest import complete_graph, cycle_graph, path_graph
-from naive_reference import induced_cycle_sets_naive
+from naive_reference import induced_cycle_sets_naive, verify_dim_naive
 
 
 def test_verify_accepts_opposite_pair_on_c6():
@@ -39,6 +41,56 @@ def test_verify_rejects_unknown_edge():
 def test_empty_matching_valid_only_without_edges():
     assert verify_dim(Graph.from_edges(3, []), []).ok
     assert not verify_dim(path_graph(2), []).ok
+
+
+def _matching_draws(rng, count):
+    """Seeded (graph, matching) pairs: solve certificates, certificates
+    with one edge dropped, random edge subsets, subsets with a repeated
+    edge, and subsets with a pair that is out of range, a loop or a
+    non-edge; each drawn in a random order with some pairs reversed."""
+    for _ in range(count):
+        n = rng.randint(1, 14)
+        p = rng.choice((0.15, 0.3, 0.5, 0.8))
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        edges = g.edges()
+        kind = rng.randrange(5)
+        cert = solve(g, SolveConfig(check_p9=False)).matching if kind < 2 else None
+        if cert is not None:
+            m = list(cert)
+            if kind == 1 and m:
+                m.pop(rng.randrange(len(m)))
+        else:
+            m = rng.sample(edges, rng.randint(0, min(4, len(edges))))
+            if kind == 3 and edges:
+                m.append(rng.choice(m or edges))
+            elif kind == 4:
+                m.append((rng.randrange(-1, n + 1), rng.randrange(-1, n + 1)))
+        rng.shuffle(m)
+        yield g, [(v, u) if rng.random() < 0.3 else (u, v) for u, v in m]
+
+
+def _outcome(check, g, m):
+    """(ok, reason), or ("ValueError", message) when check raises."""
+    try:
+        res = check(g, m)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return res if isinstance(res, tuple) else (res.ok, res.reason)
+
+
+def test_verify_dim_matches_the_edge_walk():
+    # verify_dim checks rows; the naive walk checks edges in order.  Both
+    # must name the same first violating edge with the same words.
+    kinds = ("not dominated", "dominated twice", "lies in two matching edges")
+    seen = collections.Counter()
+    for g, m in _matching_draws(random.Random(2500), 20_000):
+        want = _outcome(verify_dim_naive, g, m)
+        assert _outcome(verify_dim, g, m) == want, (g.edges(), m)
+        if want[0] in (True, "ValueError"):
+            seen[want[0]] += 1
+        else:
+            seen[next(k for k in kinds if k in want[1])] += 1
+    assert len(seen) == 5 and min(seen.values()) >= 100, seen
 
 
 def test_oracle_c5_has_none():
