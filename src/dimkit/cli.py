@@ -206,7 +206,7 @@ def explain_cmd(graph_path, x, y):
         return 2
     c = dec.coloring
     bad = apply_initial_facts(dec)
-    active = c.unknown_mask(dec.scope) | c.unmated_black_mask(dec.scope)
+    active = c.active_mask(dec.scope)
     info.update({
         "levels": [_verts(m) for m in dec.levels],
         "white": _verts(c.white & dec.scope),

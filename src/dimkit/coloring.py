@@ -95,6 +95,10 @@ class Coloring:
         full = self.g.full_mask() if scope is None else scope
         return self.black & full & ~self.mated
 
+    def active_mask(self, scope: int) -> int:
+        """Unknowns of scope plus its unpartnered blacks (mated is in black)."""
+        return scope & ~self.white & ~self.mated
+
     def partner(self, v: int) -> int:
         """The partner of mated v: its one mated neighbor, which at a
         fixpoint is also its one black neighbor."""

@@ -45,7 +45,7 @@ def try_edge(
         master.restore(snap)
         return "infeasible", str(bad)
 
-    active = master.unknown_mask(scope) | master.unmated_black_mask(scope)
+    active = master.active_mask(scope)
     for piece in connected_components(g, active):
         budget = max(64, piece.bit_count() ** 2)
         pick = branch_pick(g, piece, degree_classes(g, piece, piece))

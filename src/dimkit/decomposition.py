@@ -13,7 +13,9 @@ structure forces a cascade of facts:
     with that neighbor and needs no rule of its own;
   * an L3 vertex seeing two or more anchors must be white;
   * an L4 vertex with no non-white L4 neighbor must be white (its partner
-    would have to sit in L4).
+    would have to sit in L4).  At a fixpoint no unknown vertex has a white
+    neighbor, so one sweep whitens the unknowns with no L4 neighbor; an
+    unknown left after it has an L4 neighbor, none of them white.
 
 These are facts of the whole trial: they run over the whole scope before
 its leftover vertices are split into pieces.
@@ -109,17 +111,13 @@ def apply_initial_facts(dec: XyDecomposition) -> Contradiction | None:
             s3 |= 1 << v
     dec.s3_mask = s3
     bad = c.extend(white=s3 & c.unknown_mask())
+    if bad:
+        return bad
 
-    # each pass whitens every lone L4 unknown in one call: two adjacent
-    # unknown L4 vertices are non-white L4 neighbors of each other, so no
-    # two vertices of a pass are adjacent
+    # lone L4 unknowns, in one sweep (see the module docstring)
     l4 = dec.l4
-    while not bad:
-        lone = 0
-        for v in bits(l4 & c.unknown_mask()):
-            if not g.rows[v] & l4 & ~c.white:
-                lone |= 1 << v
-        if not lone:
-            break
-        bad = c.extend(white=lone)
-    return bad
+    lone = 0
+    for v in bits(l4 & c.unknown_mask()):
+        if not g.rows[v] & l4:
+            lone |= 1 << v
+    return c.extend(white=lone)

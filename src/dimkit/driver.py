@@ -6,10 +6,10 @@ Refute on a four-clique (a K4 kills the whole graph) among the vertices
 of degree three or more; look for a single dominating edge; then run a
 complete search that branches on vertex colors and lets propagation
 prune.  The search runs in three stages: PROBE_AFTER branches from the
-root; if that runs out, failed-vertex probing at the root (a vertex
-where one color fails under propagation takes the other, and one where
-both fail refutes the component); then the search again from the probed
-coloring.  It decides the component unless it runs out of branches; its cap,
+root; if that runs out, one pass of failed-vertex probing at the root (a
+vertex where one color fails under propagation takes the other, and one
+where both fail refutes the component); then the search again from the
+probed coloring.  It decides the component unless it runs out of branches; its cap,
 `SolveConfig.branch_budget`, covers all three stages (a probe trial
 counts as a branch) and is the only budget a caller sets.  Only then
 does the paper's engine run, as the backstop: it repeatedly picks a
@@ -100,45 +100,42 @@ def trivial_dim(g: Graph, comp: int, by_degree: list[int]) -> Edge | None:
 
 
 def probe(c: Coloring, scope: int, budget: int) -> tuple[str, int, str | None]:
-    """Failed-vertex probing at the root: try each unknown vertex of scope,
-    in id order, as `extend(black=bit)` and then `extend(white=bit)`; a
-    vertex that an earlier fix colored is skipped (`unknown_mask(bit)` is
-    0).  When one color fails the vertex takes the other (the successful
-    trial's coloring is kept); rounds repeat until one fixes nothing.  Every fix holds in every
-    completion, so a search may resume from the probed coloring.
+    """Failed-vertex probing at the root, in one pass over the unknown
+    vertices of scope in id order (one that an earlier fix colored is
+    skipped): each is tried black, then white.  When one color fails the
+    vertex takes the other, keeping the successful trial's coloring; when
+    neither fails c is restored.  Every fix holds in every completion, so a
+    search may resume from the probed coloring.
 
     Returns (status, trials, reason): "infeasible" with the reason when both
     colors fail at a vertex, "budget" on trial budget + 1, else "probed"
-    with c at the probed fixpoint.  Only "probed" leaves c meaningful.
+    with c after the pass.  Only "probed" leaves c meaningful.
     """
     trials = 0
-    fixed = True
-    while fixed:
-        fixed = False
-        for v in bits(c.unknown_mask(scope)):
-            bit = 1 << v
-            if not c.unknown_mask(bit):
-                continue
-            snap = c.snapshot()
-            tried = []
-            for white_black in ((0, bit), (bit, 0)):
-                trials += 1
-                if trials > budget:
-                    return "budget", trials, None
-                c.restore(snap)
-                tried.append((c.extend(*white_black), c.snapshot()))
-            (black_bad, black), (white_bad, _) = tried
-            if black_bad and white_bad:
-                return "infeasible", trials, (
-                    f"no color fits at vertex {v}: black gives {black_bad}; "
-                    f"white gives {white_bad}"
-                )
-            if not (black_bad or white_bad):
-                c.restore(snap)
-                continue
-            fixed = True
-            if white_bad:
-                c.restore(black)
+    for v in bits(c.unknown_mask(scope)):
+        bit = 1 << v
+        if not c.unknown_mask(bit):
+            continue
+        snap = c.snapshot()
+        trials += 1
+        if trials > budget:
+            return "budget", trials, None
+        black_bad = c.extend(black=bit)
+        black = c.snapshot()
+        c.restore(snap)
+        trials += 1
+        if trials > budget:
+            return "budget", trials, None
+        white_bad = c.extend(white=bit)
+        if black_bad and white_bad:
+            return "infeasible", trials, (
+                f"no color fits at vertex {v}: black gives {black_bad}; "
+                f"white gives {white_bad}"
+            )
+        if white_bad:
+            c.restore(black)
+        elif not black_bad:
+            c.restore(snap)
     return "probed", trials, None
 
 
@@ -234,7 +231,7 @@ def solve_top_component(
         bad = master.extend(white=1 << x)
         if bad:
             return "no-dim", f"no matching edge fits at vertex {x}: {bad}"
-        active = master.unknown_mask(sub) | master.unmated_black_mask(sub)
+        active = master.active_mask(sub)
         work.extend(connected_components(g, active))
     return "dim", None
 

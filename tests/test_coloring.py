@@ -151,6 +151,8 @@ def test_fixpoint_unknowns_see_only_unmated_blacks():
                 bad = c.extend(black=1 << v | 1 << rng.choice(g.neighbors(v)))
             else:
                 bad = c.extend(*rng.choice(((1 << v, 0), (0, 1 << v))))
+            # the leftover set, also of a state a contradiction left
+            assert c.active_mask(g.full_mask()) == c.unknown_mask() | c.unmated_black_mask()
             if bad is not None:
                 c.restore(snap)
                 continue

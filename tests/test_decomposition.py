@@ -10,7 +10,7 @@ from dimkit.decomposition import (
     apply_initial_facts,
     build_levels,
 )
-from dimkit.graph import Graph, central_vertex, bits
+from dimkit.graph import Graph, bits, central_vertex, connected_components
 from conftest import cycle_graph, path_graph
 from naive_reference import assert_trial_facts_sound, trial_facts
 
@@ -156,3 +156,46 @@ def test_trial_facts_sound_on_random_graphs(monkeypatch):
         shared += "shared" in fired
         far += "far" in fired
     assert shared >= 5 and far >= 5, (shared, far)
+
+
+def test_one_lone_l4_sweep_reaches_the_fixpoint(corpus7):
+    # After the facts no unknown vertex of the scope has a white neighbor,
+    # and every unknown L4 vertex keeps a non-white L4 neighbor: a second
+    # lone-L4 sweep would whiten nothing.  Unknown L4 vertices are rare in
+    # G(n, p) at n <= 14, so gadgets with random extra vertices join the
+    # corpus: the far-layer gadget, and the same with its fourth-level
+    # vertices 6 and 7 joined, which leaves both unknown.
+    rng = random.Random(2626)
+    graphs = list(corpus7)
+    for _ in range(1000):
+        n = rng.randint(2, 14)
+        p = rng.choice((0.15, 0.2, 0.25))
+        graphs.append(Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        ))
+    far = WHITENING_GADGETS[1][1]
+    for _ in range(400):
+        edges = rng.choice((far, far + [(6, 7)]))
+        n = rng.randint(8, 12)
+        extra = [(u, v) for v in range(8, n) for u in range(v) if rng.random() < 0.15]
+        graphs.append(Graph.from_edges(n, edges + extra))
+    checked = with_l4 = 0
+    for g in graphs:
+        for comp in connected_components(g):
+            for x in bits(comp):
+                for y in bits(g.rows[x] >> (x + 1) << (x + 1)):
+                    c = Coloring(g)
+                    try:
+                        dec = build_levels(g, comp, x, y, c)
+                    except RadiusExceeded:
+                        continue
+                    if apply_initial_facts(dec) is not None:
+                        continue
+                    unknown = c.unknown_mask(comp)
+                    for v in bits(unknown):
+                        assert not g.rows[v] & c.white, (g.edges(), x, y, v)
+                    for v in bits(unknown & dec.l4):
+                        assert g.rows[v] & dec.l4 & ~c.white, (g.edges(), x, y, v)
+                    checked += 1
+                    with_l4 += bool(unknown & dec.l4)
+    assert checked > 2000 and with_l4 > 50, (checked, with_l4)

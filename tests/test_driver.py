@@ -431,6 +431,22 @@ def test_probe_fixes_only_what_every_dim_agrees_on(corpus7):
     assert fired >= 20, fired
 
 
+def test_probe_makes_one_pass(monkeypatch):
+    # K2,3 with sides {2, 3} and {0, 1, 4}.  Both colours fit at 0 and 1;
+    # white fails at 2 and at 3, so both turn black; then black fails at
+    # 4, so it turns white.  A second pass would find no colour fitting at
+    # 0; the one pass stops here and leaves the rest to the search.
+    g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
+    c = Coloring(g)
+    assert probe(c, 0b11111, 10**6) == ("probed", 10, None)
+    assert (c.white, c.black) == (0b10000, 0b01100)
+    # solve() refutes it by search alone, long before the probe stage
+    monkeypatch.setattr(dimkit.driver, "probe", None)
+    out = solve(g)
+    assert (out.status, out.stats["branches"]) == ("no-dim", 6)
+    assert oracle_dim(g).status == "no-dim"
+
+
 # gen_c4_augmented arguments -> branches and reason of the default solve:
 # 257 branches of the first search, then probe trials up to the four-cycle
 # (ids n..n+3), whose far corner fits neither colour
