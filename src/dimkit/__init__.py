@@ -11,17 +11,20 @@ and a certificate verifier keep it honest.
 
 from .coloring import Coloring, extract_matching, parse_matching, serialize_matching
 from .driver import SolveConfig, SolveOutcome, solve, verify_outcome
-from .generator import (
-    PlantedInstance,
-    RandomDraw,
-    emit_small_corpus,
-    gen_c4_augmented,
-    gen_planted,
-    gen_random,
-    iter_small_corpus,
-)
 from .graph import Graph, GraphFormatError, load_graph, parse_graph, save_graph, serialize_graph
 from .oracle import all_dims, count_dims, enumerate_dims, oracle_dim, verify_dim
+
+# the corpus builder's names, resolved on first access (PEP 562) so that a
+# solve never imports the generator
+_GENERATOR_NAMES = frozenset({
+    "PlantedInstance",
+    "RandomDraw",
+    "emit_small_corpus",
+    "gen_c4_augmented",
+    "gen_planted",
+    "gen_random",
+    "iter_small_corpus",
+})
 
 __all__ = [
     "Coloring",
@@ -51,3 +54,12 @@ __all__ = [
     "verify_dim",
     "verify_outcome",
 ]
+
+
+def __getattr__(name: str):
+    if name == "generator" or name in _GENERATOR_NAMES:
+        import importlib
+
+        generator = importlib.import_module(".generator", __name__)
+        return generator if name == "generator" else getattr(generator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

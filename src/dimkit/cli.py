@@ -11,33 +11,53 @@ standard error, so a crash never reads as a verdict.
 
 cross-check solves and oracle-checks its instances one after another in
 this process.
+
+Start-up is part of every verdict's cost, so the parser is the standard
+library's argparse and the lazy verbs, gen and cross-check, import
+`dimkit.generator` only when they run; a solve never loads it.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
-import traceback
 from pathlib import Path
-
-import click
 
 from .coloring import Coloring, extract_matching, parse_matching, serialize_matching
 from .decomposition import RadiusExceeded, apply_initial_facts, build_levels
 from .driver import SolveConfig, solve
-from .generator import (
-    emit_small_corpus,
-    gen_planted,
-    gen_random,
-    RANDOM_FILTERS,
-)
 from .graph import MAX_VERTICES, Graph, GraphFormatError, bits, connected_components, load_graph, serialize_graph
 from .oracle import oracle_dim, verify_dim
 from .patterns import classify_p9, find_k4, iter_butterflies, iter_diamonds
 
 
-class InputError(click.ClickException):
-    exit_code = 3
+class InputError(Exception):
+    """Bad input or a bad flag: exit 3, with the message on standard error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 like every other input problem; only --help
+    (no -h) is added, and long options must be spelled out."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
+def _int_range(lo: int, hi: int | None = None):
+    """A `type=` for integer flags in lo..hi (no cap when hi is None)."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < lo or (hi is not None and value > hi):
+            bound = f"x>={lo}" if hi is None else f"{lo}<=x<={hi}"
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {bound}")
+        return value
+    return integer
 
 
 def _load_graph(path: str) -> Graph:
@@ -54,101 +74,76 @@ def _load_matching(path: str):
         raise InputError(f"cannot load matching {path}: {exc}") from exc
 
 
-@click.group()
-def cli():
-    """Dominating-induced-matching toolkit."""
-
-
 # -- solve ------------------------------------------------------------------
 
 
-@cli.command("solve")
-@click.argument("graph_path")
-@click.option("--json", "as_json", is_flag=True, help="machine-readable report")
-@click.option("--check-p9/--no-check-p9", default=True, show_default=True,
-              help="report whether the graph is free of induced nine-vertex paths "
-                   "(the scan decides no verdict)")
-@click.option("--budget-branches", type=click.IntRange(min=0), default=None,
-              help="branch cap of the exact search of each component, root probe "
-                   "trials included [default: max(4096, 8*size)]; at 0 the engine "
-                   "runs alone")
-def solve_cmd(graph_path, as_json, check_p9, budget_branches):
+def solve_cmd(args) -> int:
     """Decide whether GRAPH_PATH has a dominating induced matching."""
-    g = _load_graph(graph_path)
-    cfg = SolveConfig(check_p9=check_p9, branch_budget=budget_branches)
+    g = _load_graph(args.graph_path)
+    cfg = SolveConfig(check_p9=args.check_p9, branch_budget=args.budget_branches)
     out = solve(g, cfg)
-    if as_json:
-        click.echo(out.to_json())
+    if args.as_json:
+        print(out.to_json())
     else:
-        click.echo(f"status: {out.status}")
+        print(f"status: {out.status}")
         if out.matching is not None:
-            click.echo("matching: " + " ".join(f"{u}-{v}" for u, v in out.matching))
+            print("matching: " + " ".join(f"{u}-{v}" for u, v in out.matching))
         if out.reason:
-            click.echo(f"reason: {out.reason}")
+            print(f"reason: {out.reason}")
         s = out.stats
-        click.echo(
+        print(
             f"stats: edges_tried={s['edges_tried']} forced_edges={s['forced_edges']} "
             f"branches={s['branches']}"
         )
-        click.echo(f"p9_checked: {str(out.p9_checked).lower()}")
+        print(f"p9_checked: {str(out.p9_checked).lower()}")
     return {"dim": 0, "no-dim": 1, "inconclusive": 2}[out.status]
 
 
 # -- verify -----------------------------------------------------------------
 
 
-@cli.command("verify")
-@click.argument("graph_path")
-@click.argument("matching_path")
-def verify_cmd(graph_path, matching_path):
+def verify_cmd(args) -> int:
     """Check that MATCHING_PATH is a dominating induced matching of GRAPH_PATH."""
-    g = _load_graph(graph_path)
-    m = _load_matching(matching_path)
+    g = _load_graph(args.graph_path)
+    m = _load_matching(args.matching_path)
     try:
         res = verify_dim(g, m)
     except ValueError as exc:
         raise InputError(f"malformed matching: {exc}") from exc
     if res.ok:
-        click.echo("ok")
+        print("ok")
         return 0
-    click.echo(f"invalid: {res.reason}")
+    print(f"invalid: {res.reason}")
     return 1
 
 
 # -- oracle -----------------------------------------------------------------
 
 
-@cli.command("oracle")
-@click.argument("graph_path")
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--node-limit", type=click.IntRange(min=0), default=2_000_000, show_default=True)
-def oracle_cmd(graph_path, as_json, node_limit):
+def oracle_cmd(args) -> int:
     """Exact exhaustive search (small graphs only)."""
-    g = _load_graph(graph_path)
-    rep = oracle_dim(g, node_limit=node_limit)
-    if as_json:
-        click.echo(json.dumps({
+    g = _load_graph(args.graph_path)
+    rep = oracle_dim(g, node_limit=args.node_limit)
+    if args.as_json:
+        print(json.dumps({
             "status": rep.status,
             "matching": [list(e) for e in rep.matching] if rep.matching else [],
             "nodes": rep.nodes,
         }))
     else:
-        click.echo(f"status: {rep.status}")
+        print(f"status: {rep.status}")
         if rep.matching:
-            click.echo("matching: " + " ".join(f"{u}-{v}" for u, v in rep.matching))
-        click.echo(f"nodes: {rep.nodes}")
+            print("matching: " + " ".join(f"{u}-{v}" for u, v in rep.matching))
+        print(f"nodes: {rep.nodes}")
     return {"dim": 0, "no-dim": 1, "limit": 2}[rep.status]
 
 
 # -- check ------------------------------------------------------------------
 
 
-@cli.command("check")
-@click.argument("graph_path")
-@click.option("--json", "as_json", is_flag=True)
-def check_cmd(graph_path, as_json):
+def check_cmd(args) -> int:
     """Report structural features relevant to solvability."""
-    g = _load_graph(graph_path)
+    g = _load_graph(args.graph_path)
     k4 = find_k4(g)
     diamonds = sum(1 for _ in iter_diamonds(g))
     butterflies = sum(1 for _ in iter_butterflies(g))
@@ -162,11 +157,11 @@ def check_cmd(graph_path, as_json):
         "p9_free": p9_state,
         "p9_witness": list(p9) if p9 else None,
     }
-    if as_json:
-        click.echo(json.dumps(info))
+    if args.as_json:
+        print(json.dumps(info))
     else:
         for key, val in info.items():
-            click.echo(f"{key}: {val}")
+            print(f"{key}: {val}")
     return 0
 
 
@@ -177,11 +172,7 @@ def _verts(mask: int) -> list[int]:
     return list(bits(mask))
 
 
-@cli.command("explain")
-@click.argument("graph_path")
-@click.argument("x", type=int)
-@click.argument("y", type=int)
-def explain_cmd(graph_path, x, y):
+def explain_cmd(args) -> int:
     """Dump the distance-level decomposition rooted at matched edge (X, Y).
 
     JSON on stdout: BFS levels, colors and forced edges after the level
@@ -192,7 +183,8 @@ def explain_cmd(graph_path, x, y):
     included), 2 when some vertex sits farther than four levels from the
     edge.
     """
-    g = _load_graph(graph_path)
+    g = _load_graph(args.graph_path)
+    x, y = args.x, args.y
     if not (0 <= x < g.n and 0 <= y < g.n) or not g.has_edge(x, y):
         raise InputError(f"({x}, {y}) is not an edge of the graph")
     scope = next(c for c in connected_components(g) if c >> x & 1)
@@ -202,7 +194,7 @@ def explain_cmd(graph_path, x, y):
     except RadiusExceeded as exc:
         info["status"] = "radius-exceeded"
         info["vertex"] = exc.vertex
-        click.echo(json.dumps(info))
+        print(json.dumps(info))
         return 2
     c = dec.coloring
     bad = apply_initial_facts(dec)
@@ -220,7 +212,7 @@ def explain_cmd(graph_path, x, y):
     if bad is not None:
         info["status"] = "infeasible"
         info["contradiction"] = {"rule": bad.rule, "witnesses": list(bad.witnesses)}
-    click.echo(json.dumps(info))
+    print(json.dumps(info))
     return 0 if info["status"] == "ok" else 1
 
 
@@ -236,26 +228,16 @@ def _write_instance(out: Path, stem: str, g: Graph, row: dict, matching=None) ->
         fh.write(json.dumps(row) + "\n")
 
 
-@cli.group("gen")
-def gen_group():
-    """Write test instances plus a manifest.jsonl to a directory."""
-
-
-@gen_group.command("planted")
-@click.option("--n", type=click.IntRange(min=0, max=MAX_VERTICES), required=True)
-@click.option("--k", type=int, default=None, help="matched pairs [default: n//4]")
-@click.option("--extra", type=int, default=None,
-              help="cross edges [default: n, capped at the cross-edge capacity 2k(n-2k)]")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--count", type=click.IntRange(min=0), default=1, show_default=True)
-@click.option("--out", "out_dir", default="instances", show_default=True)
-def gen_planted_cmd(n, k, extra, seed, count, out_dir):
+def gen_planted_cmd(args) -> int:
     """Instances carrying a known solution (written alongside as .matching)."""
-    k = n // 4 if k is None else k
-    extra = min(n, 2 * k * max(0, n - 2 * k)) if extra is None else extra
-    out = Path(out_dir)
-    for i in range(count):
-        s = seed + i
+    from .generator import gen_planted
+
+    n = args.n
+    k = n // 4 if args.k is None else args.k
+    extra = min(n, 2 * k * max(0, n - 2 * k)) if args.extra is None else args.extra
+    out = Path(args.out_dir)
+    for i in range(args.count):
+        s = args.seed + i
         try:
             inst = gen_planted(n, k, extra, s)
         except ValueError as exc:
@@ -264,31 +246,30 @@ def gen_planted_cmd(n, k, extra, seed, count, out_dir):
         row = {"path": f"{stem}.graph", "n": n, "m": inst.graph.m, "label": "dim",
                "p9_free": inst.p9_free, "seed": s}
         _write_instance(out, stem, inst.graph, row, matching=inst.planted)
-        click.echo(f"wrote {stem}.graph ({inst.graph.m} edges, p9_free={inst.p9_free})")
+        print(f"wrote {stem}.graph ({inst.graph.m} edges, p9_free={inst.p9_free})")
     return 0
 
 
-@gen_group.command("random")
-@click.option("--n", type=click.IntRange(min=0, max=MAX_VERTICES), required=True)
-@click.option("--p", type=float, default=0.2, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--count", type=click.IntRange(min=0), default=1, show_default=True)
-@click.option("--filter", "filters", multiple=True, type=click.Choice(RANDOM_FILTERS))
-@click.option("--attempt-cap", type=click.IntRange(min=1), default=200, show_default=True)
-@click.option("--out", "out_dir", default="instances", show_default=True)
-def gen_random_cmd(n, p, seed, count, filters, attempt_cap, out_dir):
+def gen_random_cmd(args) -> int:
     """Erdos-Renyi draws, rejection-sampled through the chosen filters."""
-    out = Path(out_dir)
+    from .generator import RANDOM_FILTERS, gen_random
+
+    n, p, count = args.n, args.p, args.count
+    for f in args.filters:
+        if f not in RANDOM_FILTERS:
+            raise InputError(f"argument --filter: invalid choice: {f!r} "
+                             f"(choose from {', '.join(RANDOM_FILTERS)})")
+    out = Path(args.out_dir)
     failures = 0
     for i in range(count):
-        s = seed + i
+        s = args.seed + i
         try:
-            draw = gen_random(n, p, s, filters=tuple(filters), attempt_cap=attempt_cap)
+            draw = gen_random(n, p, s, filters=tuple(args.filters), attempt_cap=args.attempt_cap)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         if draw.graph is None:
             failures += 1
-            click.echo(
+            print(
                 f"seed {s}: no graph within {draw.attempts} attempts "
                 f"(rejections: {draw.rejections})"
             )
@@ -297,18 +278,17 @@ def gen_random_cmd(n, p, seed, count, filters, attempt_cap, out_dir):
         row = {"path": f"{stem}.graph", "n": n, "m": draw.graph.m, "label": None,
                "p9_free": classify_p9(draw.graph)[0], "seed": s}
         _write_instance(out, stem, draw.graph, row)
-        click.echo(f"wrote {stem}.graph ({draw.graph.m} edges, {draw.attempts} attempts)")
+        print(f"wrote {stem}.graph ({draw.graph.m} edges, {draw.attempts} attempts)")
     return 1 if failures == count and count > 0 else 0
 
 
-@gen_group.command("corpus")
-@click.option("--max-n", type=click.IntRange(2, 8), default=7, show_default=True)
-@click.option("--out", "out_dir", default="corpus", show_default=True)
-def gen_corpus_cmd(max_n, out_dir):
+def gen_corpus_cmd(args) -> int:
     """Every connected graph up to max-n vertices, labeled by the oracle."""
-    rows = emit_small_corpus(out_dir, max_n)
+    from .generator import emit_small_corpus
+
+    rows = emit_small_corpus(args.out_dir, args.max_n)
     dims = sum(1 for r in rows if r["label"] == "dim")
-    click.echo(f"wrote {len(rows)} graphs to {out_dir} ({dims} dim, {len(rows) - dims} no-dim)")
+    print(f"wrote {len(rows)} graphs to {args.out_dir} ({dims} dim, {len(rows) - dims} no-dim)")
     return 0
 
 
@@ -316,6 +296,8 @@ def gen_corpus_cmd(max_n, out_dir):
 
 
 def _xcheck_one(job):
+    from .generator import gen_random
+
     n, p, seed = job
     draw = gen_random(n, p, seed)
     g = draw.graph
@@ -328,12 +310,9 @@ def _xcheck_one(job):
     return (n, p, seed, out.status, rep.status, verified, agree)
 
 
-@cli.command("cross-check")
-@click.option("--max-n", type=click.IntRange(min=2, max=MAX_VERTICES), default=12, show_default=True)
-@click.option("--count", type=click.IntRange(min=0), default=200, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-def cross_check_cmd(max_n, count, seed):
+def cross_check_cmd(args) -> int:
     """Differential run: solver vs exhaustive oracle on random graphs."""
+    max_n, count, seed = args.max_n, args.count, args.seed
     ps = (0.1, 0.2, 0.3, 0.5)
     jobs = []
     for i in range(count):
@@ -343,31 +322,112 @@ def cross_check_cmd(max_n, count, seed):
     disagreements = [r for r in results if not r[6] or not r[5]]
     inconclusive = sum(1 for r in results if r[3] == "inconclusive")
     for n, p, s, st, ost, verified, agree in disagreements:
-        click.echo(f"DISAGREE n={n} p={p} seed={s}: solve={st} oracle={ost} verified={verified}")
-    click.echo(
+        print(f"DISAGREE n={n} p={p} seed={s}: solve={st} oracle={ost} verified={verified}")
+    print(
         f"checked={len(results)} disagreements={len(disagreements)} inconclusive={inconclusive}"
     )
     return 1 if disagreements else 0
 
 
+# -- the parser -------------------------------------------------------------
+
+
+def _parser() -> _Parser:
+    root = _Parser(prog="dimkit", description="Dominating-induced-matching toolkit.")
+    verbs = root.add_subparsers(dest="verb", metavar="COMMAND", required=True)
+
+    def verb(parent, name, run, doc=None):
+        doc = doc or run.__doc__ or ""  # the verb's docstring is its help
+        p = parent.add_parser(name, help=doc.split("\n")[0], description=doc)
+        p.set_defaults(run=run)
+        return p
+
+    p = verb(verbs, "solve", solve_cmd)
+    p.add_argument("graph_path", metavar="GRAPH_PATH")
+    p.add_argument("--json", dest="as_json", action="store_true", help="machine-readable report")
+    p.add_argument("--check-p9", action=argparse.BooleanOptionalAction, default=True,
+                   help="report whether the graph is free of induced nine-vertex paths "
+                        "(the scan decides no verdict)")
+    p.add_argument("--budget-branches", type=_int_range(0), default=None, metavar="N",
+                   help="branch cap of the exact search of each component, root probe "
+                        "trials included [default: max(4096, 8*size)]; at 0 the engine "
+                        "runs alone")
+
+    p = verb(verbs, "verify", verify_cmd)
+    p.add_argument("graph_path", metavar="GRAPH_PATH")
+    p.add_argument("matching_path", metavar="MATCHING_PATH")
+
+    p = verb(verbs, "oracle", oracle_cmd)
+    p.add_argument("graph_path", metavar="GRAPH_PATH")
+    p.add_argument("--json", dest="as_json", action="store_true")
+    p.add_argument("--node-limit", type=_int_range(0), default=2_000_000, metavar="N",
+                   help="[default: %(default)s]")
+
+    p = verb(verbs, "check", check_cmd)
+    p.add_argument("graph_path", metavar="GRAPH_PATH")
+    p.add_argument("--json", dest="as_json", action="store_true")
+
+    p = verb(verbs, "explain", explain_cmd)
+    p.add_argument("graph_path", metavar="GRAPH_PATH")
+    p.add_argument("x", metavar="X", type=int)
+    p.add_argument("y", metavar="Y", type=int)
+
+    gen = verb(verbs, "gen", None, "Write test instances plus a manifest.jsonl to a directory.")
+    kinds = gen.add_subparsers(dest="kind", metavar="COMMAND", required=True)
+    vertices = _int_range(0, MAX_VERTICES)
+
+    p = verb(kinds, "planted", gen_planted_cmd)
+    p.add_argument("--n", type=vertices, required=True)
+    p.add_argument("--k", type=int, default=None, help="matched pairs [default: n//4]")
+    p.add_argument("--extra", type=int, default=None,
+                   help="cross edges [default: n, capped at the cross-edge capacity 2k(n-2k)]")
+    p.add_argument("--seed", type=int, default=0, help="[default: %(default)s]")
+    p.add_argument("--count", type=_int_range(0), default=1, help="[default: %(default)s]")
+    p.add_argument("--out", dest="out_dir", metavar="DIR", default="instances",
+                   help="[default: %(default)s]")
+
+    p = verb(kinds, "random", gen_random_cmd)
+    p.add_argument("--n", type=vertices, required=True)
+    p.add_argument("--p", type=float, default=0.2, help="[default: %(default)s]")
+    p.add_argument("--seed", type=int, default=0, help="[default: %(default)s]")
+    p.add_argument("--count", type=_int_range(0), default=1, help="[default: %(default)s]")
+    p.add_argument("--filter", dest="filters", action="append", default=[], metavar="NAME",
+                   help="k4_free, diamond_butterfly_free or p9_free; repeatable")
+    p.add_argument("--attempt-cap", type=_int_range(1), default=200,
+                   help="[default: %(default)s]")
+    p.add_argument("--out", dest="out_dir", metavar="DIR", default="instances",
+                   help="[default: %(default)s]")
+
+    p = verb(kinds, "corpus", gen_corpus_cmd)
+    p.add_argument("--max-n", type=_int_range(2, 8), default=7, help="[default: %(default)s]")
+    p.add_argument("--out", dest="out_dir", metavar="DIR", default="corpus",
+                   help="[default: %(default)s]")
+
+    p = verb(verbs, "cross-check", cross_check_cmd)
+    p.add_argument("--max-n", type=_int_range(2, MAX_VERTICES), default=12,
+                   help="[default: %(default)s]")
+    p.add_argument("--count", type=_int_range(0), default=200, help="[default: %(default)s]")
+    p.add_argument("--seed", type=int, default=0, help="[default: %(default)s]")
+    return root
+
+
 def main(argv=None) -> int:
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
+        args = _parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:  # --help; a usage error raises InputError
+        return exc.code
+    except InputError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
         return 3
-    except click.ClickException as exc:
-        exc.show()
-        return exc.exit_code
-    except click.exceptions.Abort:
+    except KeyboardInterrupt:  # an interrupted run reads as no verdict
         return 3
     except Exception:
+        import traceback
+
         traceback.print_exc()
-        click.echo("internal error", err=True)
+        print("internal error", file=sys.stderr)
         return 4
-    return rv if isinstance(rv, int) else 0
 
 
 if __name__ == "__main__":

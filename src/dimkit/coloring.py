@@ -49,14 +49,12 @@ recounts from scratch only when more rows changed than the mask holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graph import Edge, Graph, bits
 
 
-@dataclass(frozen=True)
-class Contradiction:
+class Contradiction(NamedTuple):
     rule: str
     witnesses: tuple[int, ...]
 

@@ -23,8 +23,6 @@ its leftover vertices are split into pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .coloring import Coloring, Contradiction
 from .graph import Edge, Graph, bfs_layers, bits
 
@@ -40,17 +38,21 @@ class RadiusExceeded(Exception):
         self.vertex = vertex
 
 
-@dataclass
 class XyDecomposition:
-    g: Graph
-    x: int
-    y: int
-    scope: int                 # active component mask the trial runs in
-    levels: list[int]          # masks; levels[0] == {x,y}
-    coloring: Coloring
-    forced: list[Edge] = field(default_factory=list)
-    anchors: list[int] = field(default_factory=list)
-    s3_mask: int = 0
+    __slots__ = ("g", "x", "y", "scope", "levels", "coloring", "forced", "anchors", "s3_mask")
+
+    def __init__(self, g: Graph, x: int, y: int, scope: int, levels: list[int],
+                 coloring: Coloring, forced: list[Edge] | None = None,
+                 anchors: list[int] | None = None, s3_mask: int = 0):
+        self.g = g
+        self.x = x
+        self.y = y
+        self.scope = scope          # active component mask the trial runs in
+        self.levels = levels        # masks; levels[0] == {x,y}
+        self.coloring = coloring
+        self.forced = [] if forced is None else forced
+        self.anchors = [] if anchors is None else anchors
+        self.s3_mask = s3_mask
 
     @property
     def l1(self) -> int:

@@ -33,7 +33,6 @@ definition (`verify_dim`)."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Callable
 
 from .coloring import Coloring, branch_pick, extract_matching, search
@@ -46,21 +45,26 @@ from .patterns import P9_UNCHECKED, classify_p9, find_k4
 PROBE_AFTER = 256
 
 
-@dataclass
 class SolveConfig:
-    check_p9: bool = True
-    # branches of the exact search per component, probe trials included;
-    # default max(4096, 8*size)
-    branch_budget: int | None = None
+    __slots__ = ("check_p9", "branch_budget")
+
+    def __init__(self, check_p9: bool = True, branch_budget: int | None = None):
+        self.check_p9 = check_p9
+        # branches of the exact search per component, probe trials included;
+        # default max(4096, 8*size)
+        self.branch_budget = branch_budget
 
 
-@dataclass
 class SolveOutcome:
-    status: str                     # "dim" | "no-dim" | "inconclusive"
-    matching: tuple[Edge, ...] | None
-    reason: str | None
-    stats: dict
-    p9_checked: bool
+    __slots__ = ("status", "matching", "reason", "stats", "p9_checked")
+
+    def __init__(self, status: str, matching: tuple[Edge, ...] | None, reason: str | None,
+                 stats: dict, p9_checked: bool):
+        self.status = status        # "dim" | "no-dim" | "inconclusive"
+        self.matching = matching
+        self.reason = reason
+        self.stats = stats
+        self.p9_checked = p9_checked
 
     def to_json_dict(self) -> dict:
         return {

@@ -5,11 +5,13 @@ Vertices are dense ints 0..n-1.  Adjacency is one Python int per vertex
 intersection is ``&``, spread is ``|``, popcount is ``int.bit_count``.
 Edges are normalized (u, v) tuples with u < v.
 
-Bit-rows cost about n**2 / 8 bytes on a dense graph, so the text parser
-refuses headers with more than MAX_VERTICES vertices (about 512 MB of rows
-at the cap) before it allocates anything.  Centre selection holds two more
-ints of up to n bits per vertex of its scope, about |scope| * n / 4 bytes
-while it runs.
+A row is as long as its highest neighbour id, so the rows cost up to
+n**2 / 8 bytes, and about n**2 / 16 even on a sparse graph whose ids are in
+no special order (n**2 / 15 measured at n = 16,384 with m = 1.25 n).  The
+text parser therefore refuses headers with more than MAX_VERTICES vertices
+(up to 512 MB of rows at the cap) before it allocates anything.  Centre
+selection holds two more ints of up to n bits per vertex of its scope,
+about |scope| * n / 4 bytes while it runs.
 """
 
 from __future__ import annotations

@@ -9,22 +9,19 @@ can be compared differentially.  Only the Graph container is shared;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graph import Edge, Graph, bits
 
 Matching = tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     status: str  # "dim" | "no-dim" | "limit"
     matching: Matching | None
     nodes: int

@@ -14,14 +14,12 @@ everything is deterministic, ascending-id order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph import Edge, Graph, bits
 
 
-@dataclass(frozen=True)
-class PatternHit:
+class PatternHit(NamedTuple):
     kind: str  # "K4" | "diamond" | "butterfly"
     vertices: tuple[int, ...]
     forced_edges: tuple[Edge, ...]

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, report shapes, and the files gen writes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from dimkit import cli
 from dimkit.cli import main
 from dimkit.coloring import parse_matching
-from dimkit.driver import SolveOutcome
+from dimkit.driver import SolveOutcome, solve
 from dimkit.generator import gen_c4_augmented
 from dimkit.graph import MAX_VERTICES, load_graph, save_graph
 from dimkit.oracle import verify_dim
@@ -153,6 +154,14 @@ def test_solve_internal_error_exit_four(graph_file, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_solve_interrupted_exit_three(graph_file, monkeypatch):
+    def interrupt(g, cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "solve", interrupt)
+    assert main(["solve", graph_file(cycle_graph(6))]) == 3
+
+
 def test_import_leaves_networkx_and_multiprocessing_unloaded():
     # the corpus builder too: networkx is a test-only dependency; and no
     # verb needs a process pool, so solve does not pay for importing one
@@ -174,6 +183,74 @@ def test_unknown_flag_exit_three(graph_file, capsys):
     assert main(["solve", graph_file(cycle_graph(6)), "--frobnicate"]) == 3
     assert main(["dance"]) == 3
     capsys.readouterr()
+
+
+def test_usage_errors_exit_three(graph_file, tmp_path, capsys):
+    assert main([]) == 3
+    assert "usage" in capsys.readouterr().err.lower()
+    assert main(["solve"]) == 3
+    assert main(["solve", graph_file(cycle_graph(6)), "--budget-branches", "abc"]) == 3
+    assert main(["gen"]) == 3
+    out = tmp_path / "out"
+    assert main(["gen", "random", "--n", "5", "--filter", "bogus", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "--budget-branches" in captured.err and "--filter" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exit_zero(argv, capsys):
+    assert main(argv) == 0
+    assert "usage" in capsys.readouterr().out.lower()
+
+
+def _python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+
+
+def test_solve_json_subprocess_matches_in_process(graph_file, tmp_path):
+    # the path the benchmark times: a fresh `python -m dimkit.cli solve --json`
+    for g, rc in ((cycle_graph(6), 0), (cycle_graph(4), 1)):
+        done = _python("-m", "dimkit.cli", "solve", "--json", graph_file(g, f"c{g.n}.graph"))
+        assert done.returncode == rc, done.stderr
+        assert done.stdout == solve(g).to_json() + "\n"
+    done = _python("-m", "dimkit.cli", "solve", "--json", str(tmp_path / "nope.graph"))
+    assert done.returncode == 3
+    assert done.stdout == "" and "cannot load graph" in done.stderr
+
+
+def test_cold_solve_loads_no_builder_modules(graph_file):
+    # a solve process imports only what the solve path needs (run as
+    # `python -m` runs it); `import dimkit.cli` still loads every module the
+    # benchmark's tracer wraps, and the generator still resolves as an
+    # attribute of the package
+    cold = ("import runpy, sys\n"
+            f"sys.argv = ['dimkit', 'solve', '--json', {graph_file(cycle_graph(6))!r}]\n"
+            "try:\n"
+            "    runpy.run_module('dimkit.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print([m for m in ('click', 'dataclasses', 'inspect', 'dimkit.generator')\n"
+            "       if m in sys.modules])\n")
+    done = _python("-c", cold)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+    spans = ast.parse((Path(SRC).parent / "perfbench" / "spans.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in spans.body
+                  if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "BOUNDARIES")
+    warm = ("import sys, dimkit.cli\n"
+            f"print([m for m in {sorted({f'dimkit.{mod}' for mod, _, _ in traced})!r}\n"
+            "       if m not in sys.modules])\n"
+            "print(dimkit.generator.iter_small_corpus.__name__)\n"
+            "namespace = {}\n"
+            "exec('from dimkit import *', namespace)\n"
+            "print(sorted(set(namespace) - {'__builtins__'}) == sorted(dimkit.__all__))\n")
+    done = _python("-c", warm)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "iter_small_corpus", "True"]
 
 
 # -- verify -------------------------------------------------------------
