@@ -199,6 +199,8 @@ def explain_cmd(args) -> int:
     c = dec.coloring
     bad = apply_initial_facts(dec)
     active = c.active_mask(dec.scope)
+    anchors = sum(1 << v for v in dec.anchors)
+    shared = [v for v in bits(dec.l3) if (g.rows[v] & anchors).bit_count() >= 2]
     info.update({
         "levels": [_verts(m) for m in dec.levels],
         "white": _verts(c.white & dec.scope),
@@ -206,7 +208,7 @@ def explain_cmd(args) -> int:
         "matched": [list(e) for e in extract_matching(c, dec.scope)],
         "forced": [list(e) for e in dec.forced],
         "anchors": dec.anchors,
-        "shared_l3": _verts(dec.s3_mask),
+        "shared_l3": shared,
         "pieces": [_verts(m) for m in connected_components(g, active)],
     })
     if bad is not None:

@@ -13,7 +13,11 @@ Propagation rules, all applied by `Coloring.extend`:
   (c) an unpartnered black with exactly one non-white candidate neighbor
       left forces that neighbor black;
   (d) contradictions: white-white edge, black with two black neighbors,
-      black with no candidate partner left, conflicting assignment.
+      black with no candidate partner left, conflicting assignment;
+  (e) an unknown vertex with two black neighbors is white (black, it
+      would have two partners).  It runs from the side of a new black
+      that ends its wave with no black neighbor; a paired black's other
+      neighbors are already white by (b).
 
 `extend` runs them to a fixpoint in waves of masks: a wave colors a set of
 vertices at once, applies the rules to them and to the unpartnered blacks
@@ -28,9 +32,10 @@ The state is three bitmasks: `white`, `black` and `mated`, the blacks
 that have a partner, so the unpartnered blacks are `black & ~mated` with
 no loop.  The colors fix every partner: pairing whitens every other
 uncolored neighbor of both ends, so a mated vertex has exactly one mated
-neighbor, and `partner` reads it off.  At a fixpoint rules (a) and (b)
-leave no unknown vertex next to a white or a partnered black: an unknown
-vertex's colored neighbors are exactly its unpartnered black ones.
+neighbor, and `partner` reads it off.  At a fixpoint rules (a), (b) and
+(e) leave no unknown vertex next to a white or a partnered black, nor
+next to two blacks: an unknown vertex's colored neighbors are at most one
+unpartnered black.
 
 Callers drive the state by masks alone: a decision is a vertex bit and a
 color, `extend(black=bit)` or `extend(white=bit)`, and a query is a mask
@@ -42,9 +47,10 @@ Each of its leaves is a contradiction or the solution: at a fixpoint with
 nothing left unknown the rules have paired every black, so the coloring
 is not rescanned; `driver.solve` checks the finished matching once,
 against the definition (`oracle.verify_dim`).
-The pick carries bit-sliced unmated-black neighbor counts from one call to
-the next, adding and subtracting the rows of the blacks that changed; it
-recounts from scratch only when more rows changed than the mask holds.
+The pick carries one mask from one call to the next, the parity of each
+vertex's unmated-black neighbors, XOR-ing in the rows of the blacks that
+changed; it recounts from scratch only when more rows changed than the
+mask holds.
 """
 
 from __future__ import annotations
@@ -147,12 +153,22 @@ class Coloring:
                 if k >= 2:
                     return _two_black(v, nb_black)
                 if k == 0:
-                    # colors only grow, so v is unmated
+                    # colors only grow, so v is unmated; with no black
+                    # neighbor its candidates are its unknown neighbors
                     cand = row & ~self.white
                     if not cand:
                         return Contradiction("black-unmatchable", (v,))
                     if cand.bit_count() == 1:
                         forced_black |= cand
+                    elif low & black:
+                        # rule (e), from the new black's side; a lone
+                        # candidate with another black neighbor clashes
+                        # as a black
+                        while cand:
+                            w = cand & -cand
+                            cand ^= w
+                            if rows[w.bit_length() - 1] & self.black != low:
+                                forced_white |= w
                 elif not self.mated >> v & 1:
                     # v pairs with its one black neighbor u; a mated u would
                     # have its partner as a second black neighbor
@@ -172,74 +188,47 @@ def _two_black(v: int, nb_black: int) -> Contradiction:
 
 
 def branch_pick(g: Graph, comp: int, by_degree: list[int]) -> Callable[[Coloring], int]:
-    """Pick for the search over `comp`: the unknown vertex with the most
-    unmated black neighbors, then the highest degree in comp, then the
-    smallest id; -1 when nothing is unknown.  `by_degree` holds comp's
+    """Pick for the search over `comp`: an unknown vertex with an unmated
+    black neighbor if there is one, then the highest degree in comp, then
+    the smallest id; -1 when nothing is unknown.  `by_degree` holds comp's
     degree classes (`graph.degree_classes`).
 
-    `search` calls the pick only at a propagation fixpoint, where no
-    unknown vertex has a white or a mated black neighbor; so counting
-    unmated black neighbors ranks the unknowns exactly as counting all
-    colored neighbors would.
+    `search` calls the pick only at a propagation fixpoint, where an
+    unknown vertex's colored neighbors are at most one unpartnered black;
+    so this ranks the unknowns exactly as counting all colored neighbors
+    would.
 
-    The unmated-black neighbor counts of all vertices are kept in
-    bit-sliced counters (slice i holds bit i of every count), one row per
-    unmated black; the maximum over the unknowns is then narrowed from the
-    top slice down.  The counters are carried from one call to the next:
-    the rows of blacks that joined the unmated-black mask since the last
-    call are added (carry) and those that left are subtracted (borrow).
-    They are recounted from scratch only when more rows changed than the
-    mask now holds, as after a restore to a much earlier snapshot.  The
-    counts are a function of the mask alone, so backtracking and restores
-    need nothing more.  Every loop walks set bits by hand: a `bits`
+    The count is 0 or 1, so its parity is enough: bit v of `parity` is the
+    parity of v's unmated-black neighbors, kept by XOR-ing in the row of
+    each black that joined or left the unmated-black mask since the last
+    call.  It is recounted from scratch only when more rows changed than
+    the mask now holds, as after a restore to a much earlier snapshot.
+    The parity is a function of the mask alone, so backtracking and
+    restores need nothing more.  The loop walks set bits by hand: a `bits`
     generator per call shows on graphs of a dozen vertices, where the whole
     search takes tens of microseconds.
     """
     rows = g.rows
     classes = [cls for cls in reversed(by_degree) if cls]
-    slices: list[int] = []
-    counted = 0  # the unmated-black mask that `slices` counts
+    parity = 0
+    counted = 0  # the unmated-black mask that `parity` counts
 
     def pick(c: Coloring) -> int:
-        nonlocal counted
+        nonlocal parity, counted
         unknown = c.unknown_mask(comp)
         if not unknown:
             return -1
         blacks = c.unmated_black_mask(comp)
-        added = blacks & ~counted
-        removed = counted & ~blacks
-        if added.bit_count() + removed.bit_count() > blacks.bit_count():
-            slices.clear()
-            added, removed = blacks, 0
+        changed = blacks ^ counted
+        if changed.bit_count() > blacks.bit_count():
+            parity = 0
+            changed = blacks
         counted = blacks
-        while added:
-            low = added & -added
-            added ^= low
-            carry = rows[low.bit_length() - 1]
-            i = 0
-            while carry:
-                if i == len(slices):
-                    slices.append(carry)
-                    break
-                s = slices[i]
-                slices[i] = s ^ carry
-                carry &= s
-                i += 1
-        while removed:
-            low = removed & -removed
-            removed ^= low
-            # every vertex of the row counts at least this black
-            borrow = rows[low.bit_length() - 1]
-            i = 0
-            while borrow:
-                s = slices[i]
-                slices[i] = s ^ borrow
-                borrow &= ~s
-                i += 1
-        best = unknown
-        for s in reversed(slices):
-            if best & s:
-                best &= s
+        while changed:
+            low = changed & -changed
+            changed ^= low
+            parity ^= rows[low.bit_length() - 1]
+        best = unknown & parity or unknown
         for cls in classes:
             if best & cls:
                 best &= cls

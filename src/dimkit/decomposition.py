@@ -11,7 +11,9 @@ structure forces a cascade of facts:
   * no edge inside L3 and no L3-L4 edge can be a matching edge: every L3
     vertex sees a black L2 vertex, so propagation pairs a black L3 vertex
     with that neighbor and needs no rule of its own;
-  * an L3 vertex seeing two or more anchors must be white;
+  * an L3 vertex seeing two or more anchors must be white: it is an
+    unknown vertex with two black neighbors, which propagation whitens
+    anywhere in the graph (`coloring`, rule (e));
   * an L4 vertex with no non-white L4 neighbor must be white (its partner
     would have to sit in L4).  At a fixpoint no unknown vertex has a white
     neighbor, so one sweep whitens the unknowns with no L4 neighbor; an
@@ -39,11 +41,11 @@ class RadiusExceeded(Exception):
 
 
 class XyDecomposition:
-    __slots__ = ("g", "x", "y", "scope", "levels", "coloring", "forced", "anchors", "s3_mask")
+    __slots__ = ("g", "x", "y", "scope", "levels", "coloring", "forced", "anchors")
 
     def __init__(self, g: Graph, x: int, y: int, scope: int, levels: list[int],
                  coloring: Coloring, forced: list[Edge] | None = None,
-                 anchors: list[int] | None = None, s3_mask: int = 0):
+                 anchors: list[int] | None = None):
         self.g = g
         self.x = x
         self.y = y
@@ -52,7 +54,6 @@ class XyDecomposition:
         self.coloring = coloring
         self.forced = [] if forced is None else forced
         self.anchors = [] if anchors is None else anchors
-        self.s3_mask = s3_mask
 
     @property
     def l1(self) -> int:
@@ -87,8 +88,9 @@ def build_levels(g: Graph, scope: int, x: int, y: int, coloring: Coloring) -> Xy
 
 
 def apply_initial_facts(dec: XyDecomposition) -> Contradiction | None:
-    """Root pair (which colors L1 and L2 and pairs L2's edges),
-    multi-anchor whites and lone-L4 whites, propagated to a fixpoint."""
+    """Root pair (which colors L1 and L2, pairs L2's edges and whitens
+    the L3 vertices shared by two anchors) and lone-L4 whites, propagated
+    to a fixpoint."""
     g, c = dec.g, dec.coloring
     bad = c.extend(black=dec.levels[0])
     if bad:
@@ -105,16 +107,6 @@ def apply_initial_facts(dec: XyDecomposition) -> Contradiction | None:
         else:
             anchor_mask |= 1 << v
     dec.anchors = list(bits(anchor_mask))
-
-    # L3 vertices seeing two or more anchors cannot be matched
-    s3 = 0
-    for v in bits(dec.l3):
-        if (g.rows[v] & anchor_mask).bit_count() >= 2:
-            s3 |= 1 << v
-    dec.s3_mask = s3
-    bad = c.extend(white=s3 & c.unknown_mask())
-    if bad:
-        return bad
 
     # lone L4 unknowns, in one sweep (see the module docstring)
     l4 = dec.l4

@@ -182,7 +182,8 @@ def propagate_naive(g: Graph, white: int, black: int):
           makes that neighbor black;
       (d) a vertex given both colors, two adjacent whites, a black with two
           black neighbors, or a black with only white neighbors is a
-          contradiction.
+          contradiction;
+      (e) an uncolored vertex with two black neighbors becomes white.
     Returns None on a contradiction, else the (white, black, mated) masks,
     mated holding the partnered vertices."""
     color = {}
@@ -216,6 +217,8 @@ def propagate_naive(g: Graph, white: int, black: int):
                         return None
                     if len(candidates) == 1:
                         forced = [(candidates[0], "black")]
+            elif sum(color.get(u) == "black" for u in nbrs) >= 2:
+                forced = [(v, "white")]
             for u, col in forced:
                 if u not in color:
                     color[u] = col

@@ -121,7 +121,7 @@ def test_cross_check_negative_count_exit_three(capsys):
 def test_budget_branches_caps_the_first_search(graph_file, capsys):
     # a pendant-C4 no-instance holding a P9: a cap below the probe stage
     # leaves it to the engine, whose trial ends on the radius; at the
-    # default cap and above, 257 search branches and 248 probe trials
+    # default cap and above, 257 search branches and 226 probe trials
     # refute it
     path = graph_file(gen_c4_augmented(214, 47, 119, 1107))
     assert main(["solve", path, "--budget-branches", "100"]) == 2
@@ -130,7 +130,7 @@ def test_budget_branches_caps_the_first_search(graph_file, capsys):
     for flags in ([], ["--budget-branches", "20000"]):
         assert main(["solve", path, *flags]) == 1
         out = capsys.readouterr().out
-        assert "status: no-dim" in out and "edges_tried=0" in out and "branches=505" in out
+        assert "status: no-dim" in out and "edges_tried=0" in out and "branches=483" in out
 
 
 def test_oracle_negative_node_limit_exit_three(graph_file, capsys):

@@ -105,6 +105,23 @@ def test_single_candidate_partner_forced():
     assert extract_matching(c) == ((0, 1), (3, 4))
 
 
+def test_unknown_vertex_beside_two_blacks_turns_white():
+    # Vertex 1 is shared by 0 and 2, each with two more candidates (3, 5
+    # and 4, 6).  Black, 1 would have two black neighbors, so rule (e)
+    # whitens it; the blacks keep two candidates each and stay unpaired.
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (0, 5), (2, 4), (2, 6)])
+    c = Coloring(g)
+    assert c.extend(black=1 << 0 | 1 << 2) is None
+    assert (c.white, c.black, c.mated) == (1 << 1, 1 << 0 | 1 << 2, 0)
+    # one black at a time: the new black whitens what it shares with the
+    # old one
+    c = Coloring(g)
+    assert c.extend(black=1 << 0) is None
+    assert (c.white, c.black) == (0, 1 << 0)
+    assert c.extend(black=1 << 2) is None
+    assert (c.white, c.black, c.mated) == (1 << 1, 1 << 0 | 1 << 2, 0)
+
+
 def test_snapshot_restore():
     g = star_graph(5)
     c = Coloring(g)
@@ -131,11 +148,12 @@ def _random_graph(rng):
 
 
 def test_fixpoint_unknowns_see_only_unmated_blacks():
-    # The complete search ranks unknown vertices by unmated black neighbors
-    # alone; that equals their colored-neighbor count only because a
-    # propagation fixpoint leaves no unknown vertex beside a white or a
-    # mated black.  `mated` is what the colors say it is: the blacks with
-    # exactly one black neighbor, paired off by `partner`.
+    # The complete search ranks unknown vertices by the parity of their
+    # unmated black neighbors alone; that equals their colored-neighbor
+    # count only because a propagation fixpoint leaves no unknown vertex
+    # beside a white, a mated black or two blacks.  `mated` is what the
+    # colors say it is: the blacks with exactly one black neighbor, paired
+    # off by `partner`.
     rng = random.Random(13)
     checked = 0
     for _ in range(400):
@@ -165,6 +183,7 @@ def test_fixpoint_unknowns_see_only_unmated_blacks():
             for u in bits(c.unknown_mask()):
                 assert not g.rows[u] & c.white, (g.edges(), u)
                 assert not g.rows[u] & c.black & c.mated, (g.edges(), u)
+                assert (g.rows[u] & c.black).bit_count() <= 1, (g.edges(), u)
             checked += 1
     assert checked > 1000
 
@@ -268,9 +287,9 @@ def test_branch_pick_carries_its_counters_across_restores():
     # Seeded walks of extend and restore on planted and pendant-C4 graphs,
     # with restores to much earlier snapshots as the probe restart does.
     # Every pick must name the naive scan's vertex, and both ways of
-    # bringing the counters up to date must run: adding and subtracting
-    # the rows of the unmated blacks that changed since the last call, and
-    # the full recount when more changed than the mask holds.
+    # bringing the parity mask up to date must run: XOR-ing in the rows of
+    # the unmated blacks that changed since the last call, and the full
+    # recount when more changed than the mask holds.
     rng = random.Random(4)
     paths = {"carry": 0, "recount": 0}
     for i in range(6):

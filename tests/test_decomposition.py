@@ -74,10 +74,11 @@ def test_adjacent_second_level_pair_is_forced():
     assert white == 0b001100
 
 
-def test_shared_third_level_vertex_of_two_anchors_is_white():
+def test_propagation_whitens_a_third_level_vertex_of_two_anchors():
     # two isolated second-level anchors 4,5 with a common third-level
-    # neighbor 6: 6 cannot be matched, so the anchors take their private
-    # neighbors 7 and 8 instead
+    # neighbor 6: 6 is an unknown vertex with two black neighbors, so the
+    # root pair's propagation whitens it, and the anchors take their
+    # private neighbors 7 and 8 instead
     g = Graph.from_edges(9, [
         (0, 1), (0, 2), (1, 3), (2, 4), (3, 5),
         (4, 6), (5, 6), (4, 7), (5, 8),
@@ -86,7 +87,6 @@ def test_shared_third_level_vertex_of_two_anchors_is_white():
     dec = build_levels(g, g.full_mask(), 0, 1, c)
     assert apply_initial_facts(dec) is None
     assert sorted(dec.anchors) == [4, 5]
-    assert dec.s3_mask == 1 << 6
     assert c.white >> 6 & 1
     assert c.partner(4) == 7 and c.partner(5) == 8
 
@@ -105,10 +105,10 @@ def test_trial_facts_sound_on_small_corpus(corpus7):
     assert confirmed > 1000
 
 
-# (n, edges) for the trial (0, 1), one per whitening rule
+# (n, edges) for the trial (0, 1), one per whitening of the level facts
 WHITENING_GADGETS = (
     # anchors 4 and 5 share the third-level vertex 6 and have private
-    # neighbors 7 and 8: shared-L3 whitening
+    # neighbors 7 and 8: propagation whitens 6 (rule (e))
     (9, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 6), (4, 7), (5, 8)]),
     # anchor 3 with family {4, 5}, each member holding a private fourth-level
     # neighbor 6 and 7 with no fourth-level neighbor: far-layer whitening
@@ -129,33 +129,29 @@ def test_trial_facts_sound_on_random_graphs(monkeypatch):
         assert_trial_facts_sound(g, u, v)
         ran += 1
     assert ran > 500
-    # the gadgets plus random edges at up to four extra vertices reach both
-    # whitening rules; a rule fired when apply_initial_facts itself called
-    # Coloring.extend with some whites in L3 (shared) or in L4 (far layer)
+    # the gadgets plus random edges at up to four extra vertices; the
+    # far-layer whitening fired when apply_initial_facts itself called
+    # Coloring.extend with some whites in L4
     fired = set()
     real_extend = Coloring.extend
 
     def spy(self, white=0, black=0):
         caller = sys._getframe(1)
         if caller.f_code is apply_initial_facts.__code__:
-            dec = caller.f_locals["dec"]
-            if white & dec.l3:
-                fired.add("shared")
-            if white & dec.l4:
+            if white & caller.f_locals["dec"].l4:
                 fired.add("far")
         return real_extend(self, white, black)
 
     monkeypatch.setattr(Coloring, "extend", spy)
-    shared = far = 0
+    far = 0
     for _ in range(400):
         base, edges = rng.choice(WHITENING_GADGETS)
         n = rng.randint(base, base + 4)
         extra = [(u, v) for v in range(base, n) for u in range(v) if rng.random() < 0.15]
         fired.clear()
         assert_trial_facts_sound(Graph.from_edges(n, edges + extra), 0, 1)
-        shared += "shared" in fired
         far += "far" in fired
-    assert shared >= 5 and far >= 5, (shared, far)
+    assert far >= 5, far
 
 
 def test_one_lone_l4_sweep_reaches_the_fixpoint(corpus7):

@@ -361,10 +361,10 @@ SEARCH_PINS_AT_SIZE = (
     '253], [254, 255], [256, 257], [258, 259], [260, 261], [262, 263], [264, 265], [266, 267], '
     '[268, 269], [270, 271], [272, 273], [274, 275], [276, 277], [278, 279], [280, 281], [282, '
     '283], [284, 285], [286, 287], [288, 289], [290, 291], [292, 293], [294, 295], [296, 297], '
-    '[298, 299]], "reason": null, "stats": {"edges_tried": 0, "forced_edges": 0, "branches": 74, '
+    '[298, 299]], "reason": null, "stats": {"edges_tried": 0, "forced_edges": 0, "branches": 24, '
     '"millis": 0}, "p9_checked": true}',
     '{"status": "no-dim", "matching": [], "reason": "exhaustive color search over the '
-    'component", "stats": {"edges_tried": 0, "forced_edges": 0, "branches": 62, "millis": 0}, '
+    'component", "stats": {"edges_tried": 0, "forced_edges": 0, "branches": 12, "millis": 0}, '
     '"p9_checked": true}',
 )
 
@@ -432,29 +432,35 @@ def test_probe_fixes_only_what_every_dim_agrees_on(corpus7):
 
 
 def test_probe_makes_one_pass(monkeypatch):
-    # K2,3 with sides {2, 3} and {0, 1, 4}.  Both colours fit at 0 and 1;
-    # white fails at 2 and at 3, so both turn black; then black fails at
-    # 4, so it turns white.  A second pass would find no colour fitting at
-    # 0; the one pass stops here and leaves the rest to the search.
-    g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)])
+    # Both colours fit at 0 to 5; black fails at 6 (6 and 9 pair and
+    # whiten 1 and 4), so it turns white and forces 9 black; then white
+    # fails at 7, so it turns black.  A second pass would find that white
+    # no longer fits at 2; the one pass stops here and leaves the rest to
+    # the search.
+    g = Graph.from_edges(10, [
+        (0, 3), (0, 7), (1, 4), (1, 8), (1, 9), (2, 3), (2, 8),
+        (3, 4), (4, 5), (4, 9), (5, 7), (5, 8), (6, 9),
+    ])
     c = Coloring(g)
-    assert probe(c, 0b11111, 10**6) == ("probed", 10, None)
-    assert (c.white, c.black) == (0b10000, 0b01100)
-    # solve() refutes it by search alone, long before the probe stage
+    assert probe(c, g.full_mask(), 10**6) == ("probed", 18, None)
+    assert (c.white, c.black, c.mated) == (1 << 6, 1 << 7 | 1 << 9, 0)
+    assert c.extend(white=1 << 2) is not None
+    # solve() decides it by search alone, long before the probe stage
     monkeypatch.setattr(dimkit.driver, "probe", None)
     out = solve(g)
-    assert (out.status, out.stats["branches"]) == ("no-dim", 6)
-    assert oracle_dim(g).status == "no-dim"
+    assert (out.status, out.stats["branches"]) == ("dim", 3)
+    assert out.matching == ((0, 7), (2, 8), (4, 9))
+    assert oracle_dim(g).status == "dim"
 
 
 # gen_c4_augmented arguments -> branches and reason of the default solve:
 # 257 branches of the first search, then probe trials up to the four-cycle
 # (ids n..n+3), whose far corner fits neither colour
 PENDANT_C4_REFUTATIONS = [
-    ((214, 47, 119, 1107), 505,
+    ((214, 47, 119, 1107), 483,
      "no color fits at vertex 215: black gives white-white-edge at 216,217; "
      "white gives two-black-neighbors at 217,214,216"),
-    ((377, 89, 263, 1149), 663,
+    ((377, 89, 263, 1149), 607,
      "no color fits at vertex 378: black gives white-white-edge at 379,380; "
      "white gives two-black-neighbors at 380,377,379"),
 ]
@@ -489,14 +495,14 @@ def test_probe_refutes_pendant_c4_at_n_8000():
 
 
 def test_probe_trials_count_against_the_budget():
-    # the refutation needs 505 branches: 257 of search and 248 probe trials
+    # the refutation needs 483 branches: 257 of search and 226 probe trials
     g = gen_c4_augmented(214, 47, 119, 1107)
-    for cap in (PROBE_AFTER + 1, 300, 504):
+    for cap in (PROBE_AFTER + 1, 300, 482):
         out = solve(g, SolveConfig(branch_budget=cap))
         assert out.status == "inconclusive"
         assert out.stats["branches"] == cap + 1
-    out = solve(g, SolveConfig(branch_budget=505))
-    assert (out.status, out.stats["branches"]) == ("no-dim", 505)
+    out = solve(g, SolveConfig(branch_budget=483))
+    assert (out.status, out.stats["branches"]) == ("no-dim", 483)
 
 
 # connected graphs where some pick of the engine's search is not the
@@ -558,6 +564,36 @@ def test_branch_pick_matches_the_naive_pick(corpus7, monkeypatch):
     for g in graphs:
         solve(g, ENGINE_ONLY)
     assert seen["engine"] >= 20 and seen["engine off lowest"] >= 3, seen
+
+
+def test_no_pick_sees_an_unknown_vertex_beside_two_blacks(corpus7, monkeypatch):
+    # Propagation whitens an unknown vertex with two black neighbors (rule
+    # (e) of `coloring`), so wherever `search` calls the pick, in the
+    # complete search and in the engine's pieces, each unknown vertex has
+    # at most one black neighbor: the parity mask of `branch_pick` is its
+    # count.
+    real_branch_pick = dimkit.coloring.branch_pick
+    seen = collections.Counter()
+
+    def checked_branch_pick(g, scope, by_degree):
+        pick = real_branch_pick(g, scope, by_degree)
+
+        def checked(c):
+            for v in bits(c.unknown_mask(scope)):
+                k = (g.rows[v] & c.black).bit_count()
+                assert k <= 1, (g.edges(), scope, v)
+                seen["beside one black"] += k
+            seen["calls"] += 1
+            return pick(c)
+
+        return checked
+
+    monkeypatch.setattr(dimkit.driver, "branch_pick", checked_branch_pick)
+    monkeypatch.setattr(dimkit.component_solver, "branch_pick", checked_branch_pick)
+    for g in [*corpus7, *_gnp_draws()]:
+        solve(g, SolveConfig(check_p9=False))
+        solve(g, SolveConfig(check_p9=False, branch_budget=0))
+    assert seen["calls"] > 2000 and seen["beside one black"] > 1000, seen
 
 
 def test_every_colored_leaf_is_a_dim_of_its_scope(corpus7, monkeypatch):
@@ -710,8 +746,8 @@ IN_CLASS_PINS = [
      'black-unmatchable at 16", "stats": {"edges_tried": 4, "forced_edges": 0, "branches": 1, '
      '"millis": 0}, "p9_checked": true}'),
     ((130, (5, 7), 20, 1300),
-     '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 3: '
-     'conflict at 3", "stats": {"edges_tried": 7, "forced_edges": 0, "branches": 1, '
+     '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 6: '
+     'conflict at 6", "stats": {"edges_tried": 9, "forced_edges": 0, "branches": 1, '
      '"millis": 0}, "p9_checked": true}'),
 ]
 
