@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .coloring import Coloring, extract_matching, parse_matching, serialize_matching
-from .decomposition import RadiusExceeded, apply_initial_facts, build_levels
+from .decomposition import RadiusExceeded, apply_initial_facts, build_levels, forced_and_anchors
 from .driver import SolveConfig, solve
 from .graph import MAX_VERTICES, Graph, GraphFormatError, bits, connected_components, load_graph, serialize_graph
 from .oracle import oracle_dim, verify_dim
@@ -190,26 +190,28 @@ def explain_cmd(args) -> int:
     scope = next(c for c in connected_components(g) if c >> x & 1)
     info = {"edge": [x, y], "status": "ok"}
     try:
-        dec = build_levels(g, scope, x, y, Coloring(g))
+        levels = build_levels(g, scope, x, y)
     except RadiusExceeded as exc:
         info["status"] = "radius-exceeded"
         info["vertex"] = exc.vertex
         print(json.dumps(info))
         return 2
-    c = dec.coloring
-    bad = apply_initial_facts(dec)
-    active = c.active_mask(dec.scope)
-    anchors = sum(1 << v for v in dec.anchors)
-    shared = [v for v in bits(dec.l3) if (g.rows[v] & anchors).bit_count() >= 2]
+    c = Coloring(g)
+    bad = c.extend(black=levels[0])
+    forced, anchors = ([], []) if bad else forced_and_anchors(c, levels)
+    bad = bad or apply_initial_facts(c, levels)
+    l3 = levels[3] if len(levels) > 3 else 0
+    anchor_mask = sum(1 << v for v in anchors)
+    shared = [v for v in bits(l3) if (g.rows[v] & anchor_mask).bit_count() >= 2]
     info.update({
-        "levels": [_verts(m) for m in dec.levels],
-        "white": _verts(c.white & dec.scope),
-        "black": _verts(c.black & dec.scope),
-        "matched": [list(e) for e in extract_matching(c, dec.scope)],
-        "forced": [list(e) for e in dec.forced],
-        "anchors": dec.anchors,
+        "levels": [_verts(m) for m in levels],
+        "white": _verts(c.white & scope),
+        "black": _verts(c.black & scope),
+        "matched": [list(e) for e in extract_matching(c, scope)],
+        "forced": [list(e) for e in forced],
+        "anchors": anchors,
         "shared_l3": shared,
-        "pieces": [_verts(m) for m in connected_components(g, active)],
+        "pieces": [_verts(m) for m in connected_components(g, c.active_mask(scope))],
     })
     if bad is not None:
         info["status"] = "infeasible"
@@ -221,8 +223,18 @@ def explain_cmd(args) -> int:
 # -- gen --------------------------------------------------------------------
 
 
+def _out_dir(path: str) -> Path:
+    """The --out directory, created if missing, before anything is drawn;
+    a path that cannot be a directory is an input problem."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"argument --out: {exc}") from exc
+    return out
+
+
 def _write_instance(out: Path, stem: str, g: Graph, row: dict, matching=None) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     (out / f"{stem}.graph").write_text(serialize_graph(g))
     if matching is not None:
         (out / f"{stem}.matching").write_text(serialize_matching(matching))
@@ -237,7 +249,7 @@ def gen_planted_cmd(args) -> int:
     n = args.n
     k = n // 4 if args.k is None else args.k
     extra = min(n, 2 * k * max(0, n - 2 * k)) if args.extra is None else args.extra
-    out = Path(args.out_dir)
+    out = _out_dir(args.out_dir)
     for i in range(args.count):
         s = args.seed + i
         try:
@@ -261,7 +273,7 @@ def gen_random_cmd(args) -> int:
         if f not in RANDOM_FILTERS:
             raise InputError(f"argument --filter: invalid choice: {f!r} "
                              f"(choose from {', '.join(RANDOM_FILTERS)})")
-    out = Path(args.out_dir)
+    out = _out_dir(args.out_dir)
     failures = 0
     for i in range(count):
         s = args.seed + i
@@ -288,7 +300,7 @@ def gen_corpus_cmd(args) -> int:
     """Every connected graph up to max-n vertices, labeled by the oracle."""
     from .generator import emit_small_corpus
 
-    rows = emit_small_corpus(args.out_dir, args.max_n)
+    rows = emit_small_corpus(_out_dir(args.out_dir), args.max_n)
     dims = sum(1 for r in rows if r["label"] == "dim")
     print(f"wrote {len(rows)} graphs to {args.out_dir} ({dims} dim, {len(rows) - dims} no-dim)")
     return 0
@@ -348,8 +360,9 @@ def _parser() -> _Parser:
     p.add_argument("graph_path", metavar="GRAPH_PATH")
     p.add_argument("--json", dest="as_json", action="store_true", help="machine-readable report")
     p.add_argument("--check-p9", action=argparse.BooleanOptionalAction, default=True,
-                   help="report whether the graph is free of induced nine-vertex paths "
-                        "(the scan decides no verdict)")
+                   help="run the induced nine-vertex path scan; p9_checked reports whether "
+                        "it finished within its budget, P9 found or not ('dimkit check' "
+                        "gives the state and witness; the scan decides no verdict)")
     p.add_argument("--budget-branches", type=_int_range(0), default=None, metavar="N",
                    help="branch cap of the exact search of each component, root probe "
                         "trials included [default: max(4096, 8*size)]; at 0 the engine "

@@ -19,8 +19,9 @@ structure forces a cascade of facts:
     neighbor, so one sweep whitens the unknowns with no L4 neighbor; an
     unknown left after it has an L4 neighbor, none of them white.
 
-These are facts of the whole trial: they run over the whole scope before
-its leftover vertices are split into pieces.
+Every fact but the last comes from the root pair's propagation, which
+needs no levels, so a trial builds them only when the pair survives.  The
+facts run over the whole scope before its leftovers split into pieces.
 """
 
 from __future__ import annotations
@@ -36,82 +37,55 @@ class RadiusExceeded(Exception):
 
     def __init__(self, x: int, y: int, vertex: int):
         super().__init__(f"vertex {vertex} is farther than {MAX_RADIUS} from edge ({x},{y})")
-        self.edge = (x, y)
         self.vertex = vertex
 
 
-class XyDecomposition:
-    __slots__ = ("g", "x", "y", "scope", "levels", "coloring", "forced", "anchors")
-
-    def __init__(self, g: Graph, x: int, y: int, scope: int, levels: list[int],
-                 coloring: Coloring, forced: list[Edge] | None = None,
-                 anchors: list[int] | None = None):
-        self.g = g
-        self.x = x
-        self.y = y
-        self.scope = scope          # active component mask the trial runs in
-        self.levels = levels        # masks; levels[0] == {x,y}
-        self.coloring = coloring
-        self.forced = [] if forced is None else forced
-        self.anchors = [] if anchors is None else anchors
-
-    @property
-    def l1(self) -> int:
-        return self.levels[1] if len(self.levels) > 1 else 0
-
-    @property
-    def l2(self) -> int:
-        return self.levels[2] if len(self.levels) > 2 else 0
-
-    @property
-    def l3(self) -> int:
-        return self.levels[3] if len(self.levels) > 3 else 0
-
-    @property
-    def l4(self) -> int:
-        return self.levels[4] if len(self.levels) > 4 else 0
-
-
-def build_levels(g: Graph, scope: int, x: int, y: int, coloring: Coloring) -> XyDecomposition:
-    """BFS layers of the component from {x, y}; raises RadiusExceeded when
-    some vertex lies more than four levels out.  Callers read that as
-    an undecided trial, never as a refutation: a connected graph of radius
-    r has an induced path on 2r - 1 vertices, so at a central x of a
-    P9-free scope it cannot happen, and elsewhere it proves nothing."""
-    seed = (1 << x) | (1 << y)
-    levels = [seed]
-    for layer in bfs_layers(g, seed, scope):
+def build_levels(g: Graph, scope: int, x: int, y: int) -> list[int]:
+    """Masks of the BFS layers of the component from levels[0] = {x, y};
+    raises RadiusExceeded when some vertex lies more than four levels out.
+    Callers read that as an undecided trial, never as a refutation: a
+    connected graph of radius r has an induced path on 2r - 1 vertices, so
+    at a central x of a P9-free scope it cannot happen, and elsewhere it
+    proves nothing."""
+    levels = [(1 << x) | (1 << y)]
+    for layer in bfs_layers(g, levels[0], scope):
         if len(levels) > MAX_RADIUS:
             raise RadiusExceeded(x, y, next(bits(layer)))
         levels.append(layer)
-    return XyDecomposition(g=g, x=x, y=y, scope=scope, levels=levels, coloring=coloring)
+    return levels
 
 
-def apply_initial_facts(dec: XyDecomposition) -> Contradiction | None:
+def apply_initial_facts(c: Coloring, levels: list[int]) -> Contradiction | None:
     """Root pair (which colors L1 and L2, pairs L2's edges and whitens
     the L3 vertices shared by two anchors) and lone-L4 whites, propagated
-    to a fixpoint."""
-    g, c = dec.g, dec.coloring
-    bad = c.extend(black=dec.levels[0])
+    to a fixpoint.  A root pair already black costs nothing."""
+    bad = c.extend(black=levels[0])
     if bad:
         return bad
-    dec.forced.append((dec.x, dec.y) if dec.x < dec.y else (dec.y, dec.x))
-
-    l2 = dec.l2
-    anchor_mask = 0
-    for v in bits(l2):
-        if g.rows[v] & l2:
-            u = c.partner(v)
-            if v < u:
-                dec.forced.append((v, u))
-        else:
-            anchor_mask |= 1 << v
-    dec.anchors = list(bits(anchor_mask))
-
     # lone L4 unknowns, in one sweep (see the module docstring)
-    l4 = dec.l4
+    rows = c.g.rows
+    l4 = levels[4] if len(levels) > 4 else 0
     lone = 0
-    for v in bits(l4 & c.unknown_mask()):
-        if not g.rows[v] & l4:
+    for v in bits(l4 & ~c.white & ~c.black):
+        if not rows[v] & l4:
             lone |= 1 << v
     return c.extend(white=lone)
+
+
+def forced_and_anchors(c: Coloring, levels: list[int]) -> tuple[list[Edge], list[int]]:
+    """The matched edges the root pair forces (the pair, then L2's
+    internal edges) and the anchors (L2's vertices with no L2 neighbor);
+    the pair must already be propagated without a clash."""
+    rows = c.g.rows
+    x, y = bits(levels[0])
+    forced = [(x, y)]
+    l2 = levels[2] if len(levels) > 2 else 0
+    anchors = []
+    for v in bits(l2):
+        if rows[v] & l2:
+            u = c.partner(v)
+            if v < u:
+                forced.append((v, u))
+        else:
+            anchors.append(v)
+    return forced, anchors

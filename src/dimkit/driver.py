@@ -14,8 +14,9 @@ probed coloring.  It decides the component unless it runs out of branches; its c
 counts as a branch) and is the only budget a caller sets.  Only then
 does the paper's engine run, as the backstop: it repeatedly picks a
 central vertex x of the still-active part and trials every edge xy at it
-(`component_solver.try_edge`: levels, level facts, one search per
-leftover piece, capped by the piece's size).  A successful trial colors
+(`component_solver.try_edge`: the pair's propagation, then levels and
+the lone-L4 fact, one search per leftover piece, capped by the piece's
+size).  A successful trial colors
 the whole part.  If every edge at x is proven infeasible, x is unmatched
 in any solution, so x turns white and the loop continues on the shrunken
 remainder.  Trials that end undecided (budget or radius) make the

@@ -9,7 +9,7 @@ from collections import deque
 from itertools import combinations
 
 from dimkit.coloring import Coloring
-from dimkit.decomposition import RadiusExceeded, apply_initial_facts, build_levels
+from dimkit.decomposition import RadiusExceeded, apply_initial_facts, build_levels, forced_and_anchors
 from dimkit.graph import Graph, bits, connected_components
 from dimkit.oracle import all_dims
 
@@ -294,13 +294,13 @@ def trial_facts(g: Graph, x: int, y: int):
     """
     c = Coloring(g)
     try:
-        dec = build_levels(g, g.full_mask(), x, y, c)
+        levels = build_levels(g, g.full_mask(), x, y)
     except RadiusExceeded as exc:
         return "skip", str(exc)
-    bad = apply_initial_facts(dec)
+    bad = apply_initial_facts(c, levels)
     if bad:
         return "infeasible", str(bad)
-    return "ok", (set(dec.forced), c.white, c.black)
+    return "ok", (set(forced_and_anchors(c, levels)[0]), c.white, c.black)
 
 
 def assert_trial_facts_sound(g: Graph, x: int, y: int):

@@ -14,7 +14,7 @@ from dimkit.cli import main
 from dimkit.coloring import parse_matching
 from dimkit.driver import SolveOutcome, solve
 from dimkit.generator import gen_c4_augmented
-from dimkit.graph import MAX_VERTICES, load_graph, save_graph
+from dimkit.graph import MAX_VERTICES, Graph, load_graph, save_graph
 from dimkit.oracle import verify_dim
 from conftest import complete_graph, cycle_graph, path_graph
 
@@ -362,6 +362,22 @@ def test_explain_radius_exit_two(graph_file, capsys):
     assert rep["vertex"] == 6
 
 
+def test_explain_forced_and_anchors(graph_file, capsys):
+    # the square's root pair clashes: nothing is forced, no anchor is named
+    assert main(["explain", graph_file(cycle_graph(4)), "0", "1"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["contradiction"]["rule"] == "white-white-edge"
+    assert (rep["forced"], rep["anchors"]) == ([], [])
+    # here the pair survives and the lone-L4 sweep clashes: whitening 2
+    # blackens 3 and 5, both beside anchor 0
+    g = Graph.from_edges(7, [(0, 1), (0, 3), (0, 5), (1, 6), (2, 3), (2, 5), (4, 6)])
+    assert main(["explain", graph_file(g), "4", "6"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["levels"] == [[4, 6], [1], [0], [3, 5], [2]]
+    assert rep["contradiction"] == {"rule": "two-black-neighbors", "witnesses": [0, 3, 5]}
+    assert (rep["forced"], rep["anchors"], rep["shared_l3"]) == ([[4, 6]], [0], [])
+
+
 def test_explain_non_edge_exit_three(graph_file, capsys):
     assert main(["explain", graph_file(path_graph(7)), "0", "2"]) == 3
     capsys.readouterr()
@@ -442,6 +458,23 @@ def test_gen_corpus(tmp_path, capsys):
     assert "wrote 9 graphs" in capsys.readouterr().out
     rows = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
     assert len(rows) == 9  # 1 + 2 + 6 connected graphs on 2..4 vertices
+
+
+@pytest.mark.parametrize("args", [
+    ["planted", "--n", "10"],
+    ["random", "--n", "10"],
+    ["corpus", "--max-n", "3"],
+])
+@pytest.mark.parametrize("below", [False, True])
+def test_gen_out_that_cannot_be_a_directory_exit_three(tmp_path, capsys, args, below):
+    # --out names a file, or a path under one
+    blocker = tmp_path / "file"
+    blocker.write_text("keep\n")
+    out = blocker / "x" if below else blocker
+    assert main(["gen", *args, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "--out" in err and "internal error" not in err
+    assert blocker.read_text() == "keep\n"
 
 
 @pytest.mark.parametrize("max_n", ["9", "1"])

@@ -34,14 +34,14 @@ BRIDGED = Graph.from_edges(13, [
 
 def _prepared_trial(g, x, y):
     c = Coloring(g)
-    dec = build_levels(g, g.full_mask(), x, y, c)
-    assert apply_initial_facts(dec) is None
-    active = c.unknown_mask(dec.scope) | c.unmated_black_mask(dec.scope)
-    return dec, c, connected_components(g, active)
+    levels = build_levels(g, g.full_mask(), x, y)
+    assert apply_initial_facts(c, levels) is None
+    active = c.unknown_mask() | c.unmated_black_mask()
+    return levels, c, connected_components(g, active)
 
 
-def _searched(g, dec, piece, budget):
-    return search(dec.coloring, branch_pick(g, piece, degree_classes(g, piece, piece)), budget)
+def _searched(g, c, piece, budget):
+    return search(c, branch_pick(g, piece, degree_classes(g, piece, piece)), budget)
 
 
 def _trial(g, x, y):
@@ -51,11 +51,11 @@ def _trial(g, x, y):
 
 
 def test_branching_piece_colored():
-    dec, c, pieces = _prepared_trial(BRANCHY, 4, 5)
+    _, c, pieces = _prepared_trial(BRANCHY, 4, 5)
     assert len(pieces) == 1
-    assert _searched(BRANCHY, dec, pieces[0], 512) == ("colored", 1)
-    assert coloring_is_complete_dim(c, dec.scope)
-    got = extract_matching(c, dec.scope)
+    assert _searched(BRANCHY, c, pieces[0], 512) == ("colored", 1)
+    assert coloring_is_complete_dim(c, BRANCHY.full_mask())
+    got = extract_matching(c)
     assert got in [m for m in all_dims(BRANCHY) if (4, 5) in m]
     assert got == ((0, 8), (2, 10), (4, 5))  # black-first branching order
     (status, _), c, stats = _trial(BRANCHY, 4, 5)
@@ -64,8 +64,8 @@ def test_branching_piece_colored():
 
 
 def test_branch_budget_reports_budget(monkeypatch):
-    dec, _, pieces = _prepared_trial(BRANCHY, 4, 5)
-    assert _searched(BRANCHY, dec, pieces[0], 0) == ("budget", 1)
+    _, c, pieces = _prepared_trial(BRANCHY, 4, 5)
+    assert _searched(BRANCHY, c, pieces[0], 0) == ("budget", 1)
     # through the trial, whose cap for this 7-vertex piece is 64 branches
     real_search = dimkit.component_solver.search
     monkeypatch.setattr(
@@ -78,9 +78,8 @@ def test_branch_budget_reports_budget(monkeypatch):
 
 def test_doomed_piece_reports_infeasible():
     assert not [m for m in all_dims(DOOMED) if (6, 7) in m]
-    c = Coloring(DOOMED)
-    dec = build_levels(DOOMED, DOOMED.full_mask(), 6, 7, c)
-    assert str(apply_initial_facts(dec)) == "two-black-neighbors at 0,5,8"
+    levels = build_levels(DOOMED, DOOMED.full_mask(), 6, 7)
+    assert str(apply_initial_facts(Coloring(DOOMED), levels)) == "two-black-neighbors at 0,5,8"
     (status, reason), c, stats = _trial(DOOMED, 6, 7)
     assert (status, reason) == ("infeasible", "two-black-neighbors at 0,5,8")
     assert c.snapshot() == Coloring(DOOMED).snapshot()
@@ -91,27 +90,27 @@ def test_bridged_families_colored_by_first_branch():
     assert [m for m in all_dims(BRIDGED) if (0, 1) in m] == [
         ((0, 1), (4, 6), (5, 9), (11, 12))
     ]
-    dec, c, pieces = _prepared_trial(BRIDGED, 0, 1)
+    _, c, pieces = _prepared_trial(BRIDGED, 0, 1)
     assert len(pieces) == 1
-    assert _searched(BRIDGED, dec, pieces[0], 512) == ("colored", 1)
-    assert extract_matching(c, dec.scope) == ((0, 1), (4, 6), (5, 9), (11, 12))
+    assert _searched(BRIDGED, c, pieces[0], 512) == ("colored", 1)
+    assert extract_matching(c) == ((0, 1), (4, 6), (5, 9), (11, 12))
 
 
 def test_interchangeable_family_members():
     # anchor 4 can take either of 5,6; one try suffices
     g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6)])
-    dec, c, pieces = _prepared_trial(g, 0, 1)
+    _, c, pieces = _prepared_trial(g, 0, 1)
     assert pieces == [0b1110000]
-    assert _searched(g, dec, pieces[0], 256) == ("colored", 1)
-    assert coloring_is_complete_dim(c, dec.scope)
+    assert _searched(g, c, pieces[0], 256) == ("colored", 1)
+    assert coloring_is_complete_dim(c, g.full_mask())
     assert c.partner(4) in (5, 6)
 
 
 def test_fully_propagated_trial_leaves_no_work():
     g = cycle_graph(9)
-    dec, c, pieces = _prepared_trial(g, 0, 1)
+    _, c, pieces = _prepared_trial(g, 0, 1)
     assert pieces == []
-    assert coloring_is_complete_dim(c, dec.scope)
+    assert coloring_is_complete_dim(c, g.full_mask())
     assert extract_matching(c) == ((0, 1), (3, 4), (6, 7))
     (status, _), _, stats = _trial(g, 0, 1)
     assert status == "dim" and stats == {"branches": 0, "forced_edges": 1}
@@ -133,9 +132,9 @@ def test_long_l4_path_refuted_without_recursion():
     assert not [m for m in all_dims(_comb(6)) if (0, 1) in m]
     for teeth in (6, 1200):
         g = _comb(teeth)
-        dec, _, pieces = _prepared_trial(g, 0, 1)
-        assert dec.l4 == sum(1 << (4 + teeth + i) for i in range(teeth))
+        levels, c, pieces = _prepared_trial(g, 0, 1)
+        assert levels[4] == sum(1 << (4 + teeth + i) for i in range(teeth))
         assert len(pieces) == 1
-        assert _searched(g, dec, pieces[0], (4 + 2 * teeth) ** 2) == ("infeasible", 2)
+        assert _searched(g, c, pieces[0], (4 + 2 * teeth) ** 2) == ("infeasible", 2)
         (status, reason), _, _ = _trial(g, 0, 1)
         assert (status, reason) == ("infeasible", "every branch failed")

@@ -9,6 +9,7 @@ from dimkit.decomposition import (
     RadiusExceeded,
     apply_initial_facts,
     build_levels,
+    forced_and_anchors,
 )
 from dimkit.graph import Graph, bits, central_vertex, connected_components
 from conftest import cycle_graph, path_graph
@@ -17,27 +18,23 @@ from naive_reference import assert_trial_facts_sound, trial_facts
 
 def test_levels_on_middle_edge_of_path():
     g = path_graph(7)
-    c = Coloring(g)
-    dec = build_levels(g, g.full_mask(), 1, 2, c)
-    assert dec.levels[0] == 0b0000110
-    assert dec.l1 == 0b0001001
-    assert dec.l2 == 0b0010000
-    assert dec.l3 == 0b0100000
-    assert dec.l4 == 0b1000000
+    levels = build_levels(g, g.full_mask(), 1, 2)
+    assert levels == [0b0000110, 0b0001001, 0b0010000, 0b0100000, 0b1000000]
 
 
 def test_initial_facts_on_middle_edge_of_path():
     g = path_graph(7)
     c = Coloring(g)
-    dec = build_levels(g, g.full_mask(), 1, 2, c)
-    assert apply_initial_facts(dec) is None
+    levels = build_levels(g, g.full_mask(), 1, 2)
+    assert apply_initial_facts(c, levels) is None
     # the trial pair itself is committed, the far end resolves by forcing:
     # lone second-level vertex 4 goes black, drags 5 with it
-    assert (1, 2) in dec.forced
+    forced, anchors = forced_and_anchors(c, levels)
+    assert (1, 2) in forced
     assert c.white == 0b1001001
     assert c.black == 0b0110110
     assert c.partner(4) == 5
-    assert dec.anchors == [4]
+    assert anchors == [4]
 
 
 def test_off_center_trial_on_path_refutes():
@@ -55,12 +52,11 @@ def test_square_trial_refutes():
 def test_radius_guard_raises():
     g = path_graph(8)
     with pytest.raises(RadiusExceeded) as exc:
-        build_levels(g, g.full_mask(), 0, 1, Coloring(g))
+        build_levels(g, g.full_mask(), 0, 1)
     assert exc.value.vertex == 6
     # a path filling level 0 plus exactly MAX_RADIUS rings still fits
     g = path_graph(2 + MAX_RADIUS)
-    dec = build_levels(g, g.full_mask(), 0, 1, Coloring(g))
-    assert len(dec.levels) == 1 + MAX_RADIUS
+    assert len(build_levels(g, g.full_mask(), 0, 1)) == 1 + MAX_RADIUS
 
 
 def test_adjacent_second_level_pair_is_forced():
@@ -84,9 +80,9 @@ def test_propagation_whitens_a_third_level_vertex_of_two_anchors():
         (4, 6), (5, 6), (4, 7), (5, 8),
     ])
     c = Coloring(g)
-    dec = build_levels(g, g.full_mask(), 0, 1, c)
-    assert apply_initial_facts(dec) is None
-    assert sorted(dec.anchors) == [4, 5]
+    levels = build_levels(g, g.full_mask(), 0, 1)
+    assert apply_initial_facts(c, levels) is None
+    assert forced_and_anchors(c, levels)[1] == [4, 5]
     assert c.white >> 6 & 1
     assert c.partner(4) == 7 and c.partner(5) == 8
 
@@ -138,7 +134,8 @@ def test_trial_facts_sound_on_random_graphs(monkeypatch):
     def spy(self, white=0, black=0):
         caller = sys._getframe(1)
         if caller.f_code is apply_initial_facts.__code__:
-            if white & caller.f_locals["dec"].l4:
+            levels = caller.f_locals["levels"]
+            if len(levels) > 4 and white & levels[4]:
                 fired.add("far")
         return real_extend(self, white, black)
 
@@ -182,16 +179,17 @@ def test_one_lone_l4_sweep_reaches_the_fixpoint(corpus7):
                 for y in bits(g.rows[x] >> (x + 1) << (x + 1)):
                     c = Coloring(g)
                     try:
-                        dec = build_levels(g, comp, x, y, c)
+                        levels = build_levels(g, comp, x, y)
                     except RadiusExceeded:
                         continue
-                    if apply_initial_facts(dec) is not None:
+                    if apply_initial_facts(c, levels) is not None:
                         continue
+                    l4 = levels[4] if len(levels) > 4 else 0
                     unknown = c.unknown_mask(comp)
                     for v in bits(unknown):
                         assert not g.rows[v] & c.white, (g.edges(), x, y, v)
-                    for v in bits(unknown & dec.l4):
-                        assert g.rows[v] & dec.l4 & ~c.white, (g.edges(), x, y, v)
+                    for v in bits(unknown & l4):
+                        assert g.rows[v] & l4 & ~c.white, (g.edges(), x, y, v)
                     checked += 1
-                    with_l4 += bool(unknown & dec.l4)
+                    with_l4 += bool(unknown & l4)
     assert checked > 2000 and with_l4 > 50, (checked, with_l4)

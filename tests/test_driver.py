@@ -184,9 +184,42 @@ def test_long_path_instance_still_decided():
 def test_try_edge_radius_blowup_is_undecided():
     g = path_graph(8)
     stats = {"edges_tried": 0, "forced_edges": 0, "branches": 0}
-    status, reason = try_edge(g, g.full_mask(), 0, 1, Coloring(g), stats)
+    c = Coloring(g)
+    status, reason = try_edge(g, g.full_mask(), 0, 1, c, stats)
     assert status == "undecided"
     assert "farther than" in reason
+    # the pair's propagation survived; the blow-up restores what it colored
+    assert c.snapshot() == Coloring(g).snapshot()
+
+
+def test_try_edge_probes_the_pair_before_the_levels(monkeypatch):
+    # the square's pair clashes under propagation alone, so no level is built
+    built = []
+    real = dimkit.component_solver.build_levels
+    monkeypatch.setattr(dimkit.component_solver, "build_levels",
+                        lambda *args: built.append(args) or real(*args))
+    g = cycle_graph(4)
+    c = Coloring(g)
+    stats = {"edges_tried": 0, "forced_edges": 0, "branches": 0}
+    assert try_edge(g, g.full_mask(), 0, 1, c, stats) == ("infeasible", "white-white-edge at 2,3")
+    assert built == [] and c.snapshot() == Coloring(g).snapshot()
+    # a pair that survives has its levels built
+    g = path_graph(8)
+    assert try_edge(g, g.full_mask(), 0, 1, Coloring(g), stats)[0] == "undecided"
+    assert built == [(g, g.full_mask(), 0, 1)]
+
+
+def test_engine_refutes_a_clashing_pair_beyond_the_radius():
+    # a tree with an induced ten-vertex path, plus isolated vertex 7: edge
+    # (5,11) at the central vertex 5 has vertex 10 five levels out, but its
+    # pair clashes under propagation, so the engine rules it out instead of
+    # giving up
+    g = Graph.from_edges(12, [(0, 2), (0, 4), (1, 11), (2, 11), (3, 6), (3, 9),
+                              (5, 9), (5, 11), (6, 8), (8, 10)])
+    assert classify_p9(g)[0] == P9_VIOLATED
+    out = solve(g, ENGINE_ONLY)
+    assert out.status == oracle_dim(g).status == "dim"
+    assert out.matching == ((0, 4), (1, 11), (3, 9), (8, 10))
 
 
 def test_engine_negative_stands_beside_long_path():
@@ -830,6 +863,6 @@ def test_p9_free_levels_never_run_deeper_than_four(corpus8):
         for comp in connected_components(g):
             x = central_vertex(g, comp)
             for y in bits(g.rows[x] & comp):
-                build_levels(g, comp, x, y, Coloring(g))  # raises past four levels
+                build_levels(g, comp, x, y)  # raises past four levels
                 trials += 1
     assert trials > len(graphs)
