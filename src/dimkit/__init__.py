@@ -14,18 +14,6 @@ from .driver import SolveConfig, SolveOutcome, solve, verify_outcome
 from .graph import Graph, GraphFormatError, load_graph, parse_graph, save_graph, serialize_graph
 from .oracle import all_dims, count_dims, enumerate_dims, oracle_dim, verify_dim
 
-# the corpus builder's names, resolved on first access (PEP 562) so that a
-# solve never imports the generator
-_GENERATOR_NAMES = frozenset({
-    "PlantedInstance",
-    "RandomDraw",
-    "emit_small_corpus",
-    "gen_c4_augmented",
-    "gen_planted",
-    "gen_random",
-    "iter_small_corpus",
-})
-
 __all__ = [
     "Coloring",
     "Graph",
@@ -57,7 +45,10 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    if name == "generator" or name in _GENERATOR_NAMES:
+    # only names not defined above reach this (PEP 562), so a name of
+    # __all__ here is the corpus builder's, imported on first access so
+    # that a solve never imports the generator
+    if name == "generator" or name in __all__:
         import importlib
 
         generator = importlib.import_module(".generator", __name__)

@@ -234,22 +234,21 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _write_instance(out: Path, stem: str, g: Graph, row: dict, matching=None) -> None:
+def _write_instance(out: Path, stem: str, g: Graph, matching=None) -> None:
     (out / f"{stem}.graph").write_text(serialize_graph(g))
     if matching is not None:
         (out / f"{stem}.matching").write_text(serialize_matching(matching))
-    with (out / "manifest.jsonl").open("a") as fh:
-        fh.write(json.dumps(row) + "\n")
 
 
 def gen_planted_cmd(args) -> int:
     """Instances carrying a known solution (written alongside as .matching)."""
-    from .generator import gen_planted
+    from .generator import gen_planted, write_manifest
 
     n = args.n
     k = n // 4 if args.k is None else args.k
     extra = min(n, 2 * k * max(0, n - 2 * k)) if args.extra is None else args.extra
     out = _out_dir(args.out_dir)
+    rows = []
     for i in range(args.count):
         s = args.seed + i
         try:
@@ -257,16 +256,17 @@ def gen_planted_cmd(args) -> int:
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         stem = f"planted_n{n}_k{k}_x{extra}_s{s}"
-        row = {"path": f"{stem}.graph", "n": n, "m": inst.graph.m, "label": "dim",
-               "p9_free": inst.p9_free, "seed": s}
-        _write_instance(out, stem, inst.graph, row, matching=inst.planted)
+        rows.append({"path": f"{stem}.graph", "n": n, "m": inst.graph.m, "label": "dim",
+                     "p9_free": inst.p9_free, "seed": s})
+        _write_instance(out, stem, inst.graph, matching=inst.planted)
         print(f"wrote {stem}.graph ({inst.graph.m} edges, p9_free={inst.p9_free})")
+    write_manifest(out, rows)
     return 0
 
 
 def gen_random_cmd(args) -> int:
     """Erdos-Renyi draws, rejection-sampled through the chosen filters."""
-    from .generator import RANDOM_FILTERS, gen_random
+    from .generator import RANDOM_FILTERS, gen_random, write_manifest
 
     n, p, count = args.n, args.p, args.count
     for f in args.filters:
@@ -274,7 +274,7 @@ def gen_random_cmd(args) -> int:
             raise InputError(f"argument --filter: invalid choice: {f!r} "
                              f"(choose from {', '.join(RANDOM_FILTERS)})")
     out = _out_dir(args.out_dir)
-    failures = 0
+    rows = []
     for i in range(count):
         s = args.seed + i
         try:
@@ -282,18 +282,18 @@ def gen_random_cmd(args) -> int:
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         if draw.graph is None:
-            failures += 1
             print(
                 f"seed {s}: no graph within {draw.attempts} attempts "
                 f"(rejections: {draw.rejections})"
             )
             continue
         stem = f"random_n{n}_p{p}_s{s}"
-        row = {"path": f"{stem}.graph", "n": n, "m": draw.graph.m, "label": None,
-               "p9_free": classify_p9(draw.graph)[0], "seed": s}
-        _write_instance(out, stem, draw.graph, row)
+        rows.append({"path": f"{stem}.graph", "n": n, "m": draw.graph.m, "label": None,
+                     "p9_free": classify_p9(draw.graph)[0], "seed": s})
+        _write_instance(out, stem, draw.graph)
         print(f"wrote {stem}.graph ({draw.graph.m} edges, {draw.attempts} attempts)")
-    return 1 if failures == count and count > 0 else 0
+    write_manifest(out, rows)
+    return 1 if not rows and count > 0 else 0
 
 
 def gen_corpus_cmd(args) -> int:

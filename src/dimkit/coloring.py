@@ -49,8 +49,7 @@ is not rescanned; `driver.solve` checks the finished matching once,
 against the definition (`oracle.verify_dim`).
 The pick carries one mask from one call to the next, the parity of each
 vertex's unmated-black neighbors, XOR-ing in the rows of the blacks that
-changed; it recounts from scratch only when more rows changed than the
-mask holds.
+changed.
 """
 
 from __future__ import annotations
@@ -94,10 +93,6 @@ class Coloring:
     def unknown_mask(self, scope: int | None = None) -> int:
         full = self.g.full_mask() if scope is None else scope
         return full & ~self.white & ~self.black
-
-    def unmated_black_mask(self, scope: int | None = None) -> int:
-        full = self.g.full_mask() if scope is None else scope
-        return self.black & full & ~self.mated
 
     def active_mask(self, scope: int) -> int:
         """Unknowns of scope plus its unpartnered blacks (mated is in black)."""
@@ -201,9 +196,7 @@ def branch_pick(g: Graph, comp: int, by_degree: list[int]) -> Callable[[Coloring
     The count is 0 or 1, so its parity is enough: bit v of `parity` is the
     parity of v's unmated-black neighbors, kept by XOR-ing in the row of
     each black that joined or left the unmated-black mask since the last
-    call.  It is recounted from scratch only when more rows changed than
-    the mask now holds, as after a restore to a much earlier snapshot.
-    The parity is a function of the mask alone, so backtracking and
+    call.  The parity is a function of the mask alone, so backtracking and
     restores need nothing more.  The loop walks set bits by hand: a `bits`
     generator per call shows on graphs of a dozen vertices, where the whole
     search takes tens of microseconds.
@@ -218,11 +211,8 @@ def branch_pick(g: Graph, comp: int, by_degree: list[int]) -> Callable[[Coloring
         unknown = c.unknown_mask(comp)
         if not unknown:
             return -1
-        blacks = c.unmated_black_mask(comp)
+        blacks = c.black & c.active_mask(comp)
         changed = blacks ^ counted
-        if changed.bit_count() > blacks.bit_count():
-            parity = 0
-            changed = blacks
         counted = blacks
         while changed:
             low = changed & -changed

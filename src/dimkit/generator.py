@@ -325,6 +325,12 @@ def emit_small_corpus(out_dir: str | Path, max_n: int) -> list[dict]:
                 "seed": None,
             }
         )
-    lines = "".join(json.dumps(row) + "\n" for row in rows)
-    (out / "manifest.jsonl").write_text(lines)
+    write_manifest(out, rows)
     return rows
+
+
+def write_manifest(out: Path, rows: list[dict]) -> None:
+    """One run's JSON-lines manifest, written whole; with no rows an
+    existing manifest is left as it was."""
+    if rows:
+        (out / "manifest.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))

@@ -89,10 +89,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] & (1 << v))
 
-    def common_neighbors(self, u: int, v: int) -> int:
-        """Mask of N(u) & N(v) minus the endpoints themselves."""
-        return self.rows[u] & self.rows[v] & ~(1 << u) & ~(1 << v)
-
     def edges(self) -> list[Edge]:
         out = []
         for v in range(self.n):

@@ -53,7 +53,7 @@ def iter_diamonds(g: Graph) -> Iterator[PatternHit]:
     vertices.  Emitted per (mid-edge, wing pair)."""
     for u in range(g.n):
         for v in bits(g.rows[u] >> (u + 1) << (u + 1)):
-            wings = g.common_neighbors(u, v)
+            wings = g.rows[u] & g.rows[v]  # no row holds its own vertex
             for a in bits(wings):
                 for b in bits(wings >> (a + 1) << (a + 1)):
                     if not g.has_edge(a, b):

@@ -451,6 +451,27 @@ def test_gen_random_unknown_filter_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("verb", ["planted", "random"])
+def test_gen_rerun_lists_its_own_instances_once(tmp_path, capsys, verb):
+    # the manifest is the last run's, written whole; a run that writes no
+    # instance leaves it as it was
+    out = tmp_path / "inst"
+    argv = ["gen", verb, "--n", "12", "--count", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    manifest = out / "manifest.jsonl"
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    assert sorted(row["path"] for row in rows) == sorted(p.name for p in out.glob("*.graph"))
+    assert len(rows) == 2
+    before = manifest.read_text()
+    assert main(["gen", verb, "--n", "12", "--count", "0", "--out", str(out)]) == 0
+    assert main(["gen", "planted", "--n", "5", "--k", "3", "--out", str(out)]) == 3
+    assert main(["gen", "random", "--n", "6", "--p", "1.0", "--filter", "k4_free",
+                 "--attempt-cap", "1", "--out", str(out)]) == 1
+    assert manifest.read_text() == before
+    capsys.readouterr()
+
+
 def test_gen_corpus(tmp_path, capsys):
     out = tmp_path / "corpus"
     rc = main(["gen", "corpus", "--max-n", "4", "--out", str(out)])

@@ -132,12 +132,12 @@ def test_snapshot_restore():
     assert c.white >> 2 & 1
     # the centre pairs with leaf 3 only after the snapshot
     assert c.extend(black=1 << 3) is None
-    assert c.mated == 0b1001 and c.unmated_black_mask() == 0
+    assert c.mated == 0b1001 and c.black & ~c.mated == 0
     assert c.partner(0) == 3
     c.restore(snap)
     assert (c.white, c.black) == (0b00010, 0b00001)
     assert c.mated == 0
-    assert c.unmated_black_mask() == 0b1
+    assert c.black & ~c.mated == 0b1
     assert c.snapshot() == snap
 
 
@@ -170,7 +170,7 @@ def test_fixpoint_unknowns_see_only_unmated_blacks():
             else:
                 bad = c.extend(*rng.choice(((1 << v, 0), (0, 1 << v))))
             # the leftover set, also of a state a contradiction left
-            assert c.active_mask(g.full_mask()) == c.unknown_mask() | c.unmated_black_mask()
+            assert c.active_mask(g.full_mask()) == c.unknown_mask() | c.black & ~c.mated
             if bad is not None:
                 c.restore(snap)
                 continue
@@ -286,10 +286,11 @@ def test_search_stops_past_the_budget():
 def test_branch_pick_carries_its_counters_across_restores():
     # Seeded walks of extend and restore on planted and pendant-C4 graphs,
     # with restores to much earlier snapshots as the probe restart does.
-    # Every pick must name the naive scan's vertex, and both ways of
-    # bringing the parity mask up to date must run: XOR-ing in the rows of
-    # the unmated blacks that changed since the last call, and the full
-    # recount when more changed than the mask holds.
+    # Every pick must name the naive scan's vertex, whether few rows of
+    # unmated blacks changed since the last call ("carry") or more than
+    # the mask now holds ("recount": the case, after a restore to a much
+    # earlier snapshot, that the pick once met by counting afresh; XOR-ing
+    # in the changed rows must give the same parity there too).
     rng = random.Random(4)
     paths = {"carry": 0, "recount": 0}
     for i in range(6):
@@ -309,7 +310,7 @@ def test_branch_pick_carries_its_counters_across_restores():
             v = pick(c)
             assert v == pick_unknown_naive(comp, c), (i, len(snaps))
             if v >= 0:
-                blacks = c.unmated_black_mask(comp)
+                blacks = c.black & ~c.mated & comp
                 changed = (blacks ^ counted).bit_count()
                 paths["recount" if changed > blacks.bit_count() else "carry"] += 1
                 counted = blacks

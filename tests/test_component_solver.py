@@ -36,7 +36,7 @@ def _prepared_trial(g, x, y):
     c = Coloring(g)
     levels = build_levels(g, g.full_mask(), x, y)
     assert apply_initial_facts(c, levels) is None
-    active = c.unknown_mask() | c.unmated_black_mask()
+    active = c.unknown_mask() | c.black & ~c.mated
     return levels, c, connected_components(g, active)
 
 

@@ -1,5 +1,7 @@
-"""Every name that `dimkit.__all__` lists resolves, and a star import binds
-exactly those names."""
+"""Every name that `dimkit.__all__` lists resolves, a star import binds
+exactly those names, and any other name raises AttributeError."""
+
+import pytest
 
 import dimkit
 
@@ -11,3 +13,8 @@ def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from dimkit import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(dimkit.__all__)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'gen_nothing'"):
+        dimkit.gen_nothing  # noqa: B018

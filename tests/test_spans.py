@@ -3,11 +3,12 @@ module that no longer imports ends a traced run (`perfbench/run.py
 --trace 1`) with a crash.  Its list is read here without running it.  It
 also credits each component's route from the first item of the results of
 `driver.solve_top_component` and `driver._complete_search`, which is
-checked by installing it."""
+checked by installing it, as is the list of names it finds absent."""
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 from conftest import cycle_graph, path_graph
@@ -48,3 +49,24 @@ def test_traced_routes_of_the_complete_search_and_the_engine():
         tracer.uninstall()
     routes = {k: v for k, v in tracer.counts.items() if k.startswith("driver.route.")}
     assert routes == {"driver.route.complete_search": 1, "driver.route.engine": 1}
+
+
+def test_tracer_finds_only_the_four_known_names_absent(capsys):
+    # a wrapped function renamed in dimkit reads 0 in every traced run, with
+    # only this warning to show it
+    import dimkit.cli  # noqa: F401  (load every module before wrapping)
+
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    capsys.readouterr()
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    absent = re.findall(r"warning: dimkit\.(\S+) is absent", capsys.readouterr().err)
+    assert sorted(absent) == [
+        "component_solver.solve_component",
+        "decomposition.normalize_T",
+        "driver.oracle_dim",
+        "patterns.scan_forced_patterns",
+    ]
