@@ -8,12 +8,14 @@ in an induced butterfly (two triangles sharing one vertex) both non-center
 edges must be.  The solver does not force those edges (its search reaches the
 same verdicts); `dimkit check` counts the patterns and the random
 generator's filters reject graphs holding them.  The P9 scan lives here
-too; it falls back to the twin quotient.  Detection works on bit-rows;
-everything is deterministic, ascending-id order.
+too: a short direct DFS over the graph, then the same DFS on its twin
+quotient.  Detection works on bit-rows; everything is deterministic,
+ascending-id order.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import Iterator, NamedTuple
 
 from .graph import Edge, Graph, bits
@@ -86,9 +88,16 @@ def find_induced_path(
     """First induced path on k vertices (inside `within` if given) found by
     DFS, or None.
 
-    Extension prunes with bit-rows: a new tip may touch only the current
-    tip.  node_limit bounds DFS steps and raises ScanBudget when exhausted;
-    a scope with fewer than k vertices is answered without a step.
+    The DFS grows paths from ascending start vertices and tries each next
+    vertex in ascending id order.  Its explicit stack holds, per path
+    vertex, the untried candidates for the next one and the vertices still
+    free: in scope, off the path and not adjacent to it, so a new tip
+    touches only the current tip.  Each path of two or more vertices it
+    reaches costs one step; node_limit bounds the steps and raises
+    ScanBudget when exhausted.  A scope with fewer than k vertices is
+    answered without a step.  With `within`, the DFS runs on the scope
+    relabelled 0..q-1 in ascending order, so a row is a q-bit mask however
+    large g is, and the path is mapped back.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -97,32 +106,64 @@ def find_induced_path(
         return None
     if k == 1:
         return (next(bits(scope)),)
-    steps = [0]
-
-    def rec(path: list[int], path_mask: int, banned: int) -> tuple[int, ...] | None:
-        steps[0] += 1
-        if node_limit is not None and steps[0] > node_limit:
-            raise ScanBudget
-        if len(path) == k:
-            return tuple(path)
-        tip = path[-1]
-        cand = g.rows[tip] & ~banned & ~path_mask & scope
-        for w in bits(cand):
-            new_banned = banned | g.rows[tip]
-            found = rec(path + [w], path_mask | (1 << w), new_banned)
-            if found:
-                return found
-        return None
-
+    if within is None:
+        rows, label = g.rows, range(g.n)
+    else:
+        label = list(bits(within))
+        bit = {v: 1 << i for i, v in enumerate(label)}
+        rows = []
+        for v in label:
+            row = 0
+            for u in bits(g.rows[v] & within):
+                row |= bit[u]
+            rows.append(row)
+        scope = (1 << len(label)) - 1
+    limit = inf if node_limit is None else node_limit
+    steps = 0
     for s in bits(scope):
-        for t in bits(g.rows[s] & scope):
-            found = rec([s, t], (1 << s) | (1 << t), g.rows[s])
-            if found:
-                return found
+        free = scope & ~rows[s] & ~(1 << s)
+        for t in bits(rows[s]):
+            steps += 1
+            if steps > limit:
+                raise ScanBudget
+            if k == 2:
+                return (label[s], label[t])
+            path = [s, t]
+            # per path vertex from t on: its untried successors, and the
+            # vertices still free beyond them (off the path and its rows)
+            stack = [(rows[t] & free, free & ~rows[t])]
+            while stack:
+                cand, later = stack[-1]
+                if not cand:
+                    stack.pop()
+                    path.pop()
+                    continue
+                low = cand & -cand
+                stack[-1] = (cand ^ low, later)
+                w = low.bit_length() - 1
+                steps += 1
+                if steps > limit:
+                    raise ScanBudget
+                path.append(w)
+                if len(path) == k:
+                    return tuple(label[v] for v in path)
+                stack.append((rows[w] & later, later & ~rows[w]))
     return None
 
 
 TWIN_ROUNDS = 5
+
+
+def _lowest_twins(verts, rows) -> set[int]:
+    """The lowest id of each twin class among verts, whose rows are
+    `rows` (masked to verts).  The closed rows, a copy of every row, are
+    freed on return, before the next round builds its own."""
+    closed = [row | 1 << v for v, row in zip(verts, rows)]
+    # filled from the highest id down, each dict keeps a row's lowest id;
+    # an open row never equals another vertex's closed row
+    lowest_open = dict(zip(reversed(rows), reversed(verts)))
+    lowest_closed = dict(zip(reversed(closed), reversed(verts)))
+    return set(lowest_open.values()) & set(lowest_closed.values())
 
 
 def twin_quotient(g: Graph) -> int:
@@ -136,19 +177,15 @@ def twin_quotient(g: Graph) -> int:
     k >= 4 vertices exists in g iff one exists among the survivors.
     """
     alive = g.full_mask()
-    verts = list(range(g.n))
+    verts = range(g.n)
+    rows = g.rows  # round one needs no masking: every row lies inside alive
     for _ in range(TWIN_ROUNDS):
-        rows = [g.rows[v] & alive for v in verts]
-        closed = [row | 1 << v for v, row in zip(verts, rows)]
-        # filled from the highest id down, each dict keeps a row's lowest id;
-        # an open row never equals another vertex's closed row
-        lowest_open = dict(zip(reversed(rows), reversed(verts)))
-        lowest_closed = dict(zip(reversed(closed), reversed(verts)))
-        keep = set(lowest_open.values()) & set(lowest_closed.values())
+        keep = _lowest_twins(verts, rows)
         if len(keep) == len(verts):
             break
         verts = sorted(keep)
         alive = sum(1 << v for v in verts)
+        rows = [g.rows[v] & alive for v in verts]
     return alive
 
 
@@ -161,16 +198,17 @@ P9_SCAN_LIMIT = 5_000_000
 def classify_p9(g: Graph, node_limit: int | None = P9_SCAN_LIMIT) -> tuple[str, tuple[int, ...] | None]:
     """(state, witness) of a scan for an induced nine-vertex path.
 
-    A direct DFS over g gets g.n steps first (most graphs holding a P9
-    show one at once); only when that runs out is the scan redone on the
-    twin quotient, an induced subgraph of g, so a witness is an induced
-    path of g itself.  With the lowest id kept per class, the quotient
-    scan is a sub-run of the DFS over all of g: it finds the same first
-    path and never takes more steps.  The state is P9_VIOLATED with the
-    path as witness, P9_VERIFIED, or P9_UNCHECKED when the scan ran out of
-    its node_limit steps.
+    A direct DFS over g gets g.n // 8 steps first: a graph holding a P9
+    usually shows one at once.  Only when those run out is the scan redone
+    on the twin quotient, an induced subgraph of g, so a witness is an
+    induced path of g itself.  With the lowest id kept per class, the
+    quotient scan is a sub-run of the DFS over all of g: it finds the same
+    first path and never takes more steps, so the short direct scan moves
+    no result; it only spares the quotient on graphs that show a P9 early.
+    The state is P9_VIOLATED with the path as witness, P9_VERIFIED, or
+    P9_UNCHECKED when the quotient scan ran out of its node_limit steps.
     """
-    prefix = g.n if node_limit is None else min(g.n, node_limit)
+    prefix = g.n // 8 if node_limit is None else min(g.n // 8, node_limit)
     try:
         try:
             hit = find_induced_path(g, 9, node_limit=prefix)

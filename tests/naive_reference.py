@@ -264,6 +264,38 @@ def induced_paths_naive(g: Graph, k: int) -> set[tuple]:
     return out
 
 
+def induced_path_dfs_reference(g: Graph, k: int, within: int | None = None):
+    """(path, steps) of the recursive DFS that find_induced_path replaced:
+    the first induced path on k vertices inside `within` (or None) and the
+    number of steps find_induced_path spends to reach that answer, so a
+    node_limit of steps decides and steps - 1 raises ScanBudget."""
+    scope = g.full_mask() if within is None else within
+    if scope.bit_count() < k:
+        return None, 0
+    if k == 1:
+        return (next(bits(scope)),), 0
+    steps = [0]
+
+    def rec(path, path_mask, banned):
+        steps[0] += 1
+        if len(path) == k:
+            return tuple(path)
+        tip = path[-1]
+        cand = g.rows[tip] & ~banned & ~path_mask & scope
+        for w in bits(cand):
+            found = rec(path + [w], path_mask | (1 << w), banned | g.rows[tip])
+            if found:
+                return found
+        return None
+
+    for s in bits(scope):
+        for t in bits(g.rows[s] & scope):
+            found = rec([s, t], (1 << s) | (1 << t), g.rows[s])
+            if found:
+                return found, steps[0]
+    return None, steps[0]
+
+
 def induced_cycle_sets_naive(g: Graph, max_len: int) -> set[frozenset]:
     """Vertex sets whose induced subgraph is a cycle of length 3..max_len."""
     out = set()

@@ -19,6 +19,7 @@ from conftest import complete_graph, cycle_graph, path_graph
 from naive_reference import (
     butterfly_hits_naive,
     diamond_hits_naive,
+    induced_path_dfs_reference,
     induced_paths_naive,
     k4_sets_naive,
 )
@@ -145,6 +146,28 @@ def test_path_finder_matches_naive_on_random_graphs():
                 assert canon in naive
 
 
+def test_path_finder_matches_recursive_reference_step_for_step():
+    # The iterative DFS visits paths in the recursive search's order and
+    # counts a step at the same points, so both find the same path and
+    # ScanBudget fires at the same node_limit, on g itself and on the twin
+    # quotient (which the DFS scans on relabelled rows).
+    rng = random.Random(3131)
+    for trial in range(200):
+        if trial % 2:
+            g = random_graph(rng, rng.randint(9, 30), rng.choice((0.1, 0.2, 0.3, 0.5)))
+        else:
+            g = twin_padded_graph(rng, rng.randint(9, 16), rng.choice((0.12, 0.2, 0.3)),
+                                  rng.randint(0, 14))
+        for within in (None, twin_quotient(g)):
+            for k in range(1, 10):
+                want, steps = induced_path_dfs_reference(g, k, within)
+                where = (trial, k, within, g.edges())
+                assert find_induced_path(g, k, within=within) == want, where
+                assert find_induced_path(g, k, node_limit=steps, within=within) == want, where
+                if steps:
+                    with pytest.raises(ScanBudget):
+                        find_induced_path(g, k, node_limit=steps - 1, within=within)
+
 
 # -- the P9 scan on the twin quotient ----------------------------------------
 
@@ -215,6 +238,27 @@ def test_quotient_scan_agrees_with_direct_scan_on_twin_padded_graphs():
         if got[0] == P9_VIOLATED:
             assert is_induced_path(g, got[1]), (trial, got)
     assert all(seen.values()), seen
+
+
+def test_direct_scan_settles_a_long_path_without_the_quotient(monkeypatch):
+    # the direct scan's n // 8 steps find the P9 at the start of a long path
+    def no_quotient(g):
+        raise AssertionError("twin_quotient called")
+
+    monkeypatch.setattr("dimkit.patterns.twin_quotient", no_quotient)
+    assert classify_p9(path_graph(2000)) == (P9_VIOLATED, tuple(range(9)))
+
+
+def test_quotient_scan_keeps_the_witness_of_a_longer_direct_scan():
+    # 0 - 1 - (20 pendant leaves 2..21) and 1 - 22 - 23 - ... - 28: the
+    # direct DFS tries every leaf before the path through 22, more than
+    # n // 8 steps but fewer than n, so the quotient scan (one leaf left)
+    # answers instead, with the same witness
+    g = Graph.from_edges(29, [(0, 1), *((1, v) for v in range(2, 23)),
+                              *((v, v + 1) for v in range(22, 28))])
+    want, steps = induced_path_dfs_reference(g, 9)
+    assert g.n // 8 < steps < g.n
+    assert classify_p9(g) == (P9_VIOLATED, want) == (P9_VIOLATED, (0, 1, *range(22, 29)))
 
 
 def test_quotient_scan_settles_long_path_twin_blowup():
