@@ -29,7 +29,7 @@ contradiction the state is left partly extended, and callers restore a
 snapshot.
 
 The state is three bitmasks: `white`, `black` and `mated`, the blacks
-that have a partner, so the unpartnered blacks are `black & ~mated` with
+that have a partner, so the unpartnered blacks are `black ^ mated` with
 no loop.  The colors fix every partner: pairing whitens every other
 uncolored neighbor of both ends, so a mated vertex has exactly one mated
 neighbor, and `partner` reads it off.  At a fixpoint rules (a), (b) and
@@ -92,11 +92,11 @@ class Coloring:
 
     def unknown_mask(self, scope: int | None = None) -> int:
         full = self.g.full_mask() if scope is None else scope
-        return full & ~self.white & ~self.black
+        return full ^ full & (self.white | self.black)
 
     def active_mask(self, scope: int) -> int:
         """Unknowns of scope plus its unpartnered blacks (mated is in black)."""
-        return scope & ~self.white & ~self.mated
+        return scope ^ scope & (self.white | self.mated)
 
     def partner(self, v: int) -> int:
         """The partner of mated v: its one mated neighbor, which at a
@@ -112,68 +112,83 @@ class Coloring:
         to the vertices it colors and to the unpartnered blacks beside its
         whites, and collects what those force into the next wave.  On a
         contradiction the state is left partly extended; callers restore
-        a snapshot."""
+        a snapshot.
+
+        The state lives in locals W, B and M while the waves run and is
+        written back on every exit.  No mask is complemented (see `graph`);
+        mated lies in black, so the unpartnered blacks are ``B ^ M``."""
         rows = self.g.rows
-        while white or black:
-            clash = white & black | white & self.black | black & self.white
-            if clash:
-                return Contradiction("conflict", (next(bits(clash)),))
-            white &= ~self.white
-            black &= ~self.black
-            self.white |= white
-            self.black |= black
-            forced_white = forced_black = 0
-            # an old black beside a new one is settled from the new one's
-            # side: it pairs with it or shows up as its two-black witness
-            touched = black
-            rest = white
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                row = rows[v]
-                ww = row & self.white
-                if ww:
-                    return Contradiction("white-white-edge", (v, next(bits(ww))))
-                forced_black |= row
-                # unpartnered black neighbors lost a candidate
-                touched |= row & self.black & ~self.mated
-            while touched:
-                low = touched & -touched
-                touched ^= low
-                v = low.bit_length() - 1
-                row = rows[v]
-                nb_black = row & self.black
-                k = nb_black.bit_count()
-                if k >= 2:
-                    return _two_black(v, nb_black)
-                if k == 0:
-                    # colors only grow, so v is unmated; with no black
-                    # neighbor its candidates are its unknown neighbors
-                    cand = row & ~self.white
-                    if not cand:
-                        return Contradiction("black-unmatchable", (v,))
-                    if cand.bit_count() == 1:
-                        forced_black |= cand
-                    elif low & black:
-                        # rule (e), from the new black's side; a lone
-                        # candidate with another black neighbor clashes
-                        # as a black
-                        while cand:
-                            w = cand & -cand
-                            cand ^= w
-                            if rows[w.bit_length() - 1] & self.black != low:
-                                forced_white |= w
-                elif not self.mated >> v & 1:
-                    # v pairs with its one black neighbor u; a mated u would
-                    # have its partner as a second black neighbor
-                    u = nb_black.bit_length() - 1
-                    if rows[u] & self.black != 1 << v:
-                        return _two_black(u, rows[u] & self.black)
-                    pair = 1 << v | nb_black
-                    self.mated |= pair
-                    forced_white |= (row | rows[u]) & ~pair
-            white, black = forced_white, forced_black
+        W, B, M = self.white, self.black, self.mated
+        try:
+            while white or black:
+                clash = white & black | white & B | black & W
+                if clash:
+                    return Contradiction("conflict", (next(bits(clash)),))
+                white ^= white & W
+                black ^= black & B
+                W |= white
+                B |= black
+                forced_white = forced_black = 0
+                # the whites' rows, ORed in any order; a white-white edge is
+                # rare, so only then are the whites rescanned in id order for
+                # the first witness
+                rest = white
+                while rest:
+                    v = rest.bit_length() - 1
+                    rest ^= 1 << v
+                    forced_black |= rows[v]
+                # an old black beside a new one is settled from the new one's
+                # side: it pairs with it or shows up as its two-black witness
+                touched = black
+                if forced_black:
+                    if forced_black & W:
+                        for v in bits(white):
+                            ww = rows[v] & W
+                            if ww:
+                                return Contradiction("white-white-edge", (v, next(bits(ww))))
+                    # unpartnered black neighbors lost a candidate
+                    touched |= forced_black & (B ^ M)
+                # in id order, which fixes the contradiction reported
+                while touched:
+                    low = touched & -touched
+                    touched ^= low
+                    v = low.bit_length() - 1
+                    row = rows[v]
+                    nb_black = row & B
+                    k = nb_black.bit_count()
+                    if k >= 2:
+                        return _two_black(v, nb_black)
+                    if k == 0:
+                        # colors only grow, so v is unmated; with no black
+                        # neighbor its candidates are its unknown neighbors
+                        cand = row ^ row & W
+                        if not cand:
+                            return Contradiction("black-unmatchable", (v,))
+                        if cand.bit_count() == 1:
+                            forced_black |= cand
+                        elif low & black:
+                            # rule (e), from the new black's side; a lone
+                            # candidate with another black neighbor clashes
+                            # as a black
+                            while cand:
+                                u = cand.bit_length() - 1
+                                w = 1 << u
+                                cand ^= w
+                                if rows[u] & B != low:
+                                    forced_white |= w
+                    elif not M >> v & 1:
+                        # v pairs with its one black neighbor u; a mated u would
+                        # have its partner as a second black neighbor
+                        u = nb_black.bit_length() - 1
+                        if rows[u] & B != low:
+                            return _two_black(u, rows[u] & B)
+                        pair = low | nb_black
+                        M |= pair
+                        # the pair lies in the union of its two rows
+                        forced_white |= (row | rows[u]) ^ pair
+                white, black = forced_white, forced_black
+        finally:
+            self.white, self.black, self.mated = W, B, M
         return None
 
 
@@ -211,13 +226,13 @@ def branch_pick(g: Graph, comp: int, by_degree: list[int]) -> Callable[[Coloring
         unknown = c.unknown_mask(comp)
         if not unknown:
             return -1
-        blacks = c.black & c.active_mask(comp)
+        blacks = comp & (c.black ^ c.mated)
         changed = blacks ^ counted
         counted = blacks
         while changed:
-            low = changed & -changed
-            changed ^= low
-            parity ^= rows[low.bit_length() - 1]
+            v = changed.bit_length() - 1
+            changed ^= 1 << v
+            parity ^= rows[v]
         best = unknown & parity or unknown
         for cls in classes:
             if best & cls:
@@ -272,14 +287,14 @@ def extract_matching(c: Coloring, scope: int | None = None) -> tuple[Edge, ...]:
     mated = c.mated
     rest = mated if scope is None else mated & scope
     out = []
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
+    while rest:  # top-down, so the pairs are reversed at the end
+        v = rest.bit_length() - 1
+        rest ^= 1 << v
         mates = rows[v] & mated
         u = (mates & -mates).bit_length() - 1
         if u > v:
             out.append((v, u))
+    out.reverse()
     return tuple(out)
 
 

@@ -66,7 +66,7 @@ def apply_initial_facts(c: Coloring, levels: list[int]) -> Contradiction | None:
     rows = c.g.rows
     l4 = levels[4] if len(levels) > 4 else 0
     lone = 0
-    for v in bits(l4 & ~c.white & ~c.black):
+    for v in bits(c.unknown_mask(l4)):
         if not rows[v] & l4:
             lone |= 1 << v
     return c.extend(white=lone)

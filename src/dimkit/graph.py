@@ -5,6 +5,14 @@ Vertices are dense ints 0..n-1.  Adjacency is one Python int per vertex
 intersection is ``&``, spread is ``|``, popcount is ``int.bit_count``.
 Edges are normalized (u, v) tuples with u < v.
 
+Masks are never negated or complemented on the solve path: ``-x`` and
+``~y`` copy an n-bit int, and CPython's ``&`` then works on two's
+complement digits, so ``x & -x`` and ``x & ~y`` cost about 4x a plain
+``&`` or ``|`` at n = 2,000 (Python 3.11).  A subset y of x is dropped as
+``x ^ x & y``, or ``x ^ y`` when y lies in x, and a walk whose order fixes
+no output takes the top bit, ``v = x.bit_length() - 1; x ^= 1 << v``; only
+walks that must run in id order take the low bit with ``x & -x``.
+
 A row is as long as its highest neighbour id, so the rows cost up to
 n**2 / 8 bytes, and about n**2 / 16 even on a sparse graph whose ids are in
 no special order (n**2 / 15 measured at n = 16,384 with m = 1.25 n).  The
@@ -197,10 +205,11 @@ def bfs_layers(g: Graph, seed: int, scope: int) -> Iterator[int]:
     while True:
         nxt = 0
         while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            nxt |= rows[low.bit_length() - 1]
-        nxt &= scope & ~visited
+            v = frontier.bit_length() - 1
+            frontier ^= 1 << v
+            nxt |= rows[v]
+        nxt &= scope
+        nxt ^= nxt & visited
         if not nxt:
             return
         yield nxt
@@ -218,7 +227,7 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
         for layer in bfs_layers(g, comp, scope):
             comp |= layer
         comps.append(comp)
-        rest &= ~comp
+        rest ^= comp
     return comps
 
 
@@ -230,9 +239,10 @@ def degree_classes(g: Graph, verts: int, within: int | None = None) -> list[int]
     by_degree = [0] * ((verts if within is None else within).bit_count() + 1)
     rest = verts
     while rest:
-        low = rest & -rest
+        v = rest.bit_length() - 1
+        low = 1 << v
         rest ^= low
-        row = rows[low.bit_length() - 1]
+        row = rows[v]
         by_degree[(row if within is None else row & within).bit_count()] |= low
     while by_degree and not by_degree[-1]:
         by_degree.pop()

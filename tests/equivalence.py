@@ -1,0 +1,148 @@
+"""Equivalence check: digests of `solve().to_json()` over a fixed seeded set.
+
+A change that claims to keep dimkit's outputs byte-identical proves it
+here.  Each family of inputs is solved in two modes, the default route and
+ENGINE_ONLY (`SolveConfig(branch_budget=0)`, where the paper's engine
+decides every component the K4 test and the dominating-edge test leave),
+and every output is hashed.  The committed file `equivalence_digests.json`
+holds, per family and mode, one 8-hex-digit digest per input and one digest
+over all of them.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/equivalence.py          # compare, list moved inputs
+    PYTHONPATH=src python tests/equivalence.py --write  # re-derive the digests
+
+The comparison prints one line per family and mode and names each input
+whose output moved; it exits 1 when any did.  A change that moves a digest
+re-derives the file in the same change and says which inputs moved and why.
+`test_equivalence.py` runs a slice of the set in tier-1.
+
+Families:
+  corpus7  every graph on at most 7 vertices up to isomorphism (995);
+  gnp      seeded G(n, p), n = 8..40, p in GNP_PS;
+  planted  `gen_planted(n, k, extra, seed)` with n = 20..400;
+  c4       `gen_c4_augmented` with the same parameter draw, so no-dim.
+The benchmark's inputs and the `explain` and `check` commands are not
+covered yet.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+from typing import Iterator
+
+from dimkit.driver import SolveConfig, solve
+from dimkit.generator import gen_c4_augmented, gen_planted, iter_small_corpus
+from dimkit.graph import Graph
+
+DIGESTS = Path(__file__).with_name("equivalence_digests.json")
+
+FAMILIES = ("corpus7", "gnp", "planted", "c4")
+MODES = {"default": SolveConfig(), "engine_only": SolveConfig(branch_budget=0)}
+
+GNP_COUNT = 3000
+GNP_PS = (0.05, 0.1, 0.15, 0.25, 0.4)
+PLANTED_COUNT = 200
+
+
+def _gnp(i: int) -> Graph:
+    rng = random.Random(3200 + i)
+    n = rng.randint(8, 40)
+    p = GNP_PS[i % len(GNP_PS)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph.from_edges(n, edges)
+
+
+def _planted_args(i: int) -> tuple[int, int, int, int]:
+    rng = random.Random(4000 + i)
+    n = rng.randint(20, 400)
+    k = rng.randint(max(1, n // 8), n // 3)
+    extra = rng.randint(k, min(2 * k * (n - 2 * k), 2 * n))
+    return n, k, extra, i
+
+
+def family_size(family: str) -> int:
+    return {"corpus7": 995, "gnp": GNP_COUNT, "planted": PLANTED_COUNT, "c4": PLANTED_COUNT}[family]
+
+
+def inputs(family: str, indexes: range | list[int] | None = None) -> Iterator[tuple[int, Graph]]:
+    """(index, graph) for the given indexes of a family, all by default."""
+    if indexes is None:
+        indexes = range(family_size(family))
+    if family == "corpus7":
+        corpus = list(iter_small_corpus(7))
+        for i in indexes:
+            yield i, corpus[i]
+    elif family == "gnp":
+        for i in indexes:
+            yield i, _gnp(i)
+    elif family == "planted":
+        for i in indexes:
+            yield i, gen_planted(*_planted_args(i)).graph
+    elif family == "c4":
+        for i in indexes:
+            yield i, gen_c4_augmented(*_planted_args(i))
+    else:
+        raise ValueError(f"unknown family {family!r}")
+
+
+def output_digest(g: Graph, mode: str) -> str:
+    text = solve(g, MODES[mode]).to_json()
+    return hashlib.sha256(text.encode()).hexdigest()[:8]
+
+
+def digest_family(family: str) -> dict[str, dict[str, str]]:
+    """{mode: {"digest", "inputs"}}: `inputs` concatenates the 8-digit
+    digests of the inputs in index order, `digest` hashes that string."""
+    per_mode: dict[str, list[str]] = {mode: [] for mode in MODES}
+    for _, g in inputs(family):
+        for mode in MODES:
+            per_mode[mode].append(output_digest(g, mode))
+    out = {}
+    for mode, digests in per_mode.items():
+        joined = "".join(digests)
+        out[mode] = {"digest": hashlib.sha256(joined.encode()).hexdigest(), "inputs": joined}
+    return out
+
+
+def committed() -> dict:
+    return json.loads(DIGESTS.read_text())
+
+
+def committed_digest(table: dict, family: str, mode: str, i: int) -> str:
+    return table[family][mode]["inputs"][8 * i:8 * i + 8]
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--write"]):
+        print(__doc__, file=sys.stderr)
+        return 2
+    table = {family: digest_family(family) for family in FAMILIES}
+    if argv == ["--write"]:
+        DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {DIGESTS}")
+        return 0
+    want = committed()
+    moved_any = False
+    for family in FAMILIES:
+        for mode in MODES:
+            got = table[family][mode]
+            moved = [
+                i for i in range(family_size(family))
+                if got["inputs"][8 * i:8 * i + 8] != committed_digest(want, family, mode, i)
+            ]
+            moved_any |= bool(moved)
+            state = "MOVED" if moved else "same"
+            print(f"{family:8} {mode:12} {family_size(family):5} inputs  {got['digest'][:16]}  {state}")
+            for i in moved:
+                print(f"  moved: {family}/{i}")
+    return 1 if moved_any else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -2,13 +2,15 @@
 
 Everything here is written against the bare definitions with subset or
 path enumeration, no shared logic with the library's detectors, so a bug
-would have to appear twice to slip through.
+would have to appear twice to slip through.  The one exception is
+`extend_waves_reference`, a frozen earlier copy of `Coloring.extend` that
+pins the order-dependent parts of its output.
 """
 
 from collections import deque
 from itertools import combinations
 
-from dimkit.coloring import Coloring
+from dimkit.coloring import Coloring, Contradiction
 from dimkit.decomposition import RadiusExceeded, apply_initial_facts, build_levels, forced_and_anchors
 from dimkit.graph import Graph, bits, connected_components
 from dimkit.oracle import all_dims
@@ -229,6 +231,69 @@ def propagate_naive(g: Graph, white: int, black: int):
     for v, col in color.items():
         masks[col] |= 1 << v
     return masks["white"], masks["black"], sum(1 << v for v in mated)
+
+
+def extend_waves_reference(c: Coloring, white: int = 0, black: int = 0) -> Contradiction | None:
+    """A frozen copy of `Coloring.extend` as it stood before its masks
+    stopped being complemented: the same waves, the whites walked one at a
+    time in id order, the state read and written on `c` directly.  Kept so
+    a rewrite of `extend` is held to the same reported contradiction (rule
+    and witnesses, which depend on the order of work) and the same partly
+    extended state after one, not only to the same fixpoint."""
+    rows = c.g.rows
+    while white or black:
+        clash = white & black | white & c.black | black & c.white
+        if clash:
+            return Contradiction("conflict", (next(bits(clash)),))
+        white &= ~c.white
+        black &= ~c.black
+        c.white |= white
+        c.black |= black
+        forced_white = forced_black = 0
+        touched = black
+        rest = white
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            row = rows[v]
+            ww = row & c.white
+            if ww:
+                return Contradiction("white-white-edge", (v, next(bits(ww))))
+            forced_black |= row
+            touched |= row & c.black & ~c.mated
+        while touched:
+            low = touched & -touched
+            touched ^= low
+            v = low.bit_length() - 1
+            row = rows[v]
+            nb_black = row & c.black
+            k = nb_black.bit_count()
+            if k >= 2:
+                it = bits(nb_black)
+                return Contradiction("two-black-neighbors", (v, next(it), next(it)))
+            if k == 0:
+                cand = row & ~c.white
+                if not cand:
+                    return Contradiction("black-unmatchable", (v,))
+                if cand.bit_count() == 1:
+                    forced_black |= cand
+                elif low & black:
+                    while cand:
+                        w = cand & -cand
+                        cand ^= w
+                        if rows[w.bit_length() - 1] & c.black != low:
+                            forced_white |= w
+            elif not c.mated >> v & 1:
+                u = nb_black.bit_length() - 1
+                if rows[u] & c.black != 1 << v:
+                    it = bits(rows[u] & c.black)
+                    return Contradiction("two-black-neighbors", (u, next(it), next(it)))
+                pair = 1 << v | nb_black
+                c.mated |= pair
+                forced_white |= (row | rows[u]) & ~pair
+        white, black = forced_white, forced_black
+    return None
 
 
 def _is_induced_path(g: Graph, seq) -> bool:

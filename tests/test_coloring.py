@@ -14,7 +14,12 @@ from dimkit.coloring import (
 from dimkit.generator import gen_c4_augmented, gen_planted
 from dimkit.graph import Graph, bits, connected_components, degree_classes
 from conftest import cycle_graph, path_graph, star_graph
-from naive_reference import coloring_is_complete_dim, pick_unknown_naive, propagate_naive
+from naive_reference import (
+    coloring_is_complete_dim,
+    extend_waves_reference,
+    pick_unknown_naive,
+    propagate_naive,
+)
 
 
 def test_white_forces_neighbors_black():
@@ -233,6 +238,36 @@ def test_extend_reaches_the_naive_fixpoint(corpus7):
             assert bad is None and (c.white, c.black, c.mated) == want, g.edges()
             fixpoints += 1
     assert contradictions >= 200 and fixpoints >= 200, (contradictions, fixpoints)
+
+
+def test_extend_reports_what_the_frozen_waves_report(corpus7):
+    # Which contradiction is reported, and the partly extended state it
+    # leaves, depend on the order of work; probe reasons print them.  So
+    # `extend` must match the frozen wave loop call by call: the same
+    # rule and witnesses, the same (white, black, mated) after each call.
+    # Each partial coloring goes in as two calls, so the second starts
+    # from the state the first left.
+    rng = random.Random(3232)
+    graphs = list(corpus7)
+    for _ in range(400):
+        n, p = rng.randint(8, 60), rng.choice((0.05, 0.08, 0.12, 0.2, 0.4))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        graphs.append(Graph.from_edges(n, edges))
+    rules = {}
+    for g in graphs:
+        for _ in range(3):
+            p = rng.choice((0.05, 0.1, 0.2, 0.3))
+            white, black = (sum(1 << v for v in range(g.n) if rng.random() < p) for _ in "wb")
+            first = rng.getrandbits(g.n)
+            c, ref = Coloring(g), Coloring(g)
+            for w, b in ((white & first, black & first), (white, black)):
+                got, want = c.extend(w, b), extend_waves_reference(ref, w, b)
+                assert got == want, (g.edges(), w, b)
+                assert (c.white, c.black, c.mated) == (ref.white, ref.black, ref.mated), g.edges()
+                if got is not None:
+                    rules[got.rule] = rules.get(got.rule, 0) + 1
+                    break
+    assert min(rules.values()) >= 100 and len(rules) == 4, rules
 
 
 def test_black_pair_contradicts_on_square():
