@@ -1,10 +1,14 @@
-"""Equivalence check: digests of `solve().to_json()` over a fixed seeded set.
+"""Equivalence check: digests of dimkit's outputs over a fixed seeded set.
 
 A change that claims to keep dimkit's outputs byte-identical proves it
-here.  Each family of inputs is solved in two modes, the default route and
-ENGINE_ONLY (`SolveConfig(branch_budget=0)`, where the paper's engine
-decides every component the K4 test and the dominating-edge test leave),
-and every output is hashed.  The committed file `equivalence_digests.json`
+here.  Each input of each family is run in three modes, and every output
+is hashed:
+  default      `solve().to_json()` on the default route;
+  engine_only  the same under ENGINE_ONLY (`SolveConfig(branch_budget=0)`,
+               where the paper's engine decides every component the K4
+               test and the dominating-edge test leave);
+  p9           `classify_p9(g)`, state and witness, as JSON (the solve's
+               JSON carries the state but not the witness).  The committed file `equivalence_digests.json`
 holds, per family and mode, one 8-hex-digit digest per input and one digest
 over all of them.
 
@@ -22,9 +26,11 @@ Families:
   corpus7  every graph on at most 7 vertices up to isomorphism (995);
   gnp      seeded G(n, p), n = 8..40, p in GNP_PS;
   planted  `gen_planted(n, k, extra, seed)` with n = 20..400;
-  c4       `gen_c4_augmented` with the same parameter draw, so no-dim.
-The benchmark's inputs and the `explain` and `check` commands are not
-covered yet.
+  c4       `gen_c4_augmented` with the same parameter draw, so no-dim;
+  bench    the benchmark's seed-1 inputs (`perfbench/workloads.py`'s
+           MAKERS: planted, inclass, then small, 2,055 graphs).
+The `explain` command and the rest of `check`'s report are not covered
+yet.
 """
 
 from __future__ import annotations
@@ -34,16 +40,23 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Iterator
+from functools import cache
+from typing import Callable, Iterator
 
 from dimkit.driver import SolveConfig, solve
 from dimkit.generator import gen_c4_augmented, gen_planted, iter_small_corpus
 from dimkit.graph import Graph
+from dimkit.patterns import classify_p9
 
 DIGESTS = Path(__file__).with_name("equivalence_digests.json")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-FAMILIES = ("corpus7", "gnp", "planted", "c4")
-MODES = {"default": SolveConfig(), "engine_only": SolveConfig(branch_budget=0)}
+FAMILIES = ("corpus7", "gnp", "planted", "c4", "bench")
+MODES: dict[str, Callable[[Graph], str]] = {
+    "default": lambda g: solve(g).to_json(),
+    "engine_only": lambda g: solve(g, SolveConfig(branch_budget=0)).to_json(),
+    "p9": lambda g: json.dumps(classify_p9(g)),
+}
 
 GNP_COUNT = 3000
 GNP_PS = (0.05, 0.1, 0.15, 0.25, 0.4)
@@ -66,7 +79,18 @@ def _planted_args(i: int) -> tuple[int, int, int, int]:
     return n, k, extra, i
 
 
+@cache
+def _bench() -> list[Graph]:
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    from workloads import MAKERS
+
+    return [Graph.from_edges(it["n"], it["edges"]) for make in MAKERS.values() for it in make(1)]
+
+
 def family_size(family: str) -> int:
+    if family == "bench":
+        return len(_bench())
     return {"corpus7": 995, "gnp": GNP_COUNT, "planted": PLANTED_COUNT, "c4": PLANTED_COUNT}[family]
 
 
@@ -87,12 +111,15 @@ def inputs(family: str, indexes: range | list[int] | None = None) -> Iterator[tu
     elif family == "c4":
         for i in indexes:
             yield i, gen_c4_augmented(*_planted_args(i))
+    elif family == "bench":
+        for i in indexes:
+            yield i, _bench()[i]
     else:
         raise ValueError(f"unknown family {family!r}")
 
 
 def output_digest(g: Graph, mode: str) -> str:
-    text = solve(g, MODES[mode]).to_json()
+    text = MODES[mode](g)
     return hashlib.sha256(text.encode()).hexdigest()[:8]
 
 
