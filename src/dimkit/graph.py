@@ -5,13 +5,14 @@ Vertices are dense ints 0..n-1.  Adjacency is one Python int per vertex
 intersection is ``&``, spread is ``|``, popcount is ``int.bit_count``.
 Edges are normalized (u, v) tuples with u < v.
 
-Masks are never negated or complemented on the solve path: ``-x`` and
-``~y`` copy an n-bit int, and CPython's ``&`` then works on two's
-complement digits, so ``x & -x`` and ``x & ~y`` cost about 4x a plain
-``&`` or ``|`` at n = 2,000 (Python 3.11).  A subset y of x is dropped as
-``x ^ x & y``, or ``x ^ y`` when y lies in x, and a walk whose order fixes
-no output takes the top bit, ``v = x.bit_length() - 1; x ^= 1 << v``; only
-walks that must run in id order take the low bit with ``x & -x``.
+No mask is complemented on the solve path, and only a walk that must run
+in id order negates one: ``-x`` and ``~y`` copy an n-bit int, and
+CPython's ``&`` then works on two's complement digits, so ``x & -x`` and
+``x & ~y`` cost about 4x a plain ``&`` or ``|`` at n = 2,000 (Python
+3.11).  A subset y of x is dropped as ``x ^ x & y``, or ``x ^ y`` when y
+lies in x; a walk whose order fixes no output takes the top bit,
+``v = x.bit_length() - 1; x ^= 1 << v``, and a walk in id order takes the
+low bit with ``x & -x``.
 
 A row is as long as its highest neighbour id, so the rows cost up to
 n**2 / 8 bytes, and about n**2 / 16 even on a sparse graph whose ids are in
@@ -63,13 +64,10 @@ class Graph:
                 raise ValueError(f"row {v} mentions vertices >= n")
             if row & (1 << v):
                 raise ValueError(f"self-loop at {v}")
-            deg_total += row.bit_count()
-        for v in range(n):
-            for u in bits(rows[v]):
+            for u in bits(row):
                 if not rows[u] & (1 << v):
                     raise ValueError(f"asymmetric edge ({v},{u})")
-        if deg_total % 2:
-            raise ValueError("odd total degree; rows are inconsistent")
+            deg_total += row.bit_count()
         self.n = n
         self.rows = tuple(rows)
         self.m = deg_total // 2

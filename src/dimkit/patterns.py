@@ -89,65 +89,59 @@ def find_induced_path(
     DFS, or None.
 
     The DFS grows paths from ascending start vertices and tries each next
-    vertex in ascending id order.  Its explicit stack holds, per path
-    vertex, the untried candidates for the next one and the vertices still
-    free: in scope, off the path and not adjacent to it, so a new tip
-    touches only the current tip.  Each path of two or more vertices it
-    reaches costs one step; node_limit bounds the steps and raises
-    ScanBudget when exhausted.  A scope with fewer than k vertices is
-    answered without a step.  With `within`, the DFS runs on the scope
-    relabelled 0..q-1 in ascending order, so a row is a q-bit mask however
-    large g is, and the path is mapped back.
+    vertex in ascending id order.  From each start vertex s it runs one
+    explicit stack with a frame per path vertex: the untried candidates for
+    the next vertex, and the vertices still free beyond them (in scope, off
+    the path and not adjacent to it, so a new tip touches only the current
+    tip).  s's frame holds its neighbours, so every vertex after s is taken
+    at one point, where it costs one step; node_limit bounds the steps and
+    raises ScanBudget when exhausted.  A scope with fewer than k vertices
+    is answered without a step.  A scope that is a proper subset of g's
+    vertices is relabelled 0..q-1 in ascending order, so a row is a q-bit
+    mask however large g is, and the path is mapped back.
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    scope = g.full_mask() if within is None else within
+    full = g.full_mask()
+    scope = full if within is None else within
     if scope.bit_count() < k:
         return None
     if k == 1:
         return (next(bits(scope)),)
-    if within is None:
+    if scope == full:
         rows, label = g.rows, range(g.n)
     else:
-        label = list(bits(within))
+        label = list(bits(scope))
         bit = {v: 1 << i for i, v in enumerate(label)}
         rows = []
         for v in label:
             row = 0
-            for u in bits(g.rows[v] & within):
+            for u in bits(g.rows[v] & scope):
                 row |= bit[u]
             rows.append(row)
         scope = (1 << len(label)) - 1
     limit = inf if node_limit is None else node_limit
     steps = 0
-    for s in bits(scope):
-        free = scope & ~rows[s] & ~(1 << s)
-        for t in bits(rows[s]):
+    for s in range(len(label)):
+        path = [s]
+        stack = [(rows[s], scope ^ scope & (rows[s] | 1 << s))]
+        while stack:
+            cand, later = stack[-1]
+            if not cand:
+                stack.pop()
+                path.pop()
+                continue
+            low = cand & -cand
+            stack[-1] = (cand ^ low, later)
+            w = low.bit_length() - 1
             steps += 1
             if steps > limit:
                 raise ScanBudget
-            if k == 2:
-                return (label[s], label[t])
-            path = [s, t]
-            # per path vertex from t on: its untried successors, and the
-            # vertices still free beyond them (off the path and its rows)
-            stack = [(rows[t] & free, free & ~rows[t])]
-            while stack:
-                cand, later = stack[-1]
-                if not cand:
-                    stack.pop()
-                    path.pop()
-                    continue
-                low = cand & -cand
-                stack[-1] = (cand ^ low, later)
-                w = low.bit_length() - 1
-                steps += 1
-                if steps > limit:
-                    raise ScanBudget
-                path.append(w)
-                if len(path) == k:
-                    return tuple(label[v] for v in path)
-                stack.append((rows[w] & later, later & ~rows[w]))
+            path.append(w)
+            if len(path) == k:
+                return tuple(label[v] for v in path)
+            row = rows[w]
+            stack.append((row & later, later ^ later & row))
     return None
 
 

@@ -33,6 +33,20 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(1, 1)])
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([0b010, 0b001], "expected 3 rows"),
+    ([0b1000, 0, 0], "mentions vertices >= n"),
+    ([-1, 0, 0], "mentions vertices >= n"),
+    ([0b001, 0, 0], "self-loop at 0"),
+    ([0b110, 0b001, 0b000], r"asymmetric edge \(0,2\)"),
+    ([0b000, 0b000, 0b010], r"asymmetric edge \(2,1\)"),
+])
+def test_graph_rejects_malformed_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(3, rows)
+    assert Graph(3, [0b010, 0b101, 0b010]).m == 2
+
+
 def test_bits_ascending():
     assert list(bits(0b101001)) == [0, 3, 5]
     assert list(bits(0)) == []

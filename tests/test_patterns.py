@@ -149,8 +149,10 @@ def test_path_finder_matches_naive_on_random_graphs():
 def test_path_finder_matches_recursive_reference_step_for_step():
     # The iterative DFS visits paths in the recursive search's order and
     # counts a step at the same points, so both find the same path and
-    # ScanBudget fires at the same node_limit, on g itself and on the twin
-    # quotient (which the DFS scans on relabelled rows).
+    # ScanBudget fires at the same node_limit, on every kind of scope: none,
+    # all of g spelled out, the twin quotient (all of g when g is twin-free)
+    # and a random proper subset.  The DFS scans g's own rows for the first
+    # two and relabels a proper subset.
     rng = random.Random(3131)
     for trial in range(200):
         if trial % 2:
@@ -158,7 +160,9 @@ def test_path_finder_matches_recursive_reference_step_for_step():
         else:
             g = twin_padded_graph(rng, rng.randint(9, 16), rng.choice((0.12, 0.2, 0.3)),
                                   rng.randint(0, 14))
-        for within in (None, twin_quotient(g)):
+        drop = 1 << rng.randrange(g.n) | rng.getrandbits(g.n) & rng.getrandbits(g.n) & g.full_mask()
+        subset = g.full_mask() ^ drop
+        for within in (None, g.full_mask(), twin_quotient(g), subset):
             for k in range(1, 10):
                 want, steps = induced_path_dfs_reference(g, k, within)
                 where = (trial, k, within, g.edges())
