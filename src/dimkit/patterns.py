@@ -111,12 +111,14 @@ def find_induced_path(
     if scope == full:
         rows, label = g.rows, range(g.n)
     else:
-        label = list(bits(scope))
+        label = list(bits(within))
         bit = {v: 1 << i for i, v in enumerate(label)}
         rows = []
-        for v in label:
-            row = 0
-            for u in bits(g.rows[v] & scope):
+        for v in label:  # in any order: a row is a set
+            nbrs, row = g.rows[v] & within, 0
+            while nbrs:
+                u = nbrs.bit_length() - 1
+                nbrs ^= 1 << u
                 row |= bit[u]
             rows.append(row)
         scope = (1 << len(label)) - 1

@@ -160,7 +160,7 @@ def test_path_finder_matches_recursive_reference_step_for_step():
         else:
             g = twin_padded_graph(rng, rng.randint(9, 16), rng.choice((0.12, 0.2, 0.3)),
                                   rng.randint(0, 14))
-        drop = 1 << rng.randrange(g.n) | rng.getrandbits(g.n) & rng.getrandbits(g.n) & g.full_mask()
+        drop = 1 << rng.randrange(g.n) | rng.getrandbits(g.n) & rng.getrandbits(g.n)
         subset = g.full_mask() ^ drop
         for within in (None, g.full_mask(), twin_quotient(g), subset):
             for k in range(1, 10):
