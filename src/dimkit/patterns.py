@@ -114,9 +114,9 @@ def find_induced_path(
         label = list(bits(within))
         bit = {v: 1 << i for i, v in enumerate(label)}
         rows = []
-        for v in label:  # in any order: a row is a set
+        for v in label:
             nbrs, row = g.rows[v] & within, 0
-            while nbrs:
+            while nbrs:  # top bit first: a row is a set, so order fixes nothing
                 u = nbrs.bit_length() - 1
                 nbrs ^= 1 << u
                 row |= bit[u]
