@@ -141,22 +141,26 @@ def oracle_cmd(args) -> int:
 # -- check ------------------------------------------------------------------
 
 
-def check_cmd(args) -> int:
-    """Report structural features relevant to solvability."""
-    g = _load_graph(args.graph_path)
+def check_report(g: Graph) -> dict:
+    """Structural features relevant to solvability, as `dimkit check`
+    prints them: size, the first K4, diamond and butterfly counts, and the
+    P9 scan's state and witness."""
     k4 = find_k4(g)
-    diamonds = sum(1 for _ in iter_diamonds(g))
-    butterflies = sum(1 for _ in iter_butterflies(g))
     p9_state, p9 = classify_p9(g)
-    info = {
+    return {
         "n": g.n,
         "m": g.m,
         "k4": list(k4.vertices) if k4 else None,
-        "diamonds": diamonds,
-        "butterflies": butterflies,
+        "diamonds": sum(1 for _ in iter_diamonds(g)),
+        "butterflies": sum(1 for _ in iter_butterflies(g)),
         "p9_free": p9_state,
         "p9_witness": list(p9) if p9 else None,
     }
+
+
+def check_cmd(args) -> int:
+    """Report structural features relevant to solvability."""
+    info = check_report(_load_graph(args.graph_path))
     if args.as_json:
         print(json.dumps(info))
     else:

@@ -1,16 +1,19 @@
 """Equivalence check: digests of dimkit's outputs over a fixed seeded set.
 
 A change that claims to keep dimkit's outputs byte-identical proves it
-here.  Each input of each family is run in three modes, and every output
+here.  Each input of each family is run in four modes, and every output
 is hashed:
   default      `solve().to_json()` on the default route;
   engine_only  the same under ENGINE_ONLY (`SolveConfig(branch_budget=0)`,
                where the paper's engine decides every component the K4
                test and the dominating-edge test leave);
   p9           `classify_p9(g)`, state and witness, as JSON (the solve's
-               JSON carries the state but not the witness).  The committed file `equivalence_digests.json`
-holds, per family and mode, one 8-hex-digit digest per input and one digest
-over all of them.
+               JSON carries the state but not the witness);
+  check        `cli.check_report(g)`, the report `dimkit check --json`
+               prints: the first K4, diamond and butterfly counts, and
+               the P9 state and witness.
+The committed file `equivalence_digests.json` holds, per family and mode,
+one 8-hex-digit digest per input and one digest over all of them.
 
 Run from the repository root:
 
@@ -29,8 +32,7 @@ Families:
   c4       `gen_c4_augmented` with the same parameter draw, so no-dim;
   bench    the benchmark's seed-1 inputs (`perfbench/workloads.py`'s
            MAKERS: planted, inclass, then small, 2,055 graphs).
-The `explain` command and the rest of `check`'s report are not covered
-yet.
+The `explain` command is not covered yet.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from pathlib import Path
 from functools import cache
 from typing import Callable, Iterator
 
+from dimkit.cli import check_report
 from dimkit.driver import SolveConfig, solve
 from dimkit.generator import gen_c4_augmented, gen_planted, iter_small_corpus
 from dimkit.graph import Graph
@@ -56,6 +59,7 @@ MODES: dict[str, Callable[[Graph], str]] = {
     "default": lambda g: solve(g).to_json(),
     "engine_only": lambda g: solve(g, SolveConfig(branch_budget=0)).to_json(),
     "p9": lambda g: json.dumps(classify_p9(g)),
+    "check": lambda g: json.dumps(check_report(g)),
 }
 
 GNP_COUNT = 3000

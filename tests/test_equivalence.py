@@ -1,5 +1,5 @@
 """Tier-1 slice of the equivalence check (`equivalence.py`): every tenth
-input of each family, in both modes, against the committed digests."""
+input of each family, in every mode, against the committed digests."""
 
 import pytest
 
