@@ -42,10 +42,16 @@ def find_k4(g: Graph, within: int | None = None) -> PatternHit | None:
         row_a = rows[a] & rest  # neighbors above a
         if row_a.bit_count() < 3:  # a cannot be the lowest vertex of a K4
             continue
-        for b in bits(row_a):
-            common_ab = row_a & rows[b]
-            for c in bits(common_ab >> (b + 1) << (b + 1)):
-                for d in bits(common_ab & rows[c] >> (c + 1) << (c + 1)):
+        above_b = row_a
+        while above_b:  # walked upward by hand, so above_b is row_a above b
+            low = above_b & -above_b
+            above_b ^= low
+            b = low.bit_length() - 1
+            common = above_b & rows[b]  # common neighbours of a and b above b
+            if not common & common - 1:  # a K4 with lowest pair (a, b) needs two
+                continue
+            for c in bits(common):
+                for d in bits(common & rows[c] >> (c + 1) << (c + 1)):
                     return PatternHit("K4", (a, b, c, d), ())
     return None
 
@@ -89,16 +95,18 @@ def find_induced_path(
     DFS, or None.
 
     The DFS grows paths from ascending start vertices and tries each next
-    vertex in ascending id order.  From each start vertex s it runs one
-    explicit stack with a frame per path vertex: the untried candidates for
-    the next vertex, and the vertices still free beyond them (in scope, off
-    the path and not adjacent to it, so a new tip touches only the current
-    tip).  s's frame holds its neighbours, so every vertex after s is taken
-    at one point, where it costs one step; node_limit bounds the steps and
-    raises ScanBudget when exhausted.  A scope with fewer than k vertices
-    is answered without a step.  A scope that is a proper subset of g's
-    vertices is relabelled 0..q-1 in ascending order, so a row is a q-bit
-    mask however large g is, and the path is mapped back.
+    vertex in ascending id order.  Its frames live in three lists of
+    length k, made once per call and indexed by depth d: path[d], the
+    untried candidates for it, and the vertices still free beyond them (in
+    scope, off the path and not adjacent to it, so a new tip touches only
+    the current tip).  Start vertex s takes path[0] and writes depth 1,
+    its neighbours; taking a vertex at depth d writes depth d + 1, and an
+    empty candidate mask steps back one depth.  So every vertex after s is
+    taken at one point, where it costs one step; node_limit bounds the
+    steps and raises ScanBudget when exhausted.  A scope with fewer than k
+    vertices is answered without a step.  A scope that is a proper subset
+    of g's vertices is relabelled 0..q-1 in ascending order, so a row is a
+    q-bit mask however large g is, and the path is mapped back.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -124,26 +132,32 @@ def find_induced_path(
         scope = (1 << len(label)) - 1
     limit = inf if node_limit is None else node_limit
     steps = 0
+    last = k - 1
+    path, cands, frees = [0] * k, [0] * k, [0] * k
     for s in range(len(label)):
-        path = [s]
-        stack = [(rows[s], scope ^ scope & (rows[s] | 1 << s))]
-        while stack:
-            cand, later = stack[-1]
+        path[0] = s
+        cands[1] = rows[s]
+        frees[1] = scope ^ scope & (rows[s] | 1 << s)
+        d = 1
+        while d:
+            cand = cands[d]
             if not cand:
-                stack.pop()
-                path.pop()
+                d -= 1
                 continue
             low = cand & -cand
-            stack[-1] = (cand ^ low, later)
+            cands[d] = cand ^ low
             w = low.bit_length() - 1
             steps += 1
             if steps > limit:
                 raise ScanBudget
-            path.append(w)
-            if len(path) == k:
+            path[d] = w
+            if d == last:
                 return tuple(label[v] for v in path)
+            later = frees[d]
             row = rows[w]
-            stack.append((row & later, later ^ later & row))
+            d += 1
+            cands[d] = row & later
+            frees[d] = later ^ later & row
     return None
 
 

@@ -132,6 +132,26 @@ def test_detectors_match_naive_on_random_graphs():
         assert got_b == butterfly_hits_naive(g), (trial, g.edges())
 
 
+def test_find_k4_matches_naive_where_hopeless_pairs_are_dropped():
+    # find_k4 skips a pair (a, b) with fewer than two common neighbours
+    # above b.  Up to n = 24, twin padding and G(n, p) hold many such pairs
+    # before and beside the first K4, which must stay the least one, with
+    # and without a mask.
+    rng = random.Random(7744)
+    for trial in range(160):
+        if trial % 2:
+            g = random_graph(rng, rng.randint(9, 24), rng.choice((0.2, 0.3, 0.45)))
+        else:
+            g = twin_padded_graph(rng, rng.randint(6, 12), rng.choice((0.3, 0.45, 0.6)),
+                                  rng.randint(2, 12))
+        naive = sorted(tuple(sorted(s)) for s in k4_sets_naive(g))
+        within = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+        for scope in (None, within):
+            inside = [q for q in naive if scope is None or all(scope >> v & 1 for v in q)]
+            hit = find_k4(g, scope)
+            assert (hit and hit.vertices) == (inside[0] if inside else None), (trial, scope, g.edges())
+
+
 def test_path_finder_matches_naive_on_random_graphs():
     rng = random.Random(998)
     for trial in range(400):
