@@ -1,10 +1,14 @@
 """Equivalence check: digests of dimkit's outputs over a fixed seeded set.
 
 A change that claims to keep dimkit's outputs byte-identical proves it
-here.  Each input of each family is run in four modes, and every output
+here.  Each input of each family is run in five modes, and every output
 is hashed:
   default      `solve().to_json()` on the default route;
-  engine_only  the same under ENGINE_ONLY (`SolveConfig(branch_budget=0)`,
+  verdict      the same solve's `status`, `matching` and `p9_checked` only,
+               without `stats` and `reason`: a change to the search that
+               claims to move no verdict or certificate reads `same` here
+               even where it moves branch counts or a reason text;
+  engine_only  `solve().to_json()` under ENGINE_ONLY (`SolveConfig(branch_budget=0)`,
                where the paper's engine decides every component the K4
                test and the dominating-edge test leave);
   p9           `classify_p9(g)`, state and witness, as JSON (the solve's
@@ -31,7 +35,9 @@ Families:
   planted  `gen_planted(n, k, extra, seed)` with n = 20..400;
   c4       `gen_c4_augmented` with the same parameter draw, so no-dim;
   bench    the benchmark's seed-1 inputs (`perfbench/workloads.py`'s
-           MAKERS: planted, inclass, then small, 2,055 graphs).
+           MAKERS: planted, inclass, then small, 2,055 graphs);
+  deg3     planted d.i.m.s in graphs of maximum degree 3 (ROADMAP item 8),
+           n = 10..400, so every input is `dim` (see `_deg3`).
 The `explain` command is not covered yet.
 """
 
@@ -43,7 +49,7 @@ import random
 import sys
 from pathlib import Path
 from functools import cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 from dimkit.cli import check_report
 from dimkit.driver import SolveConfig, solve
@@ -54,17 +60,14 @@ from dimkit.patterns import classify_p9
 DIGESTS = Path(__file__).with_name("equivalence_digests.json")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-FAMILIES = ("corpus7", "gnp", "planted", "c4", "bench")
-MODES: dict[str, Callable[[Graph], str]] = {
-    "default": lambda g: solve(g).to_json(),
-    "engine_only": lambda g: solve(g, SolveConfig(branch_budget=0)).to_json(),
-    "p9": lambda g: json.dumps(classify_p9(g)),
-    "check": lambda g: json.dumps(check_report(g)),
-}
+FAMILIES = ("corpus7", "gnp", "planted", "c4", "bench", "deg3")
+MODES = ("default", "verdict", "engine_only", "p9", "check")
+VERDICT_KEYS = ("status", "matching", "p9_checked")
 
 GNP_COUNT = 3000
 GNP_PS = (0.05, 0.1, 0.15, 0.25, 0.4)
 PLANTED_COUNT = 200
+DEG3_COUNT = 200
 
 
 def _gnp(i: int) -> Graph:
@@ -83,6 +86,28 @@ def _planted_args(i: int) -> tuple[int, int, int, int]:
     return n, k, extra, i
 
 
+def _deg3(i: int) -> Graph:
+    """ROADMAP item 8's family: k matched pairs (3 | k, k <= 120) and 4k/3
+    unmatched vertices, n = 10k/3.  A configuration pairing joins the two
+    free stubs of each matched vertex to the three stubs of each unmatched
+    one, redrawn until no edge repeats, so every vertex has degree 3 and
+    the pairs form a d.i.m.; ids are shuffled."""
+    rng = random.Random(5200 + i)
+    k = 3 * rng.randint(1, 40)
+    n = 10 * k // 3
+    matched = [v for v in range(2 * k) for _ in range(2)]
+    unmatched = [v for v in range(2 * k, n) for _ in range(3)]
+    while True:
+        rng.shuffle(unmatched)
+        cross = set(zip(matched, unmatched))
+        if len(cross) == len(matched):
+            break
+    ids = list(range(n))
+    rng.shuffle(ids)
+    pairs = [(2 * j, 2 * j + 1) for j in range(k)]
+    return Graph.from_edges(n, [(ids[a], ids[b]) for a, b in pairs + sorted(cross)])
+
+
 @cache
 def _bench() -> list[Graph]:
     if str(PERFBENCH) not in sys.path:
@@ -95,7 +120,10 @@ def _bench() -> list[Graph]:
 def family_size(family: str) -> int:
     if family == "bench":
         return len(_bench())
-    return {"corpus7": 995, "gnp": GNP_COUNT, "planted": PLANTED_COUNT, "c4": PLANTED_COUNT}[family]
+    return {
+        "corpus7": 995, "gnp": GNP_COUNT, "planted": PLANTED_COUNT, "c4": PLANTED_COUNT,
+        "deg3": DEG3_COUNT,
+    }[family]
 
 
 def inputs(family: str, indexes: range | list[int] | None = None) -> Iterator[tuple[int, Graph]]:
@@ -118,13 +146,29 @@ def inputs(family: str, indexes: range | list[int] | None = None) -> Iterator[tu
     elif family == "bench":
         for i in indexes:
             yield i, _bench()[i]
+    elif family == "deg3":
+        for i in indexes:
+            yield i, _deg3(i)
     else:
         raise ValueError(f"unknown family {family!r}")
 
 
-def output_digest(g: Graph, mode: str) -> str:
-    text = MODES[mode](g)
-    return hashlib.sha256(text.encode()).hexdigest()[:8]
+def outputs(g: Graph) -> dict[str, str]:
+    """The text each mode digests for g; `default` and `verdict` share one
+    solve."""
+    solved = solve(g).to_json_dict()
+    return {
+        "default": json.dumps(solved),
+        "verdict": json.dumps({key: solved[key] for key in VERDICT_KEYS}),
+        "engine_only": solve(g, SolveConfig(branch_budget=0)).to_json(),
+        "p9": json.dumps(classify_p9(g)),
+        "check": json.dumps(check_report(g)),
+    }
+
+
+def output_digests(g: Graph) -> dict[str, str]:
+    """{mode: the 8-hex-digit digest of its text} for g."""
+    return {mode: hashlib.sha256(text.encode()).hexdigest()[:8] for mode, text in outputs(g).items()}
 
 
 def digest_family(family: str) -> dict[str, dict[str, str]]:
@@ -132,8 +176,8 @@ def digest_family(family: str) -> dict[str, dict[str, str]]:
     digests of the inputs in index order, `digest` hashes that string."""
     per_mode: dict[str, list[str]] = {mode: [] for mode in MODES}
     for _, g in inputs(family):
-        for mode in MODES:
-            per_mode[mode].append(output_digest(g, mode))
+        for mode, digest in output_digests(g).items():
+            per_mode[mode].append(digest)
     out = {}
     for mode, digests in per_mode.items():
         joined = "".join(digests)
