@@ -37,7 +37,7 @@ Families:
   bench    the benchmark's seed-1 inputs (`perfbench/workloads.py`'s
            MAKERS: planted, inclass, then small, 2,055 graphs);
   deg3     planted d.i.m.s in graphs of maximum degree 3 (ROADMAP item 8),
-           n = 10..400, so every input is `dim` (see `_deg3`).
+           n = 10..400, so every input is `dim` (see `deg3_graph`).
 The `explain` command is not covered yet.
 """
 
@@ -86,7 +86,7 @@ def _planted_args(i: int) -> tuple[int, int, int, int]:
     return n, k, extra, i
 
 
-def _deg3(i: int) -> Graph:
+def deg3_graph(i: int) -> Graph:
     """ROADMAP item 8's family: k matched pairs (3 | k, k <= 120) and 4k/3
     unmatched vertices, n = 10k/3.  A configuration pairing joins the two
     free stubs of each matched vertex to the three stubs of each unmatched
@@ -148,7 +148,7 @@ def inputs(family: str, indexes: range | list[int] | None = None) -> Iterator[tu
             yield i, _bench()[i]
     elif family == "deg3":
         for i in indexes:
-            yield i, _deg3(i)
+            yield i, deg3_graph(i)
     else:
         raise ValueError(f"unknown family {family!r}")
 

@@ -2,9 +2,12 @@
 
 Everything here is written against the bare definitions with subset or
 path enumeration, no shared logic with the library's detectors, so a bug
-would have to appear twice to slip through.  The one exception is
-`extend_waves_reference`, a frozen earlier copy of `Coloring.extend` that
-pins the order-dependent parts of its output.
+would have to appear twice to slip through.  The two exceptions are frozen
+earlier copies of library code: `extend_waves_reference`, of
+`Coloring.extend`, which pins the order-dependent parts of its output, and
+`search_chronological_reference`, of `coloring.search` before it dropped
+doomed alternatives, which holds the search to the same status and
+colouring in no more branches.
 """
 
 from collections import deque
@@ -294,6 +297,35 @@ def extend_waves_reference(c: Coloring, white: int = 0, black: int = 0) -> Contr
                 forced_white |= (row | rows[u]) & ~pair
         white, black = forced_white, forced_black
     return None
+
+
+def search_chronological_reference(c: Coloring, pick, budget: int) -> tuple[str, int]:
+    """A frozen copy of `coloring.search` as it stood before it dropped the
+    pending alternatives a dead piece dooms: plain chronological
+    backtracking, black first, one stack entry (snapshot, vertex bit,
+    black) per pending decision.  Returns (status, branches) as `search`
+    does."""
+    v = pick(c)
+    if v < 0:
+        return "colored", 0
+    branches = 0
+    stack = [(c.snapshot(), 1 << v, True)]
+    while stack:
+        snap, bit, black = stack.pop()
+        c.restore(snap)
+        if black:
+            stack.append((snap, bit, False))
+        branches += 1
+        if branches > budget:
+            return "budget", branches
+        bad = c.extend(black=bit) if black else c.extend(white=bit)
+        if bad is not None:
+            continue
+        u = pick(c)
+        if u < 0:
+            return "colored", branches
+        stack.append((c.snapshot(), 1 << u, True))
+    return "infeasible", branches
 
 
 def _is_induced_path(g: Graph, seq) -> bool:

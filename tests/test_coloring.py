@@ -14,11 +14,13 @@ from dimkit.coloring import (
 from dimkit.generator import gen_c4_augmented, gen_planted
 from dimkit.graph import Graph, bits, connected_components, degree_classes
 from conftest import cycle_graph, path_graph, star_graph
+from equivalence import deg3_graph
 from naive_reference import (
     coloring_is_complete_dim,
     extend_waves_reference,
     pick_unknown_naive,
     propagate_naive,
+    search_chronological_reference,
 )
 
 
@@ -317,6 +319,134 @@ def test_search_stops_past_the_budget():
     g = path_graph(5)
     assert search(Coloring(g), _first_unknown, 0) == ("budget", 1)
 
+
+# -- the jump over alternatives a dead piece dooms ------------------------------
+
+
+def _in_order(order):
+    """A pick that names the first unknown vertex of `order`."""
+    def pick(c):
+        return next((v for v in order if c.unknown_mask(1 << v)), -1)
+    return pick
+
+
+def _both_searches(g, make_pick):
+    """(status, branches, colors) of `search` and of the chronological
+    reference, each from an uncolored g under a fresh pick; colors only on
+    "colored", the one status that leaves c meaningful."""
+    out = []
+    for run in (search, search_chronological_reference):
+        c = Coloring(g)
+        status, branches = run(c, make_pick(), 10**6)
+        out.append((status, branches, c.snapshot() if status == "colored" else None))
+    return out
+
+
+def _search_families(corpus7):
+    yield from corpus7
+    rng = random.Random(35)
+    for _ in range(400):
+        n = rng.randint(8, 40)
+        p = rng.choice((0.05, 0.1, 0.15, 0.25, 0.4))
+        yield Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    for seed in range(60):
+        n = rng.randint(20, 150)
+        k = rng.randint(max(1, n // 8), n // 3)
+        extra = rng.randint(k, min(2 * k * (n - 2 * k), 2 * n))
+        yield gen_planted(n, k, extra, seed).graph
+        yield gen_c4_augmented(n, k, extra, seed)
+    for i in range(60):
+        yield deg3_graph(i)  # n <= 400
+
+
+def test_search_matches_the_chronological_reference(corpus7):
+    # Dropping only subtrees without a solution keeps the first solution
+    # of chronological backtracking: the same status and, when colored,
+    # the same colors, in no more branches.  Each component is searched
+    # alone under branch_pick, as the complete search does.
+    jumped = 0
+    for g in _search_families(corpus7):
+        for comp in connected_components(g):
+            by_degree = degree_classes(g, comp)
+            (status, branches, colors), want = _both_searches(g, lambda: branch_pick(g, comp, by_degree))
+            assert (status, colors) == (want[0], want[2]), g.edges()
+            assert branches <= want[1], g.edges()
+            jumped += branches < want[1]
+    assert jumped >= 5
+
+
+def test_search_jumps_from_a_dead_pendant_square_over_a_thrashing_part():
+    # l - x - a, a pendant square c0..c3 at a, and three hooks h_i at a,
+    # each with two leaves.  l black pairs it with x and whitens a, so c0
+    # and every h_i turn black.  Each h_i then picks a leaf (the thrashing
+    # part: 2**3 ways), and only then is c1 tried: black pairs c0-c1 and
+    # whitens c2 and c3, white leaves c0 only c3, which whitens c2 beside
+    # c1.  The square's piece {c0, .., c3} meets only the white a, which
+    # was colored before every hook's pending alternative, so all of them
+    # go at once; the reference retries the square under each of the 8.
+    l, x, a, c0, c1, c2, c3 = range(7)
+    edges = [(l, x), (x, a), (a, c0), (c0, c1), (c1, c2), (c2, c3), (c0, c3)]
+    order = [l]
+    for h in (7, 10, 13):
+        edges += [(a, h), (h, h + 1), (h, h + 2)]
+        order.append(h + 1)
+    order += [c1, *(v for v in range(16) if v not in order and v != c1)]
+    g = Graph.from_edges(16, edges)
+    (status, branches, _), want = _both_searches(g, lambda: _in_order(order))
+    assert status == want[0] == "infeasible"
+    # l black, one leaf per hook, c1 both ways, l white
+    assert branches == 7 < want[1]
+
+
+def test_search_keeps_an_alternative_whose_state_has_the_dead_piece_open():
+    # b is black first; w black then whitens u (an unknown beside two
+    # blacks), so b keeps only p1 and p2, and p1 fails both ways at once
+    # (the square b-p1-q-p2: either pairing whitens two adjacent
+    # vertices).  u, on the dead piece's border, was colored after w's
+    # decision, so w's white alternative stays: there u pairs with b, and
+    # q with its leaf s.  A jump that checked only the piece's own colors
+    # would drop it and report "infeasible".
+    b, u, p1, p2, q, s, w, w2, w3 = range(9)
+    g = Graph.from_edges(9, [(b, u), (b, p1), (b, p2), (p1, q), (p2, q), (q, s), (u, w), (w, w2), (w2, w3)])
+    order = [b, w, p1, u, p2, q, s, w2, w3]
+    (status, branches, colors), want = _both_searches(g, lambda: _in_order(order))
+    assert (status, branches, colors) == want
+    c = Coloring(g)
+    c.restore(colors)
+    assert extract_matching(c) == ((b, u), (q, s), (w2, w3))
+
+
+def test_search_keeps_an_alternative_whose_decision_joined_the_dead_piece():
+    # The path 3-1-0-2-4, its centre 0 decided first.  0 black leaves it
+    # unmated, two steps from the leaf 3, and 3 then fails both ways at
+    # once: black forces 1 black beside two blacks, white pairs 1 with 0,
+    # which whitens 2 and strands 4.  The dead piece holds 0 as an unmated
+    # black where 0's alternative had it unknown, so that alternative
+    # stays, and there the path's d.i.m. {1-3, 2-4} lies.  A jump that
+    # checked only the piece's border would drop it.
+    g = Graph.from_edges(5, [(3, 1), (1, 0), (0, 2), (2, 4)])
+    (status, branches, colors), want = _both_searches(g, lambda: _in_order([0, 3, 1, 2, 4]))
+    assert (status, branches, colors) == want
+    c = Coloring(g)
+    c.restore(colors)
+    assert extract_matching(c) == ((1, 3), (2, 4))
+
+def test_search_takes_no_piece_from_a_failure_below_a_subtree():
+    # A diamond with tips t and 4 and spine 2-6, a path t-1-3-5, and a
+    # separate edge 7-8.  The only d.i.m. whitens t.  t black, then 7
+    # black (pairing 7-8), then 1 black fails at once and 1 white leaves
+    # the diamond dead at 2; the jump stops at 7's alternative, since 1
+    # was colored after it.  7 white then fails at once, but its black
+    # branch had a subtree, and the failure there lies in the diamond,
+    # not in {7, 8}: a jump over t's alternative would lose the d.i.m.
+    t = 0
+    g = Graph.from_edges(9, [(t, 1), (t, 2), (t, 6), (1, 3), (2, 4), (2, 6), (3, 5), (4, 6), (7, 8)])
+    order = [t, 7, 1, 2, 3, 4, 5, 6, 8]
+    (status, branches, colors), want = _both_searches(g, lambda: _in_order(order))
+    assert (status, branches, colors) == want
+    c = Coloring(g)
+    c.restore(colors)
+    assert extract_matching(c) == ((1, 3), (2, 6), (7, 8))
 
 def test_branch_pick_carries_its_counters_across_restores():
     # Seeded walks of extend and restore on planted and pendant-C4 graphs,

@@ -397,7 +397,7 @@ SEARCH_PINS_AT_SIZE = (
     '[298, 299]], "reason": null, "stats": {"edges_tried": 0, "forced_edges": 0, "branches": 24, '
     '"millis": 0}, "p9_checked": true}',
     '{"status": "no-dim", "matching": [], "reason": "exhaustive color search over the '
-    'component", "stats": {"edges_tried": 0, "forced_edges": 0, "branches": 12, "millis": 0}, '
+    'component", "stats": {"edges_tried": 0, "forced_edges": 0, "branches": 10, "millis": 0}, '
     '"p9_checked": true}',
 )
 
