@@ -9,7 +9,7 @@ The still-active vertices (unknowns plus unpartnered blacks) then split
 into independent pieces, and each is finished by the backtracking search
 of `coloring.search` under the same pick as the complete search
 (`coloring.branch_pick`), capped at max(64, size**2) branches.  No active
-vertex outside the scope touches one inside (the driver splits its work
+vertex outside the scope touches one inside (`driver` splits its work
 along the same components), so each piece is a whole component of the
 master's active vertices, as the search's jump over dead pieces needs.
 
