@@ -368,9 +368,9 @@ def _parser() -> _Parser:
                         "it finished within its budget, P9 found or not ('dimkit check' "
                         "gives the state and witness; the scan decides no verdict)")
     p.add_argument("--budget-branches", type=_int_range(0), default=None, metavar="N",
-                   help="branch cap of the exact search of each component, root probe "
-                        "trials included [default: max(4096, 8*size)]; at 0 the engine "
-                        "runs alone")
+                   help="branch cap of the exact search of each component "
+                        "[default: max(4096, 8*size)]; at 0 only the root facts run "
+                        "before the engine")
 
     p = verb(verbs, "verify", verify_cmd)
     p.add_argument("graph_path", metavar="GRAPH_PATH")

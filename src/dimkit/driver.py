@@ -1,19 +1,18 @@
 """Top-level solver: decide whether a graph has a dominating induced matching.
 
 Outline per connected component: one pass sorts its vertices into degree
-classes (`graph.degree_classes`), which the next three steps share.
+classes (`graph.degree_classes`), which the next steps share.
 Refute on a four-clique (a K4 kills the whole graph) among the vertices
 of degree three or more; look for a single dominating edge; then run a
 complete search that branches on vertex colors and lets propagation
-prune.  The search runs in three stages: PROBE_AFTER branches from the
-root; if that runs out, one pass of failed-vertex probing at the root (a
-vertex where one color fails under propagation takes the other, and one
-where both fail refutes the component); then the search again from the
-probed coloring.  It decides the component unless it runs out of branches; its cap,
-`SolveConfig.branch_budget`, covers all three stages (a probe trial
-counts as a branch) and is the only budget a caller sets.  Only then
-does the paper's engine run, as the backstop: it repeatedly picks a
-central vertex x of the still-active part and trials every edge xy at it
+prune.  The search starts from the root facts (`root_facts`: a pendant's
+neighbour is black, false twins of degree two or more are white), and a
+clash among them refutes the component in 0 branches.  It decides the
+component unless it runs out of branches; its cap,
+`SolveConfig.branch_budget`, is the only budget a caller sets.  Only then
+does the paper's engine run, as the backstop, from the uncolored
+component: it repeatedly picks a central vertex x of the still-active
+part and trials every edge xy at it
 (`component_solver.try_edge`: the pair's propagation, then levels and
 the lone-L4 fact, one search per leftover piece, capped by the piece's
 size).  A successful trial colors
@@ -42,17 +41,13 @@ from .graph import Edge, Graph, bits, central_vertex, connected_components, degr
 from .oracle import VerifyResult, verify_dim
 from .patterns import P9_UNCHECKED, classify_p9, find_k4
 
-# branches of the first search before the root is probed (see `probe`)
-PROBE_AFTER = 256
-
 
 class SolveConfig:
     __slots__ = ("check_p9", "branch_budget")
 
     def __init__(self, check_p9: bool = True, branch_budget: int | None = None):
         self.check_p9 = check_p9
-        # branches of the exact search per component, probe trials included;
-        # default max(4096, 8*size)
+        # branches of the exact search per component; default max(4096, 8*size)
         self.branch_budget = branch_budget
 
 
@@ -104,75 +99,70 @@ def trivial_dim(g: Graph, comp: int, by_degree: list[int]) -> Edge | None:
     return None
 
 
-def probe(c: Coloring, scope: int, budget: int) -> tuple[str, int, str | None]:
-    """Failed-vertex probing at the root, in one pass over the unknown
-    vertices of scope in id order (one that an earlier fix colored is
-    skipped): each is tried black, then white.  When one color fails the
-    vertex takes the other, keeping the successful trial's coloring; when
-    neither fails c is restored.  Every fix holds in every completion, so a
-    search may resume from the probed coloring.
+def root_facts(g: Graph, by_degree: list[int]) -> tuple[int, int]:
+    """(white, black): colors every d.i.m. of the component gives, read
+    off its degree classes (`degree_classes`) by two facts that hold in
+    any graph.
 
-    Returns (status, trials, reason): "infeasible" with the reason when both
-    colors fail at a vertex, "budget" on trial budget + 1, else "probed"
-    with c after the pass.  Only "probed" leaves c meaningful.
+    Pendant: the neighbour u of a degree-1 vertex v is matched.  If v is
+    unmatched it forces u black; if v is matched, u is its partner.
+
+    False twins: vertices of degree >= 2 with equal rows (so not adjacent)
+    are unmatched.  Were a matched, its partner p would be a neighbour of
+    its twin a'; a' black would give p a second black neighbour, and a'
+    white would force all of N(a') = N(a) black, a second black neighbour
+    of a.
     """
-    trials = 0
-    for v in bits(c.unknown_mask(scope)):
-        bit = 1 << v
-        if not c.unknown_mask(bit):
-            continue
-        snap = c.snapshot()
-        trials += 1
-        if trials > budget:
-            return "budget", trials, None
-        black_bad = c.extend(black=bit)
-        black = c.snapshot()
-        c.restore(snap)
-        trials += 1
-        if trials > budget:
-            return "budget", trials, None
-        white_bad = c.extend(white=bit)
-        if black_bad and white_bad:
-            return "infeasible", trials, (
-                f"no color fits at vertex {v}: black gives {black_bad}; "
-                f"white gives {white_bad}"
-            )
-        if white_bad:
-            c.restore(black)
-        elif not black_bad:
-            c.restore(snap)
-    return "probed", trials, None
+    rows = g.rows
+    black = 0
+    if len(by_degree) > 1:
+        rest = by_degree[1]
+        while rest:
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            black |= rows[v]
+    classes: dict[int, int] = {}
+    rest = sum(by_degree[2:])  # the classes are disjoint masks
+    while rest:
+        v = rest.bit_length() - 1
+        low = 1 << v
+        rest ^= low
+        row = rows[v]
+        classes[row] = classes.get(row, 0) | low
+    white = 0
+    for cls in classes.values():
+        if cls & (cls - 1):  # two or more vertices share the row
+            white |= cls
+    return white, black
 
 
 def _complete_search(
-    comp: int, master: Coloring, pick: Callable[[Coloring], int], budget: int, stats: dict
+    master: Coloring, pick: Callable[[Coloring], int], facts: tuple[int, int], budget: int,
+    stats: dict
 ) -> tuple[str, str | None]:
     """Exact decision for one component by branching on vertex colors.
 
-    Starts from the uncolored component, so exhaustion is a true negative
-    and any completion is a certificate.  A search that runs out of its
-    first PROBE_AFTER branches restarts from a probed root (see `probe`)
-    with what is left of the budget; each probe trial counts as a branch.
-    Returns (status, reason).  On "dim" the master holds the component's
-    coloring; on "no-dim", or on "budget" when cut short, it is restored.
+    Starts from the uncolored component with the root facts (white, black)
+    applied (`root_facts`), so exhaustion is a true negative and any
+    completion is a certificate; a clash among the facts refutes the
+    component in 0 branches.  Returns (status, reason).  On "dim" the
+    master holds the component's coloring; on "no-dim", or on "budget"
+    when cut short, it is restored.
     """
     snap = master.snapshot()
-    status, spent = search(master, pick, min(budget, PROBE_AFTER))
-    reason = None
-    if status == "budget" and budget > PROBE_AFTER:
+    white, black = facts
+    bad = master.extend(white=white, black=black)
+    if bad:
         master.restore(snap)
-        status, trials, reason = probe(master, comp, budget - spent)
-        spent += trials
-        if status == "probed":
-            status, branches = search(master, pick, budget - spent)
-            spent += branches
+        return "no-dim", f"root facts: {bad}"
+    status, spent = search(master, pick, budget)
     stats["branches"] += spent
     if status == "colored":
         return "dim", None
     master.restore(snap)
     if status == "budget":
         return "budget", None
-    return "no-dim", reason or "exhaustive color search over the component"
+    return "no-dim", "exhaustive color search over the component"
 
 
 def solve_top_component(
@@ -206,7 +196,7 @@ def solve_top_component(
     if budget is None:
         budget = max(4096, 8 * comp.bit_count())
     pick = branch_pick(g, comp, by_degree)
-    status, reason = _complete_search(comp, master, pick, budget, stats)
+    status, reason = _complete_search(master, pick, root_facts(g, by_degree), budget, stats)
     if status != "budget":
         return status, reason
 

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from dimkit.graph import Graph, bits
+from equivalence import deg3_graph
 
 
 def path_graph(n: int) -> Graph:
@@ -24,6 +27,25 @@ def star_graph(n: int) -> Graph:
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     edges = a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
     return Graph.from_edges(a.n + b.n, edges)
+
+
+def cubic_no_dim(i: int, seed: int) -> Graph:
+    """A cubic graph with no d.i.m. (ROADMAP item 15): `deg3_graph(i)` with
+    two disjoint edges au and bw, drawn by seed, taken out and two new
+    vertices x, y joined by the edges ax, ux, by, wy and xy.  In a cubic
+    d.i.m. each matched vertex has two unmatched neighbours and each
+    unmatched one three matched, so 2|B| = 3|W| and 10 divides n; here
+    n = 10k/3 + 2.  No pendants, and twins only by chance."""
+    g = deg3_graph(i)
+    rng = random.Random(seed)
+    edges = g.edges()
+    while True:
+        (a, u), (b, w) = rng.sample(edges, 2)
+        if len({a, u, b, w}) == 4:
+            break
+    x, y = g.n, g.n + 1
+    edges = [e for e in edges if e != (a, u) and e != (b, w)]
+    return Graph.from_edges(g.n + 2, edges + [(a, x), (u, x), (b, y), (w, y), (x, y)])
 
 
 def feasible_black_masks(g: Graph):

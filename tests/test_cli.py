@@ -16,7 +16,7 @@ from dimkit.driver import SolveOutcome, solve
 from dimkit.generator import gen_c4_augmented
 from dimkit.graph import MAX_VERTICES, Graph, load_graph, save_graph
 from dimkit.oracle import verify_dim
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cubic_no_dim, cycle_graph, path_graph
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -119,18 +119,26 @@ def test_cross_check_negative_count_exit_three(capsys):
 
 
 def test_budget_branches_caps_the_first_search(graph_file, capsys):
-    # a pendant-C4 no-instance holding a P9: a cap below the probe stage
-    # leaves it to the engine, whose trial ends on the radius; at the
-    # default cap and above, 257 search branches and 226 probe trials
-    # refute it
-    path = graph_file(gen_c4_augmented(214, 47, 119, 1107))
-    assert main(["solve", path, "--budget-branches", "100"]) == 2
+    # a cubic no-instance holding a P9, with no root fact: a cap below the
+    # 8 branches its refutation needs leaves it to the engine, whose trial
+    # ends on the radius; at a cap of 8, the default cap and above, the
+    # search refutes it
+    path = graph_file(cubic_no_dim(40, 1))
+    assert main(["solve", path, "--budget-branches", "7"]) == 2
     out = capsys.readouterr().out
-    assert "status: inconclusive" in out and "edges_tried=2" in out and "branches=101" in out
-    for flags in ([], ["--budget-branches", "20000"]):
+    assert "status: inconclusive" in out and "edges_tried=3 forced_edges=0 branches=8\n" in out
+    for flags in ([], ["--budget-branches", "8"], ["--budget-branches", "20000"]):
         assert main(["solve", path, *flags]) == 1
         out = capsys.readouterr().out
-        assert "status: no-dim" in out and "edges_tried=0" in out and "branches=483" in out
+        assert "status: no-dim" in out and "edges_tried=0 forced_edges=0 branches=8\n" in out
+    # a pendant-C4 no-instance: the root facts refute it in 0 branches
+    # under any cap, 0 included
+    path = graph_file(gen_c4_augmented(214, 47, 119, 1107), "c4.graph")
+    for flags in (["--budget-branches", "0"], ["--budget-branches", "100"], []):
+        assert main(["solve", path, *flags]) == 1
+        out = capsys.readouterr().out
+        assert "reason: root facts: black-unmatchable at 216" in out
+        assert "edges_tried=0 forced_edges=0 branches=0\n" in out
 
 
 def test_oracle_negative_node_limit_exit_three(graph_file, capsys):

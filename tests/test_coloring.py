@@ -244,11 +244,11 @@ def test_extend_reaches_the_naive_fixpoint(corpus7):
 
 def test_extend_reports_what_the_frozen_waves_report(corpus7):
     # Which contradiction is reported, and the partly extended state it
-    # leaves, depend on the order of work; probe reasons print them.  So
-    # `extend` must match the frozen wave loop call by call: the same
-    # rule and witnesses, the same (white, black, mated) after each call.
-    # Each partial coloring goes in as two calls, so the second starts
-    # from the state the first left.
+    # leaves, depend on the order of work; root-fact and engine reasons
+    # print them.  So `extend` must match the frozen wave loop call by
+    # call: the same rule and witnesses, the same (white, black, mated)
+    # after each call.  Each partial coloring goes in as two calls, so the
+    # second starts from the state the first left.
     rng = random.Random(3232)
     graphs = list(corpus7)
     for _ in range(400):
@@ -450,7 +450,8 @@ def test_search_takes_no_piece_from_a_failure_below_a_subtree():
 
 def test_branch_pick_carries_its_counters_across_restores():
     # Seeded walks of extend and restore on planted and pendant-C4 graphs,
-    # with restores to much earlier snapshots as the probe restart does.
+    # with restores to much earlier snapshots, as a backtrack to a shallow
+    # stack entry or a jump over doomed entries does.
     # Every pick must name the naive scan's vertex, whether few rows of
     # unmated blacks changed since the last call ("carry") or more than
     # the mask now holds ("recount": the case, after a restore to a much

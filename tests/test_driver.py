@@ -6,10 +6,9 @@ import pytest
 
 from dimkit.coloring import Coloring
 from dimkit.driver import (
-    PROBE_AFTER,
     SolveConfig,
     SolveOutcome,
-    probe,
+    root_facts,
     solve,
     try_edge,
     trivial_dim,
@@ -25,7 +24,8 @@ import dimkit.oracle
 import dimkit.patterns
 from dimkit.oracle import all_dims, count_dims, enumerate_dims, oracle_dim, verify_dim
 from dimkit.patterns import P9_VERIFIED, P9_VIOLATED, classify_p9, find_k4
-from conftest import complete_graph, cycle_graph, disjoint_union, path_graph
+from conftest import complete_graph, cubic_no_dim, cycle_graph, disjoint_union, path_graph, star_graph
+from equivalence import deg3_graph
 from naive_reference import (
     coloring_is_complete_dim,
     dominating_edge_naive,
@@ -248,14 +248,22 @@ def test_complete_search_settles_midsize_reject():
 
 
 def test_complete_search_budget_zero_stays_inconclusive():
-    # a nine-path is present, so the levels run deeper than four and the
+    # a cubic no-instance (no pendant, no twin, so no root fact): a
+    # nine-path is present, so the levels run deeper than four and the
     # engine's trial ends undecided; only the complete search refutes
-    g = gen_c4_augmented(40, 8, 40, 5)
+    g = cubic_no_dim(40, 1)
     assert classify_p9(g)[0] == P9_VIOLATED
     out = solve(g, ENGINE_ONLY)
     assert out.status == "inconclusive"
-    assert "farther than" in out.reason
-    assert solve(g).status == "no-dim"
+    assert out.reason == "vertex 20 is farther than 4 from edge (1,10)"
+    out = solve(g)
+    assert (out.status, out.stats["branches"]) == ("no-dim", 8)
+    # a pendant-C4 instance with a nine-path is refuted at the root,
+    # whatever the budget
+    g = gen_c4_augmented(40, 8, 40, 5)
+    assert classify_p9(g)[0] == P9_VIOLATED
+    out = solve(g, ENGINE_ONLY)
+    assert (out.status, out.reason) == ("no-dim", "root facts: black-unmatchable at 42")
 
 
 def test_complete_search_finds_planted():
@@ -363,6 +371,7 @@ def test_centre_tie_break_pinned_end_to_end():
     # another tie-break or a centre one round off names another trial edge
     # in the engine's radius reason; the expected outputs were recorded from
     # one BFS per vertex.  The refused branch is the zero-budget search.
+    # Its pendant-C4 twin is refuted by the root facts ahead of the engine.
     planted = gen_planted(600, 150, 600, 0)
     augmented = gen_c4_augmented(600, 150, 600, 0)
     want = (
@@ -371,7 +380,7 @@ def test_centre_tie_break_pinned_end_to_end():
         '"millis": 0}, "p9_checked": true}'
     )
     assert solve(planted.graph, ENGINE_ONLY).to_json() == want
-    assert solve(augmented, ENGINE_ONLY).to_json() == want
+    assert solve(augmented, ENGINE_ONLY).to_json() == SEARCH_PINS_AT_SIZE[1]
 
 
 SEARCH_PINS_AT_SIZE = (
@@ -394,19 +403,21 @@ SEARCH_PINS_AT_SIZE = (
     '253], [254, 255], [256, 257], [258, 259], [260, 261], [262, 263], [264, 265], [266, 267], '
     '[268, 269], [270, 271], [272, 273], [274, 275], [276, 277], [278, 279], [280, 281], [282, '
     '283], [284, 285], [286, 287], [288, 289], [290, 291], [292, 293], [294, 295], [296, 297], '
-    '[298, 299]], "reason": null, "stats": {"edges_tried": 0, "forced_edges": 0, "branches": 24, '
+    '[298, 299]], "reason": null, "stats": {"edges_tried": 0, "forced_edges": 0, "branches": 14, '
     '"millis": 0}, "p9_checked": true}',
-    '{"status": "no-dim", "matching": [], "reason": "exhaustive color search over the '
-    'component", "stats": {"edges_tried": 0, "forced_edges": 0, "branches": 10, "millis": 0}, '
+    '{"status": "no-dim", "matching": [], "reason": "root facts: black-unmatchable at 602", '
+    '"stats": {"edges_tried": 0, "forced_edges": 0, "branches": 0, "millis": 0}, '
     '"p9_checked": true}',
 )
 
 
 def test_search_outputs_pinned_at_size():
-    # The complete search decides both graphs, so `branches` pins its
-    # branch order at n = 600; the expected outputs were recorded with the
-    # vertex-by-vertex pick of naive_reference.pick_unknown_naive.  Too
-    # large for the oracle: the verdicts come from the constructions.
+    # The complete search decides the planted graph, so `branches` pins its
+    # branch order at n = 600 from the root facts; the expected outputs were
+    # recorded with the vertex-by-vertex pick of
+    # naive_reference.pick_unknown_naive.  The root facts refute the
+    # pendant-C4 graph.  Too large for the oracle: the verdicts come from
+    # the constructions.
     planted = gen_planted(600, 150, 600, 0)
     augmented = gen_c4_augmented(600, 150, 600, 0)
     out = solve(planted.graph)
@@ -428,6 +439,13 @@ def _planted_draws():
     return graphs
 
 
+def _degree_three_draws():
+    """60 graphs of item 8's d.i.m. family and 60 of item 15's cubic
+    no-instances, n = 10..402: no pendants, so the root facts leave the
+    search its work."""
+    return [*(deg3_graph(i) for i in range(60)), *(cubic_no_dim(i, 0) for i in range(60))]
+
+
 def _induced(g, comp):
     """The subgraph of g on the vertex mask comp, relabelled in id order,
     and the original id of each new vertex."""
@@ -437,82 +455,99 @@ def _induced(g, comp):
     return Graph.from_edges(len(ids), edges), ids
 
 
-def test_probe_fixes_only_what_every_dim_agrees_on(corpus7):
-    # Probing a component from scratch: a vertex where both colours fail
-    # means the component has no d.i.m., and every vertex the probe leaves
-    # black (white) is matched (unmatched) in every d.i.m. of the component.
-    graphs = [*corpus7, *_gnp_draws(), *(g for g in _planted_draws() if g.n <= 18)]
-    fired = 0
+def test_root_facts_hold_in_every_dim(corpus7):
+    # Both facts against the oracle, component by component: every d.i.m.
+    # matches each vertex of `black` and leaves each vertex of `white`
+    # unmatched, and a clash among the facts means the component has none.
+    rng = random.Random(14)
+    graphs = list(corpus7)
+    for _ in range(2000):
+        n = rng.randint(2, 11)
+        p = rng.choice((0.15, 0.25, 0.35, 0.5))
+        graphs.append(Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        ))
+    seen = collections.Counter()
     for g in graphs:
-        hit = False
         for comp in connected_components(g):
-            c = Coloring(g)
-            status, _, reason = probe(c, comp, 10**6)
+            white, black = root_facts(g, degree_classes(g, comp))
+            assert not (white | black) & ~comp
             sub, ids = _induced(g, comp)
-            matched = [{ids[v] for e in m for v in e} for m in enumerate_dims(sub)]
-            if status == "infeasible":
-                assert not matched, (g.edges(), reason)
-                assert reason.startswith("no color fits at vertex"), reason
-                hit = True
+            matched = [{ids[v] for e in m for v in e} for m in all_dims(sub)]
+            if Coloring(g).extend(white=white, black=black) is not None:
+                assert not matched, g.edges()
+                seen["clash"] += 1
                 continue
-            assert status == "probed"
             for m in matched:
-                assert all(v in m for v in bits(c.black & comp)), g.edges()
-                assert not any(v in m for v in bits(c.white & comp)), g.edges()
-            hit = hit or bool((c.black | c.white) & comp)
-        fired += hit
-    assert fired >= 20, fired
+                assert all(v in m for v in bits(black)), g.edges()
+                assert not any(v in m for v in bits(white)), g.edges()
+                seen["black"] += bool(black)
+                seen["white"] += bool(white)
+    assert seen["clash"] >= 20 and seen["black"] >= 20 and seen["white"] >= 20, seen
 
 
-def test_probe_makes_one_pass(monkeypatch):
-    # Both colours fit at 0 to 5; black fails at 6 (6 and 9 pair and
-    # whiten 1 and 4), so it turns white and forces 9 black; then white
-    # fails at 7, so it turns black.  A second pass would find that white
-    # no longer fits at 2; the one pass stops here and leaves the rest to
-    # the search.
-    g = Graph.from_edges(10, [
-        (0, 3), (0, 7), (1, 4), (1, 8), (1, 9), (2, 3), (2, 8),
-        (3, 4), (4, 5), (4, 9), (5, 7), (5, 8), (6, 9),
-    ])
-    c = Coloring(g)
-    assert probe(c, g.full_mask(), 10**6) == ("probed", 18, None)
-    assert (c.white, c.black, c.mated) == (1 << 6, 1 << 7 | 1 << 9, 0)
-    assert c.extend(white=1 << 2) is not None
-    # solve() decides it by search alone, long before the probe stage
-    monkeypatch.setattr(dimkit.driver, "probe", None)
+def test_root_facts_of_a_star_and_a_pendant_path():
+    # a star's centre is matched and its leaves, all of degree one, are
+    # not twins of degree two or more
+    g = star_graph(5)
+    assert root_facts(g, degree_classes(g, g.full_mask())) == (0, 1)
+    g = path_graph(5)
+    assert root_facts(g, degree_classes(g, g.full_mask())) == (0, 1 << 1 | 1 << 3)
+
+
+def test_root_facts_of_a_twin_class():
+    # 0 and 1 are twins of degree two on {2, 3}, white; 2 and 3 are the
+    # neighbours of the pendants 4 and 5, black; the facts leave only the
+    # pendants, which propagation pairs, so the root decides with no branch
+    g = Graph.from_edges(6, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)])
+    assert root_facts(g, degree_classes(g, g.full_mask())) == (0b11, 0b1100)
     out = solve(g)
-    assert (out.status, out.stats["branches"]) == ("dim", 3)
-    assert out.matching == ((0, 7), (2, 8), (4, 9))
-    assert oracle_dim(g).status == "dim"
+    assert (out.status, out.matching, out.stats["branches"]) == ("dim", ((2, 4), (3, 5)), 0)
+    # a third twin joins the class
+    g = Graph.from_edges(7, g.edges() + [(6, 2), (6, 3)])
+    assert root_facts(g, degree_classes(g, g.full_mask())) == (0b1000011, 0b1100)
 
 
-# gen_c4_augmented arguments -> branches and reason of the default solve:
-# 257 branches of the first search, then probe trials up to the four-cycle
-# (ids n..n+3), whose far corner fits neither colour
+def test_root_facts_clash_refutes_at_the_root():
+    # the four-cycle's two twin classes cover it, so two whites meet
+    out = solve(cycle_graph(4))
+    assert (out.status, out.reason) == ("no-dim", "root facts: white-white-edge at 0,1")
+    assert out.stats["branches"] == 0 and out.stats["edges_tried"] == 0
+    # a triangle with a pendant at each corner: three blacks meet
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)])
+    out = solve(g)
+    assert (out.status, out.reason) == ("no-dim", "root facts: two-black-neighbors at 0,1,2")
+    assert out.stats["branches"] == 0 and oracle_dim(g).status == "no-dim"
+
+
+# gen_c4_augmented arguments -> reason of the default solve: the
+# four-cycle's corners beside the attached one (ids n, n+1, n+2, n+3) are
+# false twins, and whitening them forces a black that no neighbour can pair
 PENDANT_C4_REFUTATIONS = [
-    ((214, 47, 119, 1107), 483,
-     "no color fits at vertex 215: black gives white-white-edge at 216,217; "
-     "white gives two-black-neighbors at 217,214,216"),
-    ((377, 89, 263, 1149), 607,
-     "no color fits at vertex 378: black gives white-white-edge at 379,380; "
-     "white gives two-black-neighbors at 380,377,379"),
+    ((214, 47, 119, 1107), "root facts: black-unmatchable at 216"),
+    ((377, 89, 263, 1149), "root facts: black-unmatchable at 377"),
 ]
 
 
 @pytest.mark.parametrize(
-    "args,branches,reason", PENDANT_C4_REFUTATIONS,
-    ids=[f"n{args[0]}" for args, *_ in PENDANT_C4_REFUTATIONS],
+    "args,reason", PENDANT_C4_REFUTATIONS,
+    ids=[f"n{args[0]}" for args, _ in PENDANT_C4_REFUTATIONS],
 )
-def test_probe_refutes_pendant_c4_at_the_default_budget(args, branches, reason):
+def test_root_facts_refute_pendant_c4(args, reason):
     # The pick ranks the four-cycle's far corner last (degree 2), so a
-    # search alone runs out of its default budget before reaching it.
-    out = solve(gen_c4_augmented(*args))
-    assert (out.status, out.reason) == ("no-dim", reason)
-    assert out.stats["branches"] == branches and out.stats["edges_tried"] == 0
+    # search from the bare component runs out of its default budget
+    # before reaching it; the facts refute it with no branch, at any
+    # budget.
+    g = gen_c4_augmented(*args)
+    for cfg in (None, ENGINE_ONLY):
+        out = solve(g, cfg)
+        assert (out.status, out.reason) == ("no-dim", reason)
+        assert out.stats["branches"] == 0 and out.stats["edges_tried"] == 0
 
 
 def test_no_pendant_c4_instance_left_inconclusive():
-    # a search alone leaves 3 of these 40 no-instances inconclusive
+    # a search from the bare component leaves 3 of these 40 no-instances
+    # inconclusive
     rng = random.Random(2)
     for _ in range(40):
         n = rng.randint(80, 400)
@@ -523,30 +558,25 @@ def test_no_pendant_c4_instance_left_inconclusive():
         assert out.status == "no-dim", (n, k, extra, seed, out.reason)
 
 
-def test_probe_refutes_pendant_c4_at_n_8000():
-    assert solve(gen_c4_augmented(8000, 1333, 4000, 5)).status == "no-dim"
-
-
-def test_probe_trials_count_against_the_budget():
-    # the refutation needs 483 branches: 257 of search and 226 probe trials
-    g = gen_c4_augmented(214, 47, 119, 1107)
-    for cap in (PROBE_AFTER + 1, 300, 482):
-        out = solve(g, SolveConfig(branch_budget=cap))
-        assert out.status == "inconclusive"
-        assert out.stats["branches"] == cap + 1
-    out = solve(g, SolveConfig(branch_budget=483))
-    assert (out.status, out.stats["branches"]) == ("no-dim", 483)
+@pytest.mark.parametrize("args,reason", [
+    ((8000, 1333, 4000, 5), "root facts: black-unmatchable at 8002"),
+    ((32000, 8000, 32000, 1), "root facts: black-unmatchable at 32000"),
+], ids=["n8000", "n32000"])
+def test_root_facts_refute_pendant_c4_at_size(args, reason):
+    out = solve(gen_c4_augmented(*args), SolveConfig(check_p9=False))
+    assert (out.status, out.reason, out.stats["branches"]) == ("no-dim", reason, 0)
 
 
 # connected graphs where some pick of the engine's search is not the
 # lowest unknown vertex of its piece (rare: under 1% of engine picks on
-# seeded G(n, p) and planted graphs with n <= 60)
+# seeded G(n, p) and planted graphs with n <= 60), among those the root
+# facts leave to the engine under ENGINE_ONLY
 ENGINE_PICKS_OFF_LOWEST = [
-    Graph.from_edges(8, [(0, 1), (0, 6), (1, 3), (1, 5), (1, 6), (2, 4), (2, 5), (3, 6), (4, 7)]),
-    Graph.from_edges(8, [(0, 2), (0, 7), (1, 4), (1, 5), (2, 3), (2, 5), (2, 7), (3, 7), (4, 6)]),
-    Graph.from_edges(9, [
-        (0, 3), (0, 5), (1, 4), (1, 7), (2, 3), (2, 5), (3, 5), (3, 6), (3, 8), (7, 8),
+    Graph.from_edges(8, [(0, 7), (1, 5), (2, 3), (2, 7), (3, 7), (4, 5), (4, 6), (6, 7)]),
+    Graph.from_edges(10, [
+        (0, 9), (1, 3), (1, 6), (1, 7), (1, 8), (2, 8), (2, 9), (4, 5), (4, 8), (6, 7),
     ]),
+    Graph.from_edges(8, [(0, 1), (0, 3), (1, 4), (2, 5), (4, 5), (5, 6), (5, 7), (6, 7)]),
 ]
 
 
@@ -586,7 +616,7 @@ def test_branch_pick_matches_the_naive_pick(corpus7, monkeypatch):
 
     monkeypatch.setattr(dimkit.driver, "branch_pick", checked("search"))
     monkeypatch.setattr(dimkit.component_solver, "branch_pick", checked("engine"))
-    graphs = [*corpus7, *_gnp_draws(), *_planted_draws()]
+    graphs = [*corpus7, *_gnp_draws(), *_planted_draws(), *_degree_three_draws()]
     for g in graphs:
         solve(g, SolveConfig(check_p9=False))
     assert seen["search"] > 2000, seen
@@ -623,7 +653,7 @@ def test_no_pick_sees_an_unknown_vertex_beside_two_blacks(corpus7, monkeypatch):
 
     monkeypatch.setattr(dimkit.driver, "branch_pick", checked_branch_pick)
     monkeypatch.setattr(dimkit.component_solver, "branch_pick", checked_branch_pick)
-    for g in [*corpus7, *_gnp_draws()]:
+    for g in [*corpus7, *_gnp_draws(), *_degree_three_draws()]:
         solve(g, SolveConfig(check_p9=False))
         solve(g, SolveConfig(check_p9=False, branch_budget=0))
     assert seen["calls"] > 2000 and seen["beside one black"] > 1000, seen
@@ -719,8 +749,9 @@ def _false_twin_draws():
 
 def test_false_twin_expansions_at_size():
     # The default solve settles these with the search that runs first;
-    # under ENGINE_ONLY the engine reaches its family branching here, on
-    # families made of many interchangeable twins.
+    # under ENGINE_ONLY the root facts decide eight of the twelve, and the
+    # engine reaches its family branching on the other four, on families
+    # made of many interchangeable twins.
     for seed, classes, n, g, expected in _false_twin_draws():
         out = solve(g)
         assert out.status == expected, (seed, classes, n, out.reason)
@@ -747,7 +778,9 @@ def test_engine_agrees_with_oracle_on_a_live_family():
 # .to_json() of verified P9-free false-twin expansions whose trials reach
 # the engine's per-component search; recorded while the engine still had
 # its class-specific reductions, which these pins show changed no
-# certificate, reason or counter.  The host91 reason was re-derived when
+# certificate, reason or counter.  The four no-dim pins were re-derived
+# when the root facts came ahead of the search: each is refuted there in 0
+# branches, before the engine runs.  The host91 reason was re-derived when
 # propagation moved to waves of masks, which moves only the contradiction
 # reported first.  The host130 count was re-derived (2 -> 1) when lone-L4
 # whitening moved ahead of the split into pieces: its trial (3, 5) is now
@@ -767,21 +800,45 @@ IN_CLASS_PINS = [
      '"stats": {"edges_tried": 2, "forced_edges": 2, "branches": 3, "millis": 0}, '
      '"p9_checked": true}'),
     ((17, (4, 12), 29, 172),
-     '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 3: '
-     'black-unmatchable at 5", "stats": {"edges_tried": 3, "forced_edges": 0, "branches": 1, '
-     '"millis": 0}, "p9_checked": true}'),
+     '{"status": "no-dim", "matching": [], "reason": "root facts: white-white-edge at 0,1", '
+     '"stats": {"edges_tried": 0, "forced_edges": 0, "branches": 0, "millis": 0}, '
+     '"p9_checked": true}'),
     ((91, (0,), 35, 913),
-     '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 4: '
-     'two-black-neighbors at 14,0,1", "stats": {"edges_tried": 3, "forced_edges": 0, '
-     '"branches": 1, "millis": 0}, "p9_checked": true}'),
+     '{"status": "no-dim", "matching": [], "reason": "root facts: black-unmatchable at 14", '
+     '"stats": {"edges_tried": 0, "forced_edges": 0, "branches": 0, "millis": 0}, '
+     '"p9_checked": true}'),
     ((185, (5,), 36, 1850),
-     '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 24: '
-     'black-unmatchable at 16", "stats": {"edges_tried": 4, "forced_edges": 0, "branches": 1, '
-     '"millis": 0}, "p9_checked": true}'),
+     '{"status": "no-dim", "matching": [], "reason": "root facts: black-unmatchable at 8", '
+     '"stats": {"edges_tried": 0, "forced_edges": 0, "branches": 0, "millis": 0}, '
+     '"p9_checked": true}'),
     ((130, (5, 7), 20, 1300),
-     '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 6: '
-     'conflict at 6", "stats": {"edges_tried": 9, "forced_edges": 0, "branches": 1, '
+     '{"status": "no-dim", "matching": [], "reason": "root facts: two-black-neighbors at '
+     '15,6,10", "stats": {"edges_tried": 0, "forced_edges": 0, "branches": 0, "millis": 0}, '
+     '"p9_checked": true}'),
+]
+
+# (deg3_graph index, edge draw seed) -> solve(g, ENGINE_ONLY).to_json() of
+# verified P9-free cubic no-instances (`cubic_no_dim`): no pendant and no
+# twin, so no root fact, and the engine refutes them at its first centre.
+# They keep the engine's no-dim route covered now that the root facts
+# refute the four no-dim pins above before the engine runs.
+CUBIC_ENGINE_PINS = [
+    ((6, 1),
+     '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 1: '
+     'white-white-edge at 5,7", "stats": {"edges_tried": 3, "forced_edges": 0, "branches": 1, '
      '"millis": 0}, "p9_checked": true}'),
+    ((16, 0),
+     '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 0: '
+     'black-unmatchable at 11", "stats": {"edges_tried": 3, "forced_edges": 0, "branches": 1, '
+     '"millis": 0}, "p9_checked": true}'),
+    ((98, 1),
+     '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 6: '
+     'conflict at 6", "stats": {"edges_tried": 5, "forced_edges": 0, "branches": 1, '
+     '"millis": 0}, "p9_checked": true}'),
+    ((16, 3),
+     '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 5: '
+     'two-black-neighbors at 2,4,6", "stats": {"edges_tried": 6, "forced_edges": 0, '
+     '"branches": 1, "millis": 0}, "p9_checked": true}'),
 ]
 
 
@@ -789,6 +846,10 @@ def _pinned_graph(host_seed, classes, n, relabel_seed):
     return _false_twin_expansion(
         gen_planted(14, 4, 10, host_seed).graph, classes, n, random.Random(relabel_seed)
     )
+
+
+def _cubic_pinned_graphs():
+    return [cubic_no_dim(*case) for case, _ in CUBIC_ENGINE_PINS]
 
 
 @pytest.mark.parametrize(
@@ -801,8 +862,22 @@ def test_in_class_engine_outputs_pinned(case, want):
     _assert_agrees_with_oracle(g, solve(g))
 
 
+@pytest.mark.parametrize(
+    "case,want", CUBIC_ENGINE_PINS, ids=[f"deg3-{i}-{s}" for (i, s), _ in CUBIC_ENGINE_PINS]
+)
+def test_cubic_engine_outputs_pinned(case, want):
+    g = cubic_no_dim(*case)
+    assert classify_p9(g)[0] == P9_VERIFIED
+    assert root_facts(g, degree_classes(g, g.full_mask())) == (0, 0)
+    assert solve(g, ENGINE_ONLY).to_json() == want
+    _assert_agrees_with_oracle(g, solve(g))
+
+
 def test_search_decides_before_the_engine(corpus7, monkeypatch):
-    graphs = [*corpus7, *_gnp_draws(), *(_pinned_graph(*case) for case, _ in IN_CLASS_PINS)]
+    graphs = [
+        *corpus7, *_gnp_draws(), *(_pinned_graph(*case) for case, _ in IN_CLASS_PINS),
+        *_cubic_pinned_graphs(),
+    ]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the engine ran although the search had budget left")
@@ -813,7 +888,7 @@ def test_search_decides_before_the_engine(corpus7, monkeypatch):
     for g, out in zip(graphs, outcomes):
         _assert_agrees_with_oracle(g, out)
     # a one-branch search runs out, and the engine then decides
-    for g in (cycle_graph(9), _pinned_graph(*IN_CLASS_PINS[3][0])):
+    for g in (cycle_graph(9), cubic_no_dim(*CUBIC_ENGINE_PINS[0][0])):
         out = solve(g, SolveConfig(branch_budget=1))
         assert out.stats["edges_tried"] > 0
         _assert_agrees_with_oracle(g, out)
