@@ -176,21 +176,15 @@ def _verts(mask: int) -> list[int]:
     return list(bits(mask))
 
 
-def explain_cmd(args) -> int:
-    """Dump the distance-level decomposition rooted at matched edge (X, Y).
-
-    JSON on stdout: BFS levels, colors and forced edges after the level
-    facts (lone-L4 whitening included), the anchors and the L3 vertices
-    they share, and the leftover pieces the trial would search.  Exit 0
-    when the decomposition stands, 1 when the rules prove the edge in no
-    solution (the first contradiction, with rule id and witnesses, is
-    included), 2 when some vertex sits farther than four levels from the
-    edge.
-    """
-    g = _load_graph(args.graph_path)
-    x, y = args.x, args.y
-    if not (0 <= x < g.n and 0 <= y < g.n) or not g.has_edge(x, y):
-        raise InputError(f"({x}, {y}) is not an edge of the graph")
+def explain_report(g: Graph, x: int, y: int) -> dict:
+    """The distance-level decomposition rooted at the matched edge xy of g,
+    as `dimkit explain` prints it: BFS levels, colors and forced edges
+    after the level facts (lone-L4 whitening included), the anchors and
+    the L3 vertices they share, and the leftover pieces the trial would
+    search.  `status` is "ok" when the decomposition stands, "infeasible"
+    when the rules prove the edge in no solution (the first contradiction,
+    with rule id and witnesses, is included) and "radius-exceeded" when
+    some vertex sits farther than four levels from the edge."""
     scope = next(c for c in connected_components(g) if c >> x & 1)
     info = {"edge": [x, y], "status": "ok"}
     try:
@@ -198,8 +192,7 @@ def explain_cmd(args) -> int:
     except RadiusExceeded as exc:
         info["status"] = "radius-exceeded"
         info["vertex"] = exc.vertex
-        print(json.dumps(info))
-        return 2
+        return info
     c = Coloring(g)
     bad = c.extend(black=levels[0])
     forced, anchors = ([], []) if bad else forced_and_anchors(c, levels)
@@ -220,8 +213,23 @@ def explain_cmd(args) -> int:
     if bad is not None:
         info["status"] = "infeasible"
         info["contradiction"] = {"rule": bad.rule, "witnesses": list(bad.witnesses)}
+    return info
+
+
+def explain_cmd(args) -> int:
+    """Dump the distance-level decomposition rooted at matched edge (X, Y).
+
+    JSON on stdout (`explain_report`).  Exit 0 when the decomposition
+    stands, 1 when the rules prove the edge in no solution, 2 when some
+    vertex sits farther than four levels from the edge.
+    """
+    g = _load_graph(args.graph_path)
+    x, y = args.x, args.y
+    if not (0 <= x < g.n and 0 <= y < g.n) or not g.has_edge(x, y):
+        raise InputError(f"({x}, {y}) is not an edge of the graph")
+    info = explain_report(g, x, y)
     print(json.dumps(info))
-    return 0 if info["status"] == "ok" else 1
+    return {"ok": 0, "infeasible": 1, "radius-exceeded": 2}[info["status"]]
 
 
 # -- gen --------------------------------------------------------------------

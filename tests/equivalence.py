@@ -15,7 +15,11 @@ is hashed:
                JSON carries the state but not the witness);
   check        `cli.check_report(g)`, the report `dimkit check --json`
                prints: the first K4, diamond and butterfly counts, and
-               the P9 state and witness.
+               the P9 state and witness;
+  explain      `cli.explain_report(g, x, y)`, the report `dimkit explain`
+               prints, over every edge xy (x < y) in edge order, as one
+               JSON list; corpus7 only (EXPLAIN_FAMILIES), where it meets
+               every small shape of levels, anchors and contradictions.
 The committed file `equivalence_digests.json` holds, per family and mode,
 one 8-hex-digit digest per input and one digest over all of them.
 
@@ -38,7 +42,6 @@ Families:
            MAKERS: planted, inclass, then small, 2,055 graphs);
   deg3     planted d.i.m.s in graphs of maximum degree 3 (ROADMAP item 8),
            n = 10..400, so every input is `dim` (see `deg3_graph`).
-The `explain` command is not covered yet.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from pathlib import Path
 from functools import cache
 from typing import Iterator
 
-from dimkit.cli import check_report
+from dimkit.cli import check_report, explain_report
 from dimkit.driver import SolveConfig, solve
 from dimkit.generator import gen_c4_augmented, gen_planted, iter_small_corpus
 from dimkit.graph import Graph
@@ -61,7 +64,8 @@ DIGESTS = Path(__file__).with_name("equivalence_digests.json")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 FAMILIES = ("corpus7", "gnp", "planted", "c4", "bench", "deg3")
-MODES = ("default", "verdict", "engine_only", "p9", "check")
+MODES = ("default", "verdict", "engine_only", "p9", "check", "explain")
+EXPLAIN_FAMILIES = ("corpus7",)
 VERDICT_KEYS = ("status", "matching", "p9_checked")
 
 GNP_COUNT = 3000
@@ -153,30 +157,39 @@ def inputs(family: str, indexes: range | list[int] | None = None) -> Iterator[tu
         raise ValueError(f"unknown family {family!r}")
 
 
-def outputs(g: Graph) -> dict[str, str]:
-    """The text each mode digests for g; `default` and `verdict` share one
-    solve."""
+def modes(family: str) -> tuple[str, ...]:
+    """The modes run on the family's inputs."""
+    return MODES if family in EXPLAIN_FAMILIES else MODES[:-1]
+
+
+def outputs(g: Graph, explain: bool = False) -> dict[str, str]:
+    """The text each mode digests for g, `explain` only when asked;
+    `default` and `verdict` share one solve."""
     solved = solve(g).to_json_dict()
-    return {
+    out = {
         "default": json.dumps(solved),
         "verdict": json.dumps({key: solved[key] for key in VERDICT_KEYS}),
         "engine_only": solve(g, SolveConfig(branch_budget=0)).to_json(),
         "p9": json.dumps(classify_p9(g)),
         "check": json.dumps(check_report(g)),
     }
+    if explain:
+        out["explain"] = json.dumps([explain_report(g, x, y) for x, y in g.edges()])
+    return out
 
 
-def output_digests(g: Graph) -> dict[str, str]:
-    """{mode: the 8-hex-digit digest of its text} for g."""
-    return {mode: hashlib.sha256(text.encode()).hexdigest()[:8] for mode, text in outputs(g).items()}
+def output_digests(g: Graph, family: str) -> dict[str, str]:
+    """{mode: the 8-hex-digit digest of its text} for g, an input of family."""
+    texts = outputs(g, explain=family in EXPLAIN_FAMILIES)
+    return {mode: hashlib.sha256(text.encode()).hexdigest()[:8] for mode, text in texts.items()}
 
 
 def digest_family(family: str) -> dict[str, dict[str, str]]:
     """{mode: {"digest", "inputs"}}: `inputs` concatenates the 8-digit
     digests of the inputs in index order, `digest` hashes that string."""
-    per_mode: dict[str, list[str]] = {mode: [] for mode in MODES}
+    per_mode: dict[str, list[str]] = {mode: [] for mode in modes(family)}
     for _, g in inputs(family):
-        for mode, digest in output_digests(g).items():
+        for mode, digest in output_digests(g, family).items():
             per_mode[mode].append(digest)
     out = {}
     for mode, digests in per_mode.items():
@@ -205,7 +218,7 @@ def main(argv: list[str]) -> int:
     want = committed()
     moved_any = False
     for family in FAMILIES:
-        for mode in MODES:
+        for mode in modes(family):
             got = table[family][mode]
             moved = [
                 i for i in range(family_size(family))

@@ -11,7 +11,7 @@ def test_outputs_match_the_committed_digests(family):
     table = committed()
     moved = []
     for i, g in inputs(family, range(0, family_size(family), 10)):
-        for mode, digest in output_digests(g).items():
+        for mode, digest in output_digests(g, family).items():
             if digest != committed_digest(table, family, mode, i):
                 moved.append(f"{family}/{i} {mode}")
     assert not moved, moved
