@@ -236,8 +236,9 @@ def explain_cmd(args) -> int:
 
 
 def _out_dir(path: str) -> Path:
-    """The --out directory, created if missing, before anything is drawn;
-    a path that cannot be a directory is an input problem."""
+    """The --out directory, created if missing, once the parameters are
+    checked and before anything is drawn; a path that cannot be a
+    directory is an input problem."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -254,19 +255,20 @@ def _write_instance(out: Path, stem: str, g: Graph, matching=None) -> None:
 
 def gen_planted_cmd(args) -> int:
     """Instances carrying a known solution (written alongside as .matching)."""
-    from .generator import gen_planted, write_manifest
+    from .generator import check_planted, gen_planted, write_manifest
 
     n = args.n
     k = n // 4 if args.k is None else args.k
     extra = min(n, 2 * k * max(0, n - 2 * k)) if args.extra is None else args.extra
+    try:
+        check_planted(n, k, extra)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     out = _out_dir(args.out_dir)
     rows = []
     for i in range(args.count):
         s = args.seed + i
-        try:
-            inst = gen_planted(n, k, extra, s)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        inst = gen_planted(n, k, extra, s)
         stem = f"planted_n{n}_k{k}_x{extra}_s{s}"
         rows.append({"path": f"{stem}.graph", "n": n, "m": inst.graph.m, "label": "dim",
                      "p9_free": inst.p9_free, "seed": s})
@@ -278,21 +280,23 @@ def gen_planted_cmd(args) -> int:
 
 def gen_random_cmd(args) -> int:
     """Erdos-Renyi draws, rejection-sampled through the chosen filters."""
-    from .generator import RANDOM_FILTERS, gen_random, write_manifest
+    from .generator import RANDOM_FILTERS, check_random, gen_random, write_manifest
 
     n, p, count = args.n, args.p, args.count
-    for f in args.filters:
+    filters = tuple(args.filters)
+    for f in filters:
         if f not in RANDOM_FILTERS:
             raise InputError(f"argument --filter: invalid choice: {f!r} "
                              f"(choose from {', '.join(RANDOM_FILTERS)})")
+    try:
+        check_random(p, filters, args.attempt_cap)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     out = _out_dir(args.out_dir)
     rows = []
     for i in range(count):
         s = args.seed + i
-        try:
-            draw = gen_random(n, p, s, filters=tuple(args.filters), attempt_cap=args.attempt_cap)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        draw = gen_random(n, p, s, filters=filters, attempt_cap=args.attempt_cap)
         if draw.graph is None:
             print(
                 f"seed {s}: no graph within {draw.attempts} attempts "

@@ -271,7 +271,7 @@ def search(c: Coloring, pick: Callable[[Coloring], int], budget: int) -> tuple[s
     one black partner, or the rules would have reported it.  Returns
     (status, branches) with status "colored" (c holds the completion),
     "infeasible" (every branch failed) or "budget" (more than `budget`
-    branches were needed).
+    branches were needed), and the number of branches it ran.
 
     When both colors of a vertex fail at once, with no subtree below
     either, its piece is dead and the pending alternatives whose states
@@ -294,13 +294,13 @@ def search(c: Coloring, pick: Callable[[Coloring], int], budget: int) -> tuple[s
     # popped right after it is its white sibling on the same snapshot
     black_failed = 0
     while stack:
+        if branches >= budget:
+            return "budget", branches
         snap, bit, black = stack.pop()
         c.restore(snap)
         if black:
             stack.append((snap, bit, False))
         branches += 1
-        if branches > budget:
-            return "budget", branches
         bad = c.extend(black=bit) if black else c.extend(white=bit)
         if bad is None:
             u = pick(c)

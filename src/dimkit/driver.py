@@ -5,14 +5,15 @@ classes (`graph.degree_classes`), which the next steps share.
 Refute on a four-clique (a K4 kills the whole graph) among the vertices
 of degree three or more; look for a single dominating edge; then run a
 complete search that branches on vertex colors and lets propagation
-prune.  The search starts from the root facts (`root_facts`: a pendant's
-neighbour is black, false twins of degree two or more are white), and a
-clash among them refutes the component in 0 branches.  It decides the
-component unless it runs out of branches; its cap,
-`SolveConfig.branch_budget`, is the only budget a caller sets.  Only then
-does the paper's engine run, as the backstop, from the uncolored
-component: it repeatedly picks a central vertex x of the still-active
-part and trials every edge xy at it
+prune.  Both exact routes start from one root state, the root facts
+(`root_facts`: a pendant's neighbour is black, false twins of degree two
+or more are white) colored once, and a clash among them refutes the
+component in 0 branches.  The search decides the component unless it
+runs out of branches; its cap, `SolveConfig.branch_budget`, is the only
+budget a caller sets.  Only then does the paper's engine run, as the
+backstop, from the same root state: it repeatedly picks a central vertex
+x of a piece of the still-active part (its unknowns and unmated blacks)
+and trials every edge xy at it
 (`component_solver.try_edge`: the pair's propagation, then levels and
 the lone-L4 fact, one search per leftover piece, capped by the piece's
 size).  A successful trial colors
@@ -68,9 +69,9 @@ class SolveOutcome:
             "matching": [list(e) for e in self.matching] if self.matching is not None else [],
             "reason": self.reason,
             "stats": {
-                "edges_tried": self.stats.get("edges_tried", 0),
-                "forced_edges": self.stats.get("forced_edges", 0),
-                "branches": self.stats.get("branches", 0),
+                "edges_tried": self.stats["edges_tried"],
+                "forced_edges": self.stats["forced_edges"],
+                "branches": self.stats["branches"],
                 "millis": 0,  # pinned so repeated runs serialize identically
             },
             "p9_checked": self.p9_checked,
@@ -140,27 +141,25 @@ def _complete_search(
     master: Coloring, pick: Callable[[Coloring], int], facts: tuple[int, int], budget: int,
     stats: dict
 ) -> tuple[str, str | None]:
-    """Exact decision for one component by branching on vertex colors.
-
-    Starts from the uncolored component with the root facts (white, black)
-    applied (`root_facts`), so exhaustion is a true negative and any
-    completion is a certificate; a clash among the facts refutes the
-    component in 0 branches.  Returns (status, reason).  On "dim" the
-    master holds the component's coloring; on "no-dim", or on "budget"
-    when cut short, it is restored.
+    """Exact decision for one uncolored component by branching on vertex
+    colors, from the root facts (white, black) (`root_facts`) colored with
+    one `extend`; a clash among them refutes the component in 0 branches.
+    So exhaustion is a true negative and any completion is a certificate.
+    Returns (status, reason).  On "dim" the master holds the component's
+    coloring; on "budget" it holds the root facts' state again, the
+    engine's start.  On "no-dim" `solve` stops, so nothing is restored.
     """
-    snap = master.snapshot()
     white, black = facts
     bad = master.extend(white=white, black=black)
     if bad:
-        master.restore(snap)
         return "no-dim", f"root facts: {bad}"
+    snap = master.snapshot()
     status, spent = search(master, pick, budget)
     stats["branches"] += spent
     if status == "colored":
         return "dim", None
-    master.restore(snap)
     if status == "budget":
+        master.restore(snap)
         return "budget", None
     return "no-dim", "exhaustive color search over the component"
 
@@ -200,11 +199,10 @@ def solve_top_component(
     if status != "budget":
         return status, reason
 
-    # the search ran out, so the engine decides; nothing in comp is
-    # colored yet, so the work starts from comp itself.  Each sub is
-    # either colored whole by a successful trial or whitened at x and
-    # split again, so comp ends colored.
-    work = [comp]
+    # the search ran out, so the engine decides from the root state.
+    # Each sub is either colored whole by a successful trial or whitened
+    # at x and split again, so comp ends colored.
+    work = connected_components(g, master.active_mask(comp))
     while work:
         sub = work.pop(0)
         x = central_vertex(g, sub)
@@ -233,7 +231,7 @@ def solve_top_component(
 
 def solve(g: Graph, cfg: SolveConfig | None = None) -> SolveOutcome:
     cfg = cfg or SolveConfig()
-    stats = {"edges_tried": 0, "forced_edges": 0, "branches": 0, "millis": 0}
+    stats = {"edges_tried": 0, "forced_edges": 0, "branches": 0}
 
     p9_checked = cfg.check_p9 and classify_p9(g)[0] != P9_UNCHECKED
 

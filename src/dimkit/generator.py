@@ -43,6 +43,19 @@ class PlantedInstance:
     p9_free: str
 
 
+def check_planted(n: int, k: int, extra: int) -> None:
+    """Raise ValueError unless `gen_planted` can draw (n, k, extra): all
+    three nonnegative, 2k <= n, and extra within the cross-edge capacity
+    2k(n - 2k)."""
+    if n < 0 or k < 0 or extra < 0:
+        raise ValueError("n, k and extra must be nonnegative")
+    if 2 * k > n:
+        raise ValueError(f"need 2*k <= n, got n={n} k={k}")
+    capacity = 2 * k * (n - 2 * k)
+    if extra > capacity:
+        raise ValueError(f"extra={extra} exceeds cross-edge capacity {capacity}")
+
+
 def gen_planted(n: int, k: int, extra: int, seed: int) -> PlantedInstance:
     """Graph on n vertices with a planted dominating induced matching of k edges.
 
@@ -52,15 +65,9 @@ def gen_planted(n: int, k: int, extra: int, seed: int) -> PlantedInstance:
     non-adjacent and each matched vertex keeps exactly one matched neighbor.
     The first extra edges are spent making the graph connected (as far as
     the budget and the vertex mix allow), the rest are placed uniformly.
+    Parameters `check_planted` refuses raise ValueError.
     """
-    if n < 0 or k < 0 or extra < 0:
-        raise ValueError("n, k and extra must be nonnegative")
-    if 2 * k > n:
-        raise ValueError(f"need 2*k <= n, got n={n} k={k}")
-    capacity = 2 * k * (n - 2 * k)
-    if extra > capacity:
-        raise ValueError(f"extra={extra} exceeds cross-edge capacity {capacity}")
-
+    check_planted(n, k, extra)
     rng = random.Random(seed)
     planted = tuple((2 * i, 2 * i + 1) for i in range(k))
     edges: list[Edge] = list(planted)
@@ -175,14 +182,9 @@ def _first_failed_filter(g: Graph, filters: tuple[str, ...]) -> str | None:
     return None
 
 
-def gen_random(
-    n: int,
-    p: float,
-    seed: int,
-    filters: tuple[str, ...] = (),
-    attempt_cap: int = 200,
-) -> RandomDraw:
-    """Sample G(n, p) until every requested filter passes or the cap is hit."""
+def check_random(p: float, filters: tuple[str, ...] = (), attempt_cap: int = 200) -> None:
+    """Raise ValueError unless `gen_random` can sample with these
+    parameters: p in [0, 1] (NaN is not), known filters, a positive cap."""
     unknown = set(filters) - set(RANDOM_FILTERS)
     if unknown:
         raise ValueError(f"unknown filters: {sorted(unknown)}")
@@ -190,6 +192,18 @@ def gen_random(
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     if attempt_cap < 1:
         raise ValueError("attempt_cap must be positive")
+
+
+def gen_random(
+    n: int,
+    p: float,
+    seed: int,
+    filters: tuple[str, ...] = (),
+    attempt_cap: int = 200,
+) -> RandomDraw:
+    """Sample G(n, p) until every requested filter passes or the cap is hit.
+    Parameters `check_random` refuses raise ValueError."""
+    check_random(p, filters, attempt_cap)
     rng = random.Random(seed)
     rejections = {f: 0 for f in filters}
     for attempt in range(1, attempt_cap + 1):

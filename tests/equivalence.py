@@ -9,8 +9,9 @@ is hashed:
                claims to move no verdict or certificate reads `same` here
                even where it moves branch counts or a reason text;
   engine_only  `solve().to_json()` under ENGINE_ONLY (`SolveConfig(branch_budget=0)`,
-               where the paper's engine decides every component the K4
-               test and the dominating-edge test leave);
+               where the root facts, then the paper's engine from them,
+               decide every component the K4 test and the dominating-edge
+               test leave);
   p9           `classify_p9(g)`, state and witness, as JSON (the solve's
                JSON carries the state but not the witness);
   check        `cli.check_report(g)`, the report `dimkit check --json`

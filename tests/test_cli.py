@@ -121,12 +121,12 @@ def test_cross_check_negative_count_exit_three(capsys):
 def test_budget_branches_caps_the_first_search(graph_file, capsys):
     # a cubic no-instance holding a P9, with no root fact: a cap below the
     # 8 branches its refutation needs leaves it to the engine, whose trial
-    # ends on the radius; at a cap of 8, the default cap and above, the
-    # search refutes it
+    # ends on the radius, and the count holds only the 7 branches run; at a
+    # cap of 8, the default cap and above, the search refutes it
     path = graph_file(cubic_no_dim(40, 1))
     assert main(["solve", path, "--budget-branches", "7"]) == 2
     out = capsys.readouterr().out
-    assert "status: inconclusive" in out and "edges_tried=3 forced_edges=0 branches=8\n" in out
+    assert "status: inconclusive" in out and "edges_tried=3 forced_edges=0 branches=7\n" in out
     for flags in ([], ["--budget-branches", "8"], ["--budget-branches", "20000"]):
         assert main(["solve", path, *flags]) == 1
         out = capsys.readouterr().out
@@ -151,6 +151,19 @@ def test_solve_oversized_header_exit_three(tmp_path, capsys):
     path.write_text("100000000000 0\n")
     assert main(["solve", str(path)]) == 3
     assert "exceed the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("3 -1\n", "line 1: negative counts in header"),
+    ("3 2\n0 1\n1 2 0\n", "line 3: expected 'u v' edge line"),
+    ("# two edges\n3 2\n0 x\n1 2\n", "line 3: non-integer edge line"),
+])
+def test_solve_malformed_graph_exit_three_with_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 def test_solve_internal_error_exit_four(graph_file, capsys, monkeypatch):
@@ -425,9 +438,25 @@ def test_gen_planted_default_extra_fits_the_capacity(tmp_path, capsys, args, ste
 
 
 def test_gen_planted_bad_params_exit_three(tmp_path, capsys):
-    rc = main(["gen", "planted", "--n", "5", "--k", "3", "--out", str(tmp_path / "x")])
-    assert rc == 3
-    capsys.readouterr()
+    # the generator's own check refuses them before --out is created, with
+    # any --count
+    out = tmp_path / "x"
+    for args in (["--n", "5", "--k", "3"], ["--n", "5", "--k", "3", "--count", "0"],
+                 ["--n", "8", "--k", "-1"], ["--n", "8", "--extra", "-1"],
+                 ["--n", "6", "--k", "1", "--extra", "9"]):
+        assert main(["gen", "planted", *args, "--out", str(out)]) == 3, args
+        assert capsys.readouterr().err.startswith("Error: "), args
+        assert not out.exists(), args
+
+
+@pytest.mark.parametrize("p", ["1.5", "-0.1", "nan", "inf"])
+@pytest.mark.parametrize("count", ["1", "0"])
+def test_gen_random_bad_p_exit_three_before_out(tmp_path, capsys, p, count):
+    out = tmp_path / "x"
+    assert main(["gen", "random", "--n", "5", "--p", p, "--count", count,
+                 "--out", str(out)]) == 3
+    assert "edge probability must be in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_random_writes_instances(tmp_path, capsys):

@@ -316,8 +316,15 @@ def test_search_exhausts_a_square():
 
 
 def test_search_stops_past_the_budget():
+    # the count holds only the branches run: a cap below the 4 branches
+    # that refute C4, or the 1 that solves P5, reports the cap itself
     g = path_graph(5)
-    assert search(Coloring(g), _first_unknown, 0) == ("budget", 1)
+    assert search(Coloring(g), _first_unknown, 0) == ("budget", 0)
+    assert search(Coloring(g), _first_unknown, 1) == ("colored", 1)
+    g = cycle_graph(4)
+    for budget in range(4):
+        assert search(Coloring(g), _first_unknown, budget) == ("budget", budget)
+    assert search(Coloring(g), _first_unknown, 4) == ("infeasible", 4)
 
 
 # -- the jump over alternatives a dead piece dooms ------------------------------

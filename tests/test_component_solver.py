@@ -65,7 +65,7 @@ def test_branching_piece_colored():
 
 def test_branch_budget_reports_budget(monkeypatch):
     _, c, pieces = _prepared_trial(BRANCHY, 4, 5)
-    assert _searched(BRANCHY, c, pieces[0], 0) == ("budget", 1)
+    assert _searched(BRANCHY, c, pieces[0], 0) == ("budget", 0)
     # through the trial, whose cap for this 7-vertex piece is 64 branches
     real_search = dimkit.component_solver.search
     monkeypatch.setattr(

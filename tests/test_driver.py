@@ -25,7 +25,7 @@ import dimkit.patterns
 from dimkit.oracle import all_dims, count_dims, enumerate_dims, oracle_dim, verify_dim
 from dimkit.patterns import P9_VERIFIED, P9_VIOLATED, classify_p9, find_k4
 from conftest import complete_graph, cubic_no_dim, cycle_graph, disjoint_union, path_graph, star_graph
-from equivalence import deg3_graph
+from equivalence import deg3_graph, inputs
 from naive_reference import (
     coloring_is_complete_dim,
     dominating_edge_naive,
@@ -367,20 +367,27 @@ def test_solve_never_runs_the_pattern_detectors(corpus7, monkeypatch):
 
 
 def test_centre_tie_break_pinned_end_to_end():
-    # Both graphs have radius 11 with six vertices at that eccentricity, so
-    # another tie-break or a centre one round off names another trial edge
-    # in the engine's radius reason; the expected outputs were recorded from
-    # one BFS per vertex.  The refused branch is the zero-budget search.
+    # The engine's first piece of the root state (16 vertices) has radius 8
+    # with two vertices at that eccentricity, so another tie-break or a
+    # centre one round off names another trial edge in the engine's radius
+    # reason; the expected output was recorded from one BFS per vertex.
     # Its pendant-C4 twin is refuted by the root facts ahead of the engine.
-    planted = gen_planted(600, 150, 600, 0)
-    augmented = gen_c4_augmented(600, 150, 600, 0)
+    # Most planted graphs leave the engine only small pieces with one
+    # centre (gen_planted(600, 150, 600, 0) does), so this one is picked for
+    # its tie.
+    planted = gen_planted(300, 75, 300, 4)
+    augmented = gen_c4_augmented(300, 75, 300, 4)
     want = (
-        '{"status": "inconclusive", "matching": [], "reason": "vertex 0 is farther than 4 '
-        'from edge (92,93)", "stats": {"edges_tried": 4, "forced_edges": 0, "branches": 1, '
+        '{"status": "inconclusive", "matching": [], "reason": "vertex 33 is farther than 4 '
+        'from edge (104,105)", "stats": {"edges_tried": 2, "forced_edges": 0, "branches": 0, '
         '"millis": 0}, "p9_checked": true}'
     )
     assert solve(planted.graph, ENGINE_ONLY).to_json() == want
-    assert solve(augmented, ENGINE_ONLY).to_json() == SEARCH_PINS_AT_SIZE[1]
+    assert solve(augmented, ENGINE_ONLY).to_json() == (
+        '{"status": "no-dim", "matching": [], "reason": "root facts: black-unmatchable at 302", '
+        '"stats": {"edges_tried": 0, "forced_edges": 0, "branches": 0, "millis": 0}, '
+        '"p9_checked": true}'
+    )
 
 
 SEARCH_PINS_AT_SIZE = (
@@ -520,6 +527,17 @@ def test_root_facts_clash_refutes_at_the_root():
     assert out.stats["branches"] == 0 and oracle_dim(g).status == "no-dim"
 
 
+def test_engine_starts_from_the_root_facts():
+    # Under ENGINE_ONLY the engine works on the root state: these equivalence
+    # inputs (`gnp` 1791, n = 21, and 2255, n = 22) each hold a component
+    # whose bare trials end on the radius, while the pieces that the root
+    # facts leave active fit in four levels and decide it.
+    for (i, g), want in zip(inputs("gnp", [1791, 2255]), ["no-dim", "dim"]):
+        out = solve(g, ENGINE_ONLY)
+        assert out.stats["edges_tried"] > 0, i
+        assert out.status == want == oracle_dim(g).status, (i, out.reason)
+
+
 # gen_c4_augmented arguments -> reason of the default solve: the
 # four-cycle's corners beside the attached one (ids n, n+1, n+2, n+3) are
 # false twins, and whitening them forces a black that no neighbour can pair
@@ -570,12 +588,10 @@ def test_root_facts_refute_pendant_c4_at_size(args, reason):
 # connected graphs where some pick of the engine's search is not the
 # lowest unknown vertex of its piece (rare: under 1% of engine picks on
 # seeded G(n, p) and planted graphs with n <= 60), among those the root
-# facts leave to the engine under ENGINE_ONLY
+# facts leave to the engine under ENGINE_ONLY, which starts from them
 ENGINE_PICKS_OFF_LOWEST = [
     Graph.from_edges(8, [(0, 7), (1, 5), (2, 3), (2, 7), (3, 7), (4, 5), (4, 6), (6, 7)]),
-    Graph.from_edges(10, [
-        (0, 9), (1, 3), (1, 6), (1, 7), (1, 8), (2, 8), (2, 9), (4, 5), (4, 8), (6, 7),
-    ]),
+    Graph.from_edges(8, [(0, 3), (1, 2), (1, 5), (2, 4), (3, 5), (3, 6), (3, 7), (6, 7)]),
     Graph.from_edges(8, [(0, 1), (0, 3), (1, 4), (2, 5), (4, 5), (5, 6), (5, 7), (6, 7)]),
 ]
 
@@ -784,20 +800,23 @@ def test_engine_agrees_with_oracle_on_a_live_family():
 # propagation moved to waves of masks, which moves only the contradiction
 # reported first.  The host130 count was re-derived (2 -> 1) when lone-L4
 # whitening moved ahead of the split into pieces: its trial (3, 5) is now
-# refuted before one piece is searched.  Each count of branches includes
-# the one refused by the zero-budget search.
+# refuted before one piece is searched.  The three dim pins were
+# re-derived when the engine came to start from the root facts and the
+# zero-budget search stopped counting the branch it refuses: the matchings
+# stay, host15 needs 2 trials (was 5) and host37 4 (was 8), and no piece
+# search branches any more (branches 2, 3, 3 -> 0).
 IN_CLASS_PINS = [
     ((15, (11, 12), 40, 151),
      '{"status": "dim", "matching": [[0, 1], [6, 8], [10, 20], [30, 34]], "reason": null, '
-     '"stats": {"edges_tried": 5, "forced_edges": 1, "branches": 2, "millis": 0}, '
+     '"stats": {"edges_tried": 2, "forced_edges": 2, "branches": 0, "millis": 0}, '
      '"p9_checked": true}'),
     ((37, (8,), 27, 372),
      '{"status": "dim", "matching": [[1, 10], [8, 18], [12, 25], [17, 24]], "reason": null, '
-     '"stats": {"edges_tried": 8, "forced_edges": 1, "branches": 3, "millis": 0}, '
+     '"stats": {"edges_tried": 4, "forced_edges": 3, "branches": 0, "millis": 0}, '
      '"p9_checked": true}'),
     ((98, (9, 13), 20, 983),
      '{"status": "dim", "matching": [[2, 15], [3, 6], [5, 7], [11, 13]], "reason": null, '
-     '"stats": {"edges_tried": 2, "forced_edges": 2, "branches": 3, "millis": 0}, '
+     '"stats": {"edges_tried": 2, "forced_edges": 2, "branches": 0, "millis": 0}, '
      '"p9_checked": true}'),
     ((17, (4, 12), 29, 172),
      '{"status": "no-dim", "matching": [], "reason": "root facts: white-white-edge at 0,1", '
@@ -821,24 +840,26 @@ IN_CLASS_PINS = [
 # verified P9-free cubic no-instances (`cubic_no_dim`): no pendant and no
 # twin, so no root fact, and the engine refutes them at its first centre.
 # They keep the engine's no-dim route covered now that the root facts
-# refute the four no-dim pins above before the engine runs.
+# refute the four no-dim pins above before the engine runs.  Their counts
+# of branches were re-derived (1 -> 0) when the zero-budget search stopped
+# counting the branch it refuses.
 CUBIC_ENGINE_PINS = [
     ((6, 1),
      '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 1: '
-     'white-white-edge at 5,7", "stats": {"edges_tried": 3, "forced_edges": 0, "branches": 1, '
+     'white-white-edge at 5,7", "stats": {"edges_tried": 3, "forced_edges": 0, "branches": 0, '
      '"millis": 0}, "p9_checked": true}'),
     ((16, 0),
      '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 0: '
-     'black-unmatchable at 11", "stats": {"edges_tried": 3, "forced_edges": 0, "branches": 1, '
+     'black-unmatchable at 11", "stats": {"edges_tried": 3, "forced_edges": 0, "branches": 0, '
      '"millis": 0}, "p9_checked": true}'),
     ((98, 1),
      '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 6: '
-     'conflict at 6", "stats": {"edges_tried": 5, "forced_edges": 0, "branches": 1, '
+     'conflict at 6", "stats": {"edges_tried": 5, "forced_edges": 0, "branches": 0, '
      '"millis": 0}, "p9_checked": true}'),
     ((16, 3),
      '{"status": "no-dim", "matching": [], "reason": "no matching edge fits at vertex 5: '
      'two-black-neighbors at 2,4,6", "stats": {"edges_tried": 6, "forced_edges": 0, '
-     '"branches": 1, "millis": 0}, "p9_checked": true}'),
+     '"branches": 0, "millis": 0}, "p9_checked": true}'),
 ]
 
 

@@ -17,7 +17,7 @@ from dimkit.generator import (
 )
 from dimkit.graph import Graph, connected_components, parse_graph, serialize_graph
 from dimkit.oracle import oracle_dim, verify_dim
-from dimkit.patterns import classify_p9, find_k4, iter_butterflies, iter_diamonds
+from dimkit.patterns import P9_VERIFIED, classify_p9, find_k4, iter_butterflies, iter_diamonds
 from conftest import cycle_graph, path_graph
 
 # sha256 of the concatenated serialize_graph output of iter_small_corpus(7)
@@ -161,6 +161,12 @@ def test_random_cap_reports_rejections():
     assert draw.graph is None
     assert draw.attempts == 7
     assert draw.rejections == {"k4_free": 7}
+
+
+def test_random_p9_filter_rejects_draws():
+    draw = gen_random(16, 0.2, 2, filters=("p9_free",))
+    assert (draw.attempts, draw.rejections) == (4, {"p9_free": 3})
+    assert classify_p9(draw.graph)[0] == P9_VERIFIED
 
 
 def test_random_rejects_bad_parameters():
