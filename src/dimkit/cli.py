@@ -29,7 +29,7 @@ from .decomposition import RadiusExceeded, apply_initial_facts, build_levels, fo
 from .driver import SolveConfig, solve
 from .graph import MAX_VERTICES, Graph, GraphFormatError, bits, connected_components, load_graph, serialize_graph
 from .oracle import oracle_dim, verify_dim
-from .patterns import classify_p9, find_k4, iter_butterflies, iter_diamonds
+from .patterns import RANDOM_FILTERS, classify_p9, find_k4, iter_butterflies, iter_diamonds
 
 
 class InputError(Exception):
@@ -280,14 +280,10 @@ def gen_planted_cmd(args) -> int:
 
 def gen_random_cmd(args) -> int:
     """Erdos-Renyi draws, rejection-sampled through the chosen filters."""
-    from .generator import RANDOM_FILTERS, check_random, gen_random, write_manifest
+    from .generator import check_random, gen_random, write_manifest
 
     n, p, count = args.n, args.p, args.count
     filters = tuple(args.filters)
-    for f in filters:
-        if f not in RANDOM_FILTERS:
-            raise InputError(f"argument --filter: invalid choice: {f!r} "
-                             f"(choose from {', '.join(RANDOM_FILTERS)})")
     try:
         check_random(p, filters, args.attempt_cap)
     except ValueError as exc:
@@ -423,7 +419,7 @@ def _parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="[default: %(default)s]")
     p.add_argument("--count", type=_int_range(0), default=1, help="[default: %(default)s]")
     p.add_argument("--filter", dest="filters", action="append", default=[], metavar="NAME",
-                   help="k4_free, diamond_butterfly_free or p9_free; repeatable")
+                   choices=RANDOM_FILTERS, help="one of %(choices)s; repeatable")
     p.add_argument("--attempt-cap", type=_int_range(1), default=200,
                    help="[default: %(default)s]")
     p.add_argument("--out", dest="out_dir", metavar="DIR", default="instances",

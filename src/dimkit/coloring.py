@@ -41,31 +41,15 @@ Callers drive the state by masks alone: a decision is a vertex bit and a
 color, `extend(black=bit)` or `extend(white=bit)`, and a query is a mask
 read (`unknown_mask(bit)` is nonzero while the vertex is uncolored).
 
-`search` backtracks over vertex colors under one pick rule,
-`branch_pick`, shared by the complete search and the engine's pieces.
-Each of its leaves is a contradiction or the solution: at a fixpoint with
-nothing left unknown the rules have paired every black, so the coloring
-is not rescanned; `driver.solve` checks the finished matching once,
-against the definition (`oracle.verify_dim`).
+`search` backtracks chronologically over vertex colors under one pick
+rule, `branch_pick`, shared by the complete search and the engine's
+pieces.  Each of its leaves is a contradiction or the solution: at a
+fixpoint with nothing left unknown the rules have paired every black, so
+the coloring is not rescanned; `driver.solve` checks the finished
+matching once, against the definition (`oracle.verify_dim`).
 The pick carries one mask from one call to the next, the parity of each
 vertex's unmated-black neighbors, XOR-ing in the rows of the blacks that
 changed.
-
-The search backtracks chronologically except where a dead piece dooms
-pending alternatives.  Call a vertex's piece at a state its component
-among the unknowns and unmated blacks.  At a fixpoint an unknown has no
-white or mated neighbor and an unmated black none but whites and
-unknowns, so a piece P is bordered by whites alone; propagation from a
-vertex v of P colors only P and reads only the colors of P's closed
-neighborhood N[P].  If both colors of v fail at once at a state S, and a
-pending alternative's state A, an ancestor of S, already colored every
-vertex of N[P] that S colors, then A holds P with the same unknowns and
-unmated blacks, closed in A's active set, behind the same white border,
-and both colors of v fail at A as well.  Since propagation is sound, A
-has no completion in which P is colored, and a search whose scope holds
-all of P drops the alternative unexplored.  Only subtrees without a
-solution go, so the first solution found and the status are those of
-plain chronological backtracking.
 """
 
 from __future__ import annotations
@@ -260,7 +244,7 @@ def branch_pick(g: Graph, comp: int, by_degree: list[int]) -> Callable[[Coloring
 
 
 def search(c: Coloring, pick: Callable[[Coloring], int], budget: int) -> tuple[str, int]:
-    """Backtracking over vertex colors, black tried first.
+    """Chronological backtracking over vertex colors, black tried first.
 
     `pick` names the next vertex to branch on, or -1 when its scope holds
     no unknown vertex.  A stack entry is (snapshot, vertex bit, black): the
@@ -272,27 +256,12 @@ def search(c: Coloring, pick: Callable[[Coloring], int], budget: int) -> tuple[s
     (status, branches) with status "colored" (c holds the completion),
     "infeasible" (every branch failed) or "budget" (more than `budget`
     branches were needed), and the number of branches it ran.
-
-    When both colors of a vertex fail at once, with no subtree below
-    either, its piece is dead and the pending alternatives whose states
-    still hold that piece are dropped (`_drop_doomed`; the module
-    docstring gives the argument).  A failure below a subtree may lie in
-    another piece, so it drops nothing.  The argument needs the root
-    state to be a fixpoint without contradiction and the scope to hold the
-    whole piece of each of its unknowns there: a connected component of
-    the graph, as in the complete search, or a piece of
-    `component_solver.try_edge`.  The first solution, the colors it leaves
-    and the status are then those of chronological backtracking, in no
-    more branches.
     """
     v = pick(c)
     if v < 0:
         return "colored", 0
     branches = 0
     stack = [(c.snapshot(), 1 << v, True)]
-    # the number of the last black branch that failed at once: the entry
-    # popped right after it is its white sibling on the same snapshot
-    black_failed = 0
     while stack:
         if branches >= budget:
             return "budget", branches
@@ -307,51 +276,7 @@ def search(c: Coloring, pick: Callable[[Coloring], int], budget: int) -> tuple[s
             if u < 0:
                 return "colored", branches
             stack.append((c.snapshot(), 1 << u, True))
-        elif black:
-            black_failed = branches
-        elif black_failed == branches - 1 and stack:
-            # the top entry's vertex was colored after that entry's state,
-            # so if it touches the dead vertex nothing can go (nearly every
-            # dead end on small graphs)
-            rows = c.g.rows
-            if not stack[-1][1] & rows[bit.bit_length() - 1]:
-                _drop_doomed(stack, rows, snap, bit)
     return "infeasible", branches
-
-
-def _drop_doomed(stack: list, rows: list[int], snap: Snapshot, bit: int) -> None:
-    """Pop every pending entry, from the top down, whose state colored the
-    same vertices of N[P] as `snap`, where P is the piece of `bit` at
-    `snap` and both colors of `bit` failed at once there.
-
-    The states down the stack are ancestors of one another, so the colored
-    part of N[P] only shrinks with depth and the first entry that differs
-    ends the walk.  The BFS over P gives up at the first vertex of N[P]
-    colored since the top entry's state, which then differs.
-    """
-    white, black, mated = snap
-    colored = white | black
-    top_white, top_black, _ = stack[-1][0]
-    fresh = colored ^ (top_white | top_black)  # colored since the top entry
-    closed = frontier = bit
-    inactive = white | mated
-    while frontier:
-        reach = 0
-        while frontier:
-            u = frontier.bit_length() - 1
-            frontier ^= 1 << u
-            reach |= rows[u]
-        if reach & fresh:
-            return
-        frontier = reach ^ reach & (closed | inactive)
-        closed |= reach
-    held = colored & closed
-    stack.pop()
-    while stack:
-        w, b, _ = stack[-1][0]
-        if (w | b) & closed != held:
-            return
-        stack.pop()
 
 
 def extract_matching(c: Coloring, scope: int | None = None) -> tuple[Edge, ...]:

@@ -11,7 +11,7 @@ of `coloring.search` under the same pick as the complete search
 (`coloring.branch_pick`), capped at max(64, size**2) branches.  No active
 vertex outside the scope touches one inside (`driver` splits its work
 along the same components), so each piece is a whole component of the
-master's active vertices, as the search's jump over dead pieces needs.
+master's active vertices.
 
 The search is exact within its budget, so "infeasible" is a proof that no
 completion matches the trial edge and "undecided" only gives up.

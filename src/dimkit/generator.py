@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .graph import Edge, Graph, bits, serialize_graph
 from .oracle import oracle_dim, verify_dim
-from .patterns import P9_VERIFIED, classify_p9, find_k4, iter_butterflies, iter_diamonds
+from .patterns import P9_VERIFIED, RANDOM_FILTERS, classify_p9, find_k4, iter_butterflies, iter_diamonds
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +143,6 @@ def gen_c4_augmented(n: int, k: int, extra: int, seed: int) -> Graph:
 # ---------------------------------------------------------------------------
 # Filtered random graphs
 # ---------------------------------------------------------------------------
-
-RANDOM_FILTERS = ("k4_free", "diamond_butterfly_free", "p9_free")
 
 
 @dataclass(frozen=True)

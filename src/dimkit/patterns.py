@@ -20,6 +20,10 @@ from typing import Iterator, NamedTuple
 
 from .graph import Edge, Graph, bits
 
+# the random generator's filters, one per detector here; `dimkit gen random
+# --filter` takes them as its choices without importing the generator
+RANDOM_FILTERS = ("k4_free", "diamond_butterfly_free", "p9_free")
+
 
 class PatternHit(NamedTuple):
     kind: str  # "K4" | "diamond" | "butterfly"

@@ -5,9 +5,8 @@ path enumeration, no shared logic with the library's detectors, so a bug
 would have to appear twice to slip through.  The two exceptions are frozen
 earlier copies of library code: `extend_waves_reference`, of
 `Coloring.extend`, which pins the order-dependent parts of its output, and
-`search_chronological_reference`, of `coloring.search` before it dropped
-doomed alternatives, which holds the search to the same status and
-colouring in no more branches.
+`search_chronological_reference`, of `coloring.search`, which holds the
+search to the same status, branch count and colouring.
 """
 
 from collections import deque
@@ -300,11 +299,10 @@ def extend_waves_reference(c: Coloring, white: int = 0, black: int = 0) -> Contr
 
 
 def search_chronological_reference(c: Coloring, pick, budget: int) -> tuple[str, int]:
-    """A frozen copy of `coloring.search` as it stood before it dropped the
-    pending alternatives a dead piece dooms: plain chronological
+    """A frozen copy of `coloring.search`: plain chronological
     backtracking, black first, one stack entry (snapshot, vertex bit,
     black) per pending decision.  Returns (status, branches) as `search`
-    does."""
+    does, but counts the branch past the budget."""
     v = pick(c)
     if v < 0:
         return "colored", 0

@@ -585,14 +585,50 @@ def test_root_facts_refute_pendant_c4_at_size(args, reason):
     assert (out.status, out.reason, out.stats["branches"]) == ("no-dim", reason, 0)
 
 
-# connected graphs where some pick of the engine's search is not the
-# lowest unknown vertex of its piece (rare: under 1% of engine picks on
-# seeded G(n, p) and planted graphs with n <= 60), among those the root
-# facts leave to the engine under ENGINE_ONLY, which starts from them
+# graphs where some pick of the engine's search is not the lowest unknown
+# vertex of its piece (rare: under 1% of engine picks on seeded G(n, p)
+# and planted graphs with n <= 60), among those the root facts leave to
+# the engine under ENGINE_ONLY, which starts from them.  After the first
+# three, the nine that 20,000 G(n, p) draws of random.Random(38) gave,
+# with n in 8..14 and p in {0.2, 0.25, 0.3}.
 ENGINE_PICKS_OFF_LOWEST = [
     Graph.from_edges(8, [(0, 7), (1, 5), (2, 3), (2, 7), (3, 7), (4, 5), (4, 6), (6, 7)]),
     Graph.from_edges(8, [(0, 3), (1, 2), (1, 5), (2, 4), (3, 5), (3, 6), (3, 7), (6, 7)]),
     Graph.from_edges(8, [(0, 1), (0, 3), (1, 4), (2, 5), (4, 5), (5, 6), (5, 7), (6, 7)]),
+    Graph.from_edges(13, [
+        (0, 1), (0, 6), (0, 9), (1, 4), (1, 5), (2, 10), (3, 4), (3, 8), (3, 11), (5, 10),
+        (7, 10), (7, 12), (8, 11), (10, 12),
+    ]),
+    Graph.from_edges(12, [
+        (0, 2), (0, 4), (0, 6), (1, 3), (1, 5), (1, 6), (1, 8), (2, 4), (2, 5), (3, 7), (3, 8),
+        (4, 10), (7, 8), (7, 10), (7, 11), (8, 9), (8, 11), (9, 10), (9, 11), (10, 11),
+    ]),
+    Graph.from_edges(11, [
+        (0, 2), (2, 3), (2, 6), (2, 7), (3, 7), (4, 6), (4, 9), (5, 8), (5, 10), (8, 9),
+        (8, 10),
+    ]),
+    Graph.from_edges(13, [
+        (0, 8), (0, 9), (1, 3), (1, 9), (3, 4), (4, 6), (4, 7), (4, 11), (5, 7), (5, 8),
+        (7, 10), (8, 10), (9, 12), (10, 11),
+    ]),
+    Graph.from_edges(11, [
+        (0, 1), (1, 4), (1, 6), (1, 8), (1, 9), (2, 10), (3, 5), (3, 7), (4, 6), (5, 8),
+        (9, 10),
+    ]),
+    Graph.from_edges(11, [
+        (0, 6), (0, 7), (1, 5), (1, 6), (1, 7), (2, 8), (2, 9), (3, 8), (3, 10), (4, 10),
+        (5, 7), (6, 9),
+    ]),
+    Graph.from_edges(9, [
+        (0, 8), (1, 4), (1, 6), (1, 8), (2, 3), (2, 4), (2, 5), (2, 7), (5, 7), (6, 8),
+    ]),
+    Graph.from_edges(11, [
+        (0, 4), (0, 7), (1, 5), (2, 9), (3, 5), (3, 10), (4, 6), (5, 7), (5, 8), (5, 10),
+    ]),
+    Graph.from_edges(12, [
+        (0, 3), (0, 7), (0, 8), (1, 5), (1, 6), (2, 4), (2, 9), (2, 11), (4, 7), (4, 9), (5, 6),
+        (5, 10), (6, 8), (9, 11), (10, 11),
+    ]),
 ]
 
 
