@@ -3,7 +3,10 @@
 Verbs: solve, verify, oracle, check, explain, gen (planted / random /
 corpus), cross-check.  Exit codes: solve and oracle use 0 =
 solution found, 1 = provably none, 2 = undecided; verify uses 0 = valid,
-1 = invalid; cross-check returns 1 on any solver/oracle disagreement;
+1 = invalid; explain, which runs the engine's own xy-trial up to its
+pieces, uses 0 = the trial's facts stand, 1 = they refute the edge, 2 =
+the pair survives but some vertex lies past four levels; cross-check
+returns 1 on any solver/oracle disagreement;
 every input problem (unreadable file, bad flag, malformed matching, a
 graph header above ``graph.MAX_VERTICES``) exits 3; any other failure,
 out-of-memory included, exits 4 (internal error) with its traceback on
@@ -25,7 +28,7 @@ import sys
 from pathlib import Path
 
 from .coloring import Coloring, extract_matching, parse_matching, serialize_matching
-from .decomposition import RadiusExceeded, apply_initial_facts, build_levels, forced_and_anchors
+from .decomposition import RadiusExceeded, forced_and_anchors, trial_facts
 from .driver import SolveConfig, solve
 from .graph import MAX_VERTICES, Graph, GraphFormatError, bits, connected_components, load_graph, serialize_graph
 from .oracle import oracle_dim, verify_dim
@@ -177,39 +180,43 @@ def _verts(mask: int) -> list[int]:
 
 
 def explain_report(g: Graph, x: int, y: int) -> dict:
-    """The distance-level decomposition rooted at the matched edge xy of g,
-    as `dimkit explain` prints it: BFS levels, colors and forced edges
-    after the level facts (lone-L4 whitening included), the anchors and
-    the L3 vertices they share, and the leftover pieces the trial would
-    search.  `status` is "ok" when the decomposition stands, "infeasible"
-    when the rules prove the edge in no solution (the first contradiction,
-    with rule id and witnesses, is included) and "radius-exceeded" when
-    some vertex sits farther than four levels from the edge."""
+    """The engine's xy-trial of g up to its pieces, as `dimkit explain`
+    prints it.  It runs the trial's fact stage (`decomposition.trial_facts`)
+    on a fresh coloring and stops where the trial stops:
+
+      * the pair's propagation clashes: `status` "infeasible" and the
+        `contradiction` (rule id and witnesses), nothing else;
+      * the pair survives and some vertex sits farther than four levels
+        from the edge: `status` "radius-exceeded" and that `vertex`;
+      * otherwise the BFS levels, the colors and matched edges after the
+        facts (lone-L4 whitening included), the forced edges, the anchors
+        and the L3 vertices they share, and the leftover pieces the trial
+        would search; `status` is "ok", or "infeasible" with the
+        `contradiction` when the lone-L4 sweep clashes."""
     scope = next(c for c in connected_components(g) if c >> x & 1)
     info = {"edge": [x, y], "status": "ok"}
+    c = Coloring(g)
     try:
-        levels = build_levels(g, scope, x, y)
+        levels, bad = trial_facts(c, scope, x, y)
     except RadiusExceeded as exc:
         info["status"] = "radius-exceeded"
         info["vertex"] = exc.vertex
         return info
-    c = Coloring(g)
-    bad = c.extend(black=levels[0])
-    forced, anchors = ([], []) if bad else forced_and_anchors(c, levels)
-    bad = bad or apply_initial_facts(c, levels)
-    l3 = levels[3] if len(levels) > 3 else 0
-    anchor_mask = sum(1 << v for v in anchors)
-    shared = [v for v in bits(l3) if (g.rows[v] & anchor_mask).bit_count() >= 2]
-    info.update({
-        "levels": [_verts(m) for m in levels],
-        "white": _verts(c.white & scope),
-        "black": _verts(c.black & scope),
-        "matched": [list(e) for e in extract_matching(c, scope)],
-        "forced": [list(e) for e in forced],
-        "anchors": anchors,
-        "shared_l3": shared,
-        "pieces": [_verts(m) for m in connected_components(g, c.active_mask(scope))],
-    })
+    if levels:
+        forced, anchors = forced_and_anchors(c, levels)
+        l3 = levels[3] if len(levels) > 3 else 0
+        anchor_mask = sum(1 << v for v in anchors)
+        shared = [v for v in bits(l3) if (g.rows[v] & anchor_mask).bit_count() >= 2]
+        info.update({
+            "levels": [_verts(m) for m in levels],
+            "white": _verts(c.white & scope),
+            "black": _verts(c.black & scope),
+            "matched": [list(e) for e in extract_matching(c, scope)],
+            "forced": [list(e) for e in forced],
+            "anchors": anchors,
+            "shared_l3": shared,
+            "pieces": [_verts(m) for m in connected_components(g, c.active_mask(scope))],
+        })
     if bad is not None:
         info["status"] = "infeasible"
         info["contradiction"] = {"rule": bad.rule, "witnesses": list(bad.witnesses)}
@@ -217,11 +224,11 @@ def explain_report(g: Graph, x: int, y: int) -> dict:
 
 
 def explain_cmd(args) -> int:
-    """Dump the distance-level decomposition rooted at matched edge (X, Y).
+    """Dump the engine's trial of matched edge (X, Y) up to its pieces.
 
-    JSON on stdout (`explain_report`).  Exit 0 when the decomposition
-    stands, 1 when the rules prove the edge in no solution, 2 when some
-    vertex sits farther than four levels from the edge.
+    JSON on stdout (`explain_report`).  Exit 0 when the facts stand, 1
+    when they prove the edge in no solution, 2 when the pair survives and
+    some vertex sits farther than four levels from the edge.
     """
     g = _load_graph(args.graph_path)
     x, y = args.x, args.y

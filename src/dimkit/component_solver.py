@@ -1,14 +1,16 @@
 """The engine's xy-trial: an edge probe, the levels, one search per piece.
 
-Fixing xy as a matching edge, the trial first propagates the pair alone,
-which derives every level fact but one and refutes nearly every trial
-that fails.  Only a survivor has `decomposition.build_levels` lay the
-component out in distance levels L1..L4, and `apply_initial_facts` adds
-the one fact the pair's propagation cannot see, the lone-L4 whitening.
-The still-active vertices (unknowns plus unpartnered blacks) then split
-into independent pieces, and each is finished by the backtracking search
-of `coloring.search` under the same pick as the complete search
-(`coloring.branch_pick`), capped at max(64, size**2) branches.  No active
+Fixing xy as a matching edge, the trial first runs the fact stage
+`decomposition.trial_facts`: it propagates the pair alone, which derives
+every level fact but one and refutes nearly every trial that fails.  Only
+a survivor has `build_levels` lay the component out in distance levels
+L1..L4, and `apply_initial_facts` adds the one fact the pair's
+propagation cannot see, the lone-L4 whitening.  `dimkit explain` runs the
+same stage and stops where it stops.  The still-active vertices
+(unknowns plus unpartnered blacks) then split into independent pieces,
+and each is finished by the backtracking search of `coloring.search`
+under the same pick as the complete search (`coloring.branch_pick`),
+capped at max(64, size**2) branches.  No active
 vertex outside the scope touches one inside (`driver` splits its work
 along the same components), so each piece is a whole component of the
 master's active vertices.
@@ -20,7 +22,7 @@ completion matches the trial edge and "undecided" only gives up.
 from __future__ import annotations
 
 from .coloring import Coloring, branch_pick, search
-from .decomposition import RadiusExceeded, apply_initial_facts, build_levels, forced_and_anchors
+from .decomposition import RadiusExceeded, forced_and_anchors, trial_facts
 from .graph import Graph, connected_components, degree_classes
 
 
@@ -42,16 +44,11 @@ def try_edge(
     induced nine-vertex paths that never happens.
     """
     snap = master.snapshot()
-    bad = master.extend(black=1 << x | 1 << y)
-    if bad:
-        master.restore(snap)
-        return "infeasible", str(bad)
     try:
-        levels = build_levels(g, scope, x, y)
+        levels, bad = trial_facts(master, scope, x, y)
     except RadiusExceeded as exc:
         master.restore(snap)
         return "undecided", str(exc)
-    bad = apply_initial_facts(master, levels)
     if bad:
         master.restore(snap)
         return "infeasible", str(bad)

@@ -22,6 +22,10 @@ structure forces a cascade of facts:
 Every fact but the last comes from the root pair's propagation, which
 needs no levels, so a trial builds them only when the pair survives.  The
 facts run over the whole scope before its leftovers split into pieces.
+
+`trial_facts` is that stage, written once: pair, levels, lone-L4 sweep.
+The engine's trial (`component_solver.try_edge`), `dimkit explain` and
+the soundness harness all run it, so they check one and the same trial.
 """
 
 from __future__ import annotations
@@ -56,12 +60,8 @@ def build_levels(g: Graph, scope: int, x: int, y: int) -> list[int]:
 
 
 def apply_initial_facts(c: Coloring, levels: list[int]) -> Contradiction | None:
-    """Root pair (which colors L1 and L2, pairs L2's edges and whitens
-    the L3 vertices shared by two anchors) and lone-L4 whites, propagated
-    to a fixpoint.  A root pair already black costs nothing."""
-    bad = c.extend(black=levels[0])
-    if bad:
-        return bad
+    """The lone-L4 whites, propagated to a fixpoint, on a coloring where
+    the root pair is already propagated (see `trial_facts`)."""
     # lone L4 unknowns, in one sweep (see the module docstring)
     rows = c.g.rows
     l4 = levels[4] if len(levels) > 4 else 0
@@ -70,6 +70,20 @@ def apply_initial_facts(c: Coloring, levels: list[int]) -> Contradiction | None:
         if not rows[v] & l4:
             lone |= 1 << v
     return c.extend(white=lone)
+
+
+def trial_facts(c: Coloring, scope: int, x: int, y: int) -> tuple[list[int], Contradiction | None]:
+    """The facts of the xy trial on c, in the trial's order: propagate the
+    pair, build the levels of scope, add the lone-L4 whites.  Returns
+    (levels, the first contradiction or None); a pair that clashes returns
+    ([], its clash) before any level is built.  A surviving pair whose
+    levels run past four raises RadiusExceeded.  On a contradiction or a
+    raise c is left partly extended; callers restore a snapshot."""
+    bad = c.extend(black=1 << x | 1 << y)
+    if bad:
+        return [], bad
+    levels = build_levels(c.g, scope, x, y)
+    return levels, apply_initial_facts(c, levels)
 
 
 def forced_and_anchors(c: Coloring, levels: list[int]) -> tuple[list[Edge], list[int]]:

@@ -13,7 +13,7 @@ from collections import deque
 from itertools import combinations
 
 from dimkit.coloring import Coloring, Contradiction
-from dimkit.decomposition import RadiusExceeded, apply_initial_facts, build_levels, forced_and_anchors
+from dimkit.decomposition import RadiusExceeded, forced_and_anchors, trial_facts as trial_stage
 from dimkit.graph import Graph, bits, connected_components
 from dimkit.oracle import all_dims
 
@@ -412,19 +412,19 @@ def induced_cycle_sets_naive(g: Graph, max_len: int) -> set[frozenset]:
 
 
 def trial_facts(g: Graph, x: int, y: int):
-    """Run the xy trial through level building and its level facts on a
-    fresh coloring.
+    """The engine's fact stage of the xy trial (`decomposition.trial_facts`)
+    on a fresh coloring of the whole graph, in its own order.
 
-    Returns ("infeasible", reason) when a stage proves no solution matches
-    xy, ("skip", reason) when a stage cannot run (radius), and
-    ("ok", (forced, white, black)) otherwise.
+    Returns ("infeasible", reason) when the pair's propagation or the level
+    facts prove no solution matches xy, ("skip", reason) when the pair
+    survives but the levels run past four, and ("ok", (forced, white,
+    black)) otherwise.
     """
     c = Coloring(g)
     try:
-        levels = build_levels(g, g.full_mask(), x, y)
+        levels, bad = trial_stage(c, g.full_mask(), x, y)
     except RadiusExceeded as exc:
         return "skip", str(exc)
-    bad = apply_initial_facts(c, levels)
     if bad:
         return "infeasible", str(bad)
     return "ok", (set(forced_and_anchors(c, levels)[0]), c.white, c.black)

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, report shapes, and the files gen writes."""
 
 import ast
+import collections
 import json
 import os
 import subprocess
@@ -9,12 +10,15 @@ from pathlib import Path
 
 import pytest
 
+import dimkit.component_solver
 from dimkit import cli
 from dimkit.cli import main
-from dimkit.coloring import parse_matching
+from dimkit.coloring import Coloring, Contradiction, parse_matching
+from dimkit.component_solver import try_edge
+from dimkit.decomposition import RadiusExceeded
 from dimkit.driver import SolveOutcome, solve
 from dimkit.generator import gen_c4_augmented
-from dimkit.graph import MAX_VERTICES, Graph, load_graph, save_graph
+from dimkit.graph import MAX_VERTICES, Graph, connected_components, load_graph, save_graph
 from dimkit.oracle import verify_dim
 from conftest import complete_graph, cubic_no_dim, cycle_graph, path_graph
 
@@ -383,12 +387,28 @@ def test_explain_radius_exit_two(graph_file, capsys):
     assert rep["vertex"] == 6
 
 
+def test_explain_pair_clash_beyond_the_radius_exit_one(graph_file, capsys):
+    # vertex 6 lies five levels from (0, 1), but the trial propagates the
+    # pair first, and that already refutes the edge: 2 turns white, 3-4 a
+    # matched pair, 5 white, so 6 is black with no neighbor left to match
+    rc = main(["explain", graph_file(path_graph(7)), "0", "1"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert rep == {
+        "edge": [0, 1], "status": "infeasible",
+        "contradiction": {"rule": "black-unmatchable", "witnesses": [6]},
+    }
+
+
 def test_explain_forced_and_anchors(graph_file, capsys):
-    # the square's root pair clashes: nothing is forced, no anchor is named
+    # the square's root pair clashes: the trial stops there, before any
+    # level is built, so the report names no level, forced edge or anchor
     assert main(["explain", graph_file(cycle_graph(4)), "0", "1"]) == 1
     rep = json.loads(capsys.readouterr().out)
-    assert rep["contradiction"]["rule"] == "white-white-edge"
-    assert (rep["forced"], rep["anchors"]) == ([], [])
+    assert rep == {
+        "edge": [0, 1], "status": "infeasible",
+        "contradiction": {"rule": "white-white-edge", "witnesses": [2, 3]},
+    }
     # here the pair survives and the lone-L4 sweep clashes: whitening 2
     # blackens 3 and 5, both beside anchor 0
     g = Graph.from_edges(7, [(0, 1), (0, 3), (0, 5), (1, 6), (2, 3), (2, 5), (4, 6)])
@@ -397,6 +417,35 @@ def test_explain_forced_and_anchors(graph_file, capsys):
     assert rep["levels"] == [[4, 6], [1], [0], [3, 5], [2]]
     assert rep["contradiction"] == {"rule": "two-black-neighbors", "witnesses": [0, 3, 5]}
     assert (rep["forced"], rep["anchors"], rep["shared_l3"]) == ([[4, 6]], [0], [])
+
+
+def test_explain_stops_where_the_trial_stops(corpus7, monkeypatch):
+    # explain runs the engine's own fact stage, so on every edge its status
+    # says how try_edge on a fresh coloring ends: radius-exceeded is the
+    # trial's radius text, infeasible the same contradiction, and ok a trial
+    # that goes on to split its leftovers into pieces.  Corpus7 has no
+    # radius report of its own, so two longer paths join it.
+    reached = []
+    real = dimkit.component_solver.connected_components
+    monkeypatch.setattr(dimkit.component_solver, "connected_components",
+                        lambda g, mask: reached.append(mask) or real(g, mask))
+    statuses = collections.Counter()
+    for g in [*corpus7, path_graph(8), path_graph(9)]:
+        for x, y in g.edges():
+            rep = cli.explain_report(g, x, y)
+            scope = next(c for c in connected_components(g) if c >> x & 1)
+            stats = {"branches": 0, "forced_edges": 0}
+            reached.clear()
+            trial = try_edge(g, scope, x, y, Coloring(g), stats)
+            where = (g.edges(), x, y, rep, trial)
+            if rep["status"] == "radius-exceeded":
+                assert trial == ("undecided", str(RadiusExceeded(x, y, rep["vertex"]))), where
+            elif rep["status"] == "infeasible":
+                bad = Contradiction(rep["contradiction"]["rule"], tuple(rep["contradiction"]["witnesses"]))
+                assert trial == ("infeasible", str(bad)), where
+            assert bool(reached) == (rep["status"] == "ok"), where
+            statuses[rep["status"]] += 1
+    assert statuses == {"ok": 403, "infeasible": 10_270, "radius-exceeded": 6}, statuses
 
 
 def test_explain_non_edge_exit_three(graph_file, capsys):

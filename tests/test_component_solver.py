@@ -6,7 +6,7 @@ survive the level facts with real work left, and run them through
 import dimkit.component_solver
 from dimkit.coloring import Coloring, branch_pick, extract_matching, search
 from dimkit.component_solver import try_edge
-from dimkit.decomposition import apply_initial_facts, build_levels
+from dimkit.decomposition import trial_facts
 from dimkit.graph import Graph, connected_components, degree_classes
 from dimkit.oracle import all_dims
 from conftest import cycle_graph
@@ -34,8 +34,8 @@ BRIDGED = Graph.from_edges(13, [
 
 def _prepared_trial(g, x, y):
     c = Coloring(g)
-    levels = build_levels(g, g.full_mask(), x, y)
-    assert apply_initial_facts(c, levels) is None
+    levels, bad = trial_facts(c, g.full_mask(), x, y)
+    assert bad is None
     active = c.unknown_mask() | c.black & ~c.mated
     return levels, c, connected_components(g, active)
 
@@ -78,8 +78,8 @@ def test_branch_budget_reports_budget(monkeypatch):
 
 def test_doomed_piece_reports_infeasible():
     assert not [m for m in all_dims(DOOMED) if (6, 7) in m]
-    levels = build_levels(DOOMED, DOOMED.full_mask(), 6, 7)
-    assert str(apply_initial_facts(Coloring(DOOMED), levels)) == "two-black-neighbors at 0,5,8"
+    levels, bad = trial_facts(Coloring(DOOMED), DOOMED.full_mask(), 6, 7)
+    assert str(bad) == "two-black-neighbors at 0,5,8"
     (status, reason), c, stats = _trial(DOOMED, 6, 7)
     assert (status, reason) == ("infeasible", "two-black-neighbors at 0,5,8")
     assert c.snapshot() == Coloring(DOOMED).snapshot()

@@ -10,6 +10,7 @@ from dimkit.decomposition import (
     apply_initial_facts,
     build_levels,
     forced_and_anchors,
+    trial_facts as trial_stage,
 )
 from dimkit.graph import Graph, bits, central_vertex, connected_components
 from conftest import cycle_graph, path_graph
@@ -25,8 +26,9 @@ def test_levels_on_middle_edge_of_path():
 def test_initial_facts_on_middle_edge_of_path():
     g = path_graph(7)
     c = Coloring(g)
-    levels = build_levels(g, g.full_mask(), 1, 2)
-    assert apply_initial_facts(c, levels) is None
+    levels, bad = trial_stage(c, g.full_mask(), 1, 2)
+    assert bad is None
+    assert levels == build_levels(g, g.full_mask(), 1, 2)
     # the trial pair itself is committed, the far end resolves by forcing:
     # lone second-level vertex 4 goes black, drags 5 with it
     forced, anchors = forced_and_anchors(c, levels)
@@ -80,8 +82,8 @@ def test_propagation_whitens_a_third_level_vertex_of_two_anchors():
         (4, 6), (5, 6), (4, 7), (5, 8),
     ])
     c = Coloring(g)
-    levels = build_levels(g, g.full_mask(), 0, 1)
-    assert apply_initial_facts(c, levels) is None
+    levels, bad = trial_stage(c, g.full_mask(), 0, 1)
+    assert bad is None
     assert forced_and_anchors(c, levels)[1] == [4, 5]
     assert c.white >> 6 & 1
     assert c.partner(4) == 7 and c.partner(5) == 8
@@ -99,6 +101,30 @@ def test_trial_facts_sound_on_small_corpus(corpus7):
         for y in bits(g.rows[x]):
             confirmed += assert_trial_facts_sound(g, x, y)
     assert confirmed > 1000
+
+
+def test_pair_clashes_past_the_radius_are_checked():
+    # the harness runs the trial's own order, so a pair that clashes is a
+    # refutation checked against the oracle even where some vertex lies
+    # past four levels, as on the path's end edge; only a surviving pair
+    # whose levels run too deep is skipped
+    assert trial_facts(path_graph(7), 0, 1) == ("infeasible", "black-unmatchable at 6")
+    assert assert_trial_facts_sound(path_graph(7), 0, 1)
+    rng = random.Random(3909)
+    checked = skipped = 0
+    for _ in range(300):
+        n = rng.randint(9, 14)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
+        g = Graph.from_edges(n, edges)
+        for u, v in edges:
+            try:
+                build_levels(g, g.full_mask(), u, v)
+            except RadiusExceeded:
+                status, _ = trial_facts(g, u, v)
+                checked += status == "infeasible"
+                skipped += status == "skip"
+            assert_trial_facts_sound(g, u, v)
+    assert (checked, skipped) == (202, 53)
 
 
 # (n, edges) for the trial (0, 1), one per whitening of the level facts
@@ -179,10 +205,10 @@ def test_one_lone_l4_sweep_reaches_the_fixpoint(corpus7):
                 for y in bits(g.rows[x] >> (x + 1) << (x + 1)):
                     c = Coloring(g)
                     try:
-                        levels = build_levels(g, comp, x, y)
+                        levels, bad = trial_stage(c, comp, x, y)
                     except RadiusExceeded:
                         continue
-                    if apply_initial_facts(c, levels) is not None:
+                    if bad is not None:
                         continue
                     l4 = levels[4] if len(levels) > 4 else 0
                     unknown = c.unknown_mask(comp)

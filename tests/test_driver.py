@@ -19,6 +19,7 @@ from dimkit.decomposition import build_levels
 from dimkit.graph import Graph, bfs_layers, bits, central_vertex, connected_components, degree_classes
 import dimkit.coloring
 import dimkit.component_solver
+import dimkit.decomposition
 import dimkit.driver
 import dimkit.oracle
 import dimkit.patterns
@@ -195,8 +196,8 @@ def test_try_edge_radius_blowup_is_undecided():
 def test_try_edge_probes_the_pair_before_the_levels(monkeypatch):
     # the square's pair clashes under propagation alone, so no level is built
     built = []
-    real = dimkit.component_solver.build_levels
-    monkeypatch.setattr(dimkit.component_solver, "build_levels",
+    real = dimkit.decomposition.build_levels
+    monkeypatch.setattr(dimkit.decomposition, "build_levels",
                         lambda *args: built.append(args) or real(*args))
     g = cycle_graph(4)
     c = Coloring(g)
