@@ -51,7 +51,8 @@ Families:
   bench    the benchmark's seed-1 inputs (`perfbench/workloads.py`'s
            MAKERS: planted, inclass, then small, 2,055 graphs);
   deg3     planted d.i.m.s in graphs of maximum degree 3 (ROADMAP item 8),
-           n = 10..400, so every input is `dim` (see `deg3_graph`).
+           so every input is `dim` (see `deg3_graph`): n = 10..400 at
+           indexes 0..199, n = 410..800 at indexes 200..249.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ VERDICT_KEYS = ("status", "matching", "p9_checked")
 GNP_COUNT = 3000
 GNP_PS = (0.05, 0.1, 0.15, 0.25, 0.4)
 PLANTED_COUNT = 200
-DEG3_COUNT = 200
+DEG3_COUNT = 250
 
 
 def _gnp(i: int) -> Graph:
@@ -101,13 +102,14 @@ def _planted_args(i: int) -> tuple[int, int, int, int]:
 
 
 def deg3_graph(i: int) -> Graph:
-    """ROADMAP item 8's family: k matched pairs (3 | k, k <= 120) and 4k/3
-    unmatched vertices, n = 10k/3.  A configuration pairing joins the two
+    """ROADMAP item 8's family: k matched pairs (3 | k; k/3 drawn from
+    1..40 at i < 200, from 41..80 above) and 4k/3 unmatched vertices,
+    n = 10k/3.  A configuration pairing joins the two
     free stubs of each matched vertex to the three stubs of each unmatched
     one, redrawn until no edge repeats, so every vertex has degree 3 and
     the pairs form a d.i.m.; ids are shuffled."""
     rng = random.Random(5200 + i)
-    k = 3 * rng.randint(1, 40)
+    k = 3 * (rng.randint(1, 40) if i < 200 else rng.randint(41, 80))
     n = 10 * k // 3
     matched = [v for v in range(2 * k) for _ in range(2)]
     unmatched = [v for v in range(2 * k, n) for _ in range(3)]
