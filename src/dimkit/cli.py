@@ -188,39 +188,35 @@ def explain_report(g: Graph, x: int, y: int) -> dict:
         `contradiction` (rule id and witnesses), nothing else;
       * the pair survives and some vertex sits farther than four levels
         from the edge: `status` "radius-exceeded" and that `vertex`;
-      * otherwise the BFS levels, the colors and matched edges after the
-        facts (lone-L4 whitening included), the forced edges, the anchors
-        and the L3 vertices they share, and the leftover pieces the trial
-        would search; `status` is "ok", or "infeasible" with the
-        `contradiction` when the lone-L4 sweep clashes."""
+      * otherwise `status` "ok", the BFS levels, the colors and matched
+        edges after the facts, the forced edges, the anchors and the L3
+        vertices they share, and the leftover pieces the trial would
+        search."""
     scope = next(c for c in connected_components(g) if c >> x & 1)
-    info = {"edge": [x, y], "status": "ok"}
     c = Coloring(g)
     try:
         levels, bad = trial_facts(c, scope, x, y)
     except RadiusExceeded as exc:
-        info["status"] = "radius-exceeded"
-        info["vertex"] = exc.vertex
-        return info
-    if levels:
-        forced, anchors = forced_and_anchors(c, levels)
-        l3 = levels[3] if len(levels) > 3 else 0
-        anchor_mask = sum(1 << v for v in anchors)
-        shared = [v for v in bits(l3) if (g.rows[v] & anchor_mask).bit_count() >= 2]
-        info.update({
-            "levels": [_verts(m) for m in levels],
-            "white": _verts(c.white & scope),
-            "black": _verts(c.black & scope),
-            "matched": [list(e) for e in extract_matching(c, scope)],
-            "forced": [list(e) for e in forced],
-            "anchors": anchors,
-            "shared_l3": shared,
-            "pieces": [_verts(m) for m in connected_components(g, c.active_mask(scope))],
-        })
+        return {"edge": [x, y], "status": "radius-exceeded", "vertex": exc.vertex}
     if bad is not None:
-        info["status"] = "infeasible"
-        info["contradiction"] = {"rule": bad.rule, "witnesses": list(bad.witnesses)}
-    return info
+        return {"edge": [x, y], "status": "infeasible",
+                "contradiction": {"rule": bad.rule, "witnesses": list(bad.witnesses)}}
+    forced, anchors = forced_and_anchors(c, levels)
+    l3 = levels[3] if len(levels) > 3 else 0
+    anchor_mask = sum(1 << v for v in anchors)
+    shared = [v for v in bits(l3) if (g.rows[v] & anchor_mask).bit_count() >= 2]
+    return {
+        "edge": [x, y],
+        "status": "ok",
+        "levels": [_verts(m) for m in levels],
+        "white": _verts(c.white & scope),
+        "black": _verts(c.black & scope),
+        "matched": [list(e) for e in extract_matching(c, scope)],
+        "forced": [list(e) for e in forced],
+        "anchors": anchors,
+        "shared_l3": shared,
+        "pieces": [_verts(m) for m in connected_components(g, c.active_mask(scope))],
+    }
 
 
 def explain_cmd(args) -> int:

@@ -2,15 +2,14 @@
 
 Fixing xy as a matching edge, the trial first runs the fact stage
 `decomposition.trial_facts`: it propagates the pair alone, which derives
-every level fact but one and refutes nearly every trial that fails.  Only
-a survivor has `build_levels` lay the component out in distance levels
-L1..L4, and `apply_initial_facts` adds the one fact the pair's
-propagation cannot see, the lone-L4 whitening.  `dimkit explain` runs the
-same stage and stops where it stops.  The still-active vertices
-(unknowns plus unpartnered blacks) then split into independent pieces,
-and each is finished by the backtracking search of `coloring.search`
-under the same pick as the complete search (`coloring.branch_pick`),
-capped at max(64, size**2) branches.  No active
+every level fact and refutes nearly every trial that fails.  Only a
+survivor has `build_levels` lay the component out in distance levels
+L1..L4, for the radius guard and the `forced_edges` counter.  `dimkit
+explain` runs the same stage and stops where it stops.  The still-active
+vertices (unknowns plus unpartnered blacks) then split into independent
+pieces, and each is finished by the backtracking search of
+`coloring.search` under the same pick as the complete search
+(`coloring.branch_pick`), capped at max(64, size**2) branches.  No active
 vertex outside the scope touches one inside (`driver` splits its work
 along the same components), so each piece is a whole component of the
 master's active vertices.

@@ -13,17 +13,14 @@ structure forces a cascade of facts:
     with that neighbor and needs no rule of its own;
   * an L3 vertex seeing two or more anchors must be white: it is an
     unknown vertex with two black neighbors, which propagation whitens
-    anywhere in the graph (`coloring`, rule (e));
-  * an L4 vertex with no non-white L4 neighbor must be white (its partner
-    would have to sit in L4).  At a fixpoint no unknown vertex has a white
-    neighbor, so one sweep whitens the unknowns with no L4 neighbor; an
-    unknown left after it has an L4 neighbor, none of them white.
+    anywhere in the graph (`coloring`, rule (e)).
 
-Every fact but the last comes from the root pair's propagation, which
-needs no levels, so a trial builds them only when the pair survives.  The
-facts run over the whole scope before its leftovers split into pieces.
+Every fact comes from the root pair's propagation, which needs no levels
+and runs over the whole scope before its leftovers split into pieces.
+A trial builds the levels only when the pair survives; they serve the
+radius guard, the `forced_edges` counter and `dimkit explain`.
 
-`trial_facts` is that stage, written once: pair, levels, lone-L4 sweep.
+`trial_facts` is that stage, written once: the pair, then the levels.
 The engine's trial (`component_solver.try_edge`), `dimkit explain` and
 the soundness harness all run it, so they check one and the same trial.
 """
@@ -59,31 +56,16 @@ def build_levels(g: Graph, scope: int, x: int, y: int) -> list[int]:
     return levels
 
 
-def apply_initial_facts(c: Coloring, levels: list[int]) -> Contradiction | None:
-    """The lone-L4 whites, propagated to a fixpoint, on a coloring where
-    the root pair is already propagated (see `trial_facts`)."""
-    # lone L4 unknowns, in one sweep (see the module docstring)
-    rows = c.g.rows
-    l4 = levels[4] if len(levels) > 4 else 0
-    lone = 0
-    for v in bits(c.unknown_mask(l4)):
-        if not rows[v] & l4:
-            lone |= 1 << v
-    return c.extend(white=lone)
-
-
 def trial_facts(c: Coloring, scope: int, x: int, y: int) -> tuple[list[int], Contradiction | None]:
-    """The facts of the xy trial on c, in the trial's order: propagate the
-    pair, build the levels of scope, add the lone-L4 whites.  Returns
-    (levels, the first contradiction or None); a pair that clashes returns
-    ([], its clash) before any level is built.  A surviving pair whose
-    levels run past four raises RadiusExceeded.  On a contradiction or a
-    raise c is left partly extended; callers restore a snapshot."""
+    """The facts of the xy trial on c: propagate the pair, then build the
+    levels of scope.  Returns (levels, None), or ([], the clash) when the
+    pair's propagation clashes, before any level is built.  A surviving
+    pair whose levels run past four raises RadiusExceeded.  On a clash or
+    a raise c is left partly extended; callers restore a snapshot."""
     bad = c.extend(black=1 << x | 1 << y)
     if bad:
         return [], bad
-    levels = build_levels(c.g, scope, x, y)
-    return levels, apply_initial_facts(c, levels)
+    return build_levels(c.g, scope, x, y), None
 
 
 def forced_and_anchors(c: Coloring, levels: list[int]) -> tuple[list[Edge], list[int]]:

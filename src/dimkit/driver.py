@@ -13,14 +13,13 @@ runs out of branches; its cap, `SolveConfig.branch_budget`, is the only
 budget a caller sets.  Only then does the paper's engine run, as the
 backstop, from the same root state: it repeatedly picks a central vertex
 x of a piece of the still-active part (its unknowns and unmated blacks)
-and trials every edge xy at it
-(`component_solver.try_edge`: the pair's propagation, then levels and
-the lone-L4 fact, one search per leftover piece, capped by the piece's
-size).  A successful trial colors
-the whole part.  If every edge at x is proven infeasible, x is unmatched
-in any solution, so x turns white and the loop continues on the shrunken
-remainder.  Trials that end undecided (budget or radius) make the
-component inconclusive; the engine's verdict is final.
+and trials every edge xy at it (`component_solver.try_edge`: the pair's
+propagation, then the levels, one search per leftover piece, capped by
+the piece's size).  A successful trial colors the whole part.  If every
+edge at x is proven infeasible, x is unmatched in any solution, so x
+turns white and the loop continues on the shrunken remainder.  Trials
+that end undecided (budget or radius) make the component inconclusive;
+the engine's verdict is final.
 
 Verdict soundness: "dim" and "no-dim" are certificates.  Every rule used
 is valid in any graph.  A trial whose levels run deeper than four (the

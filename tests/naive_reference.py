@@ -2,11 +2,15 @@
 
 Everything here is written against the bare definitions with subset or
 path enumeration, no shared logic with the library's detectors, so a bug
-would have to appear twice to slip through.  The two exceptions are frozen
-earlier copies of library code: `extend_waves_reference`, of
-`Coloring.extend`, which pins the order-dependent parts of its output, and
-`search_chronological_reference`, of `coloring.search`, which holds the
-search to the same status, branch count and colouring.
+would have to appear twice to slip through.  There are three exceptions.
+Two are frozen earlier copies of library code: `extend_waves_reference`,
+of `Coloring.extend`, which pins the order-dependent parts of its output,
+and `search_chronological_reference`, of `coloring.search`, which holds
+the search to the same status, branch count and colouring.  The third is
+the trial-stage harness, `trial_facts`, which wraps the library's own
+`decomposition.trial_facts` so that what it checks against the oracle is
+the engine's trial itself; only `assert_trial_facts_sound`'s check is
+written from the definition.
 """
 
 from collections import deque
@@ -413,12 +417,11 @@ def induced_cycle_sets_naive(g: Graph, max_len: int) -> set[frozenset]:
 
 def trial_facts(g: Graph, x: int, y: int):
     """The engine's fact stage of the xy trial (`decomposition.trial_facts`)
-    on a fresh coloring of the whole graph, in its own order.
+    on a fresh coloring of the whole graph.
 
-    Returns ("infeasible", reason) when the pair's propagation or the level
-    facts prove no solution matches xy, ("skip", reason) when the pair
-    survives but the levels run past four, and ("ok", (forced, white,
-    black)) otherwise.
+    Returns ("infeasible", reason) when the pair's propagation proves no
+    solution matches xy, ("skip", reason) when the pair survives but the
+    levels run past four, and ("ok", (forced, white, black)) otherwise.
     """
     c = Coloring(g)
     try:

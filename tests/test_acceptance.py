@@ -110,7 +110,8 @@ def test_acceptance_4_forced_rule_soundness(corpus7, capsys):
     """Every fact a forcing rule derives holds in every enumerated
     solution, on every graph where the rule fires: the edges an induced
     diamond or butterfly pins (which `check` reports and `solve()` does
-    not force) and the trial's level facts, lone-L4 whitening among them."""
+    not force) and the trial's level facts, all of them from the pair's
+    propagation."""
     pattern_checks = trial_confirmations = 0
     for g in corpus7:
         dims = all_dims(g)

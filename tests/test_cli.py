@@ -409,14 +409,15 @@ def test_explain_forced_and_anchors(graph_file, capsys):
         "edge": [0, 1], "status": "infeasible",
         "contradiction": {"rule": "white-white-edge", "witnesses": [2, 3]},
     }
-    # here the pair survives and the lone-L4 sweep clashes: whitening 2
-    # blackens 3 and 5, both beside anchor 0
+    # here the pair survives: anchor 0 and the L3 and L4 vertices behind it
+    # stay unknown and form the one piece the trial would search
     g = Graph.from_edges(7, [(0, 1), (0, 3), (0, 5), (1, 6), (2, 3), (2, 5), (4, 6)])
-    assert main(["explain", graph_file(g), "4", "6"]) == 1
+    assert main(["explain", graph_file(g), "4", "6"]) == 0
     rep = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "ok" and "contradiction" not in rep
     assert rep["levels"] == [[4, 6], [1], [0], [3, 5], [2]]
-    assert rep["contradiction"] == {"rule": "two-black-neighbors", "witnesses": [0, 3, 5]}
     assert (rep["forced"], rep["anchors"], rep["shared_l3"]) == ([[4, 6]], [0], [])
+    assert (rep["white"], rep["black"], rep["pieces"]) == ([1], [0, 4, 6], [[0, 2, 3, 5]])
 
 
 def test_explain_stops_where_the_trial_stops(corpus7, monkeypatch):
@@ -445,7 +446,7 @@ def test_explain_stops_where_the_trial_stops(corpus7, monkeypatch):
                 assert trial == ("infeasible", str(bad)), where
             assert bool(reached) == (rep["status"] == "ok"), where
             statuses[rep["status"]] += 1
-    assert statuses == {"ok": 403, "infeasible": 10_270, "radius-exceeded": 6}, statuses
+    assert statuses == {"ok": 407, "infeasible": 10_266, "radius-exceeded": 6}, statuses
 
 
 def test_explain_non_edge_exit_three(graph_file, capsys):

@@ -18,7 +18,8 @@ BRANCHY = Graph.from_edges(11, [
     (4, 5), (4, 7), (7, 10), (9, 10),
 ])
 
-# trial (6,7) has no completion; the level facts refute it
+# trial (6,7) has no completion; the pair's propagation survives and the
+# piece search refutes it in two branches
 DOOMED = Graph.from_edges(9, [
     (0, 3), (0, 5), (0, 8), (1, 2), (1, 5), (2, 8), (3, 6), (4, 5), (4, 8), (6, 7),
 ])
@@ -79,11 +80,11 @@ def test_branch_budget_reports_budget(monkeypatch):
 def test_doomed_piece_reports_infeasible():
     assert not [m for m in all_dims(DOOMED) if (6, 7) in m]
     levels, bad = trial_facts(Coloring(DOOMED), DOOMED.full_mask(), 6, 7)
-    assert str(bad) == "two-black-neighbors at 0,5,8"
+    assert bad is None and levels[4] == 1 << 1 | 1 << 2 | 1 << 4
     (status, reason), c, stats = _trial(DOOMED, 6, 7)
-    assert (status, reason) == ("infeasible", "two-black-neighbors at 0,5,8")
+    assert (status, reason) == ("infeasible", "every branch failed")
     assert c.snapshot() == Coloring(DOOMED).snapshot()
-    assert stats == {"branches": 0, "forced_edges": 0}
+    assert stats == {"branches": 2, "forced_edges": 0}
 
 
 def test_bridged_families_colored_by_first_branch():

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 
@@ -7,7 +6,6 @@ from dimkit.coloring import Coloring
 from dimkit.decomposition import (
     MAX_RADIUS,
     RadiusExceeded,
-    apply_initial_facts,
     build_levels,
     forced_and_anchors,
     trial_facts as trial_stage,
@@ -126,18 +124,20 @@ def test_pair_clashes_past_the_radius_are_checked():
     assert (checked, skipped) == (202, 53)
 
 
-# (n, edges) for the trial (0, 1), one per whitening of the level facts
+# (n, edges) for the trial (0, 1): two level shapes the pair's propagation
+# meets
 WHITENING_GADGETS = (
     # anchors 4 and 5 share the third-level vertex 6 and have private
     # neighbors 7 and 8: propagation whitens 6 (rule (e))
     (9, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 6), (4, 7), (5, 8)]),
     # anchor 3 with family {4, 5}, each member holding a private fourth-level
-    # neighbor 6 and 7 with no fourth-level neighbor: far-layer whitening
+    # neighbor 6 and 7 with no fourth-level neighbor: the facts leave 6 and
+    # 7 unknown, and the piece search settles them
     (8, [(0, 1), (0, 2), (2, 3), (3, 4), (3, 5), (4, 6), (5, 7)]),
 )
 
 
-def test_trial_facts_sound_on_random_graphs(monkeypatch):
+def test_trial_facts_sound_on_random_graphs():
     rng = random.Random(55155)
     ran = 0
     for _ in range(600):
@@ -150,39 +150,20 @@ def test_trial_facts_sound_on_random_graphs(monkeypatch):
         assert_trial_facts_sound(g, u, v)
         ran += 1
     assert ran > 500
-    # the gadgets plus random edges at up to four extra vertices; the
-    # far-layer whitening fired when apply_initial_facts itself called
-    # Coloring.extend with some whites in L4
-    fired = set()
-    real_extend = Coloring.extend
-
-    def spy(self, white=0, black=0):
-        caller = sys._getframe(1)
-        if caller.f_code is apply_initial_facts.__code__:
-            levels = caller.f_locals["levels"]
-            if len(levels) > 4 and white & levels[4]:
-                fired.add("far")
-        return real_extend(self, white, black)
-
-    monkeypatch.setattr(Coloring, "extend", spy)
-    far = 0
+    # the gadgets plus random edges at up to four extra vertices
     for _ in range(400):
         base, edges = rng.choice(WHITENING_GADGETS)
         n = rng.randint(base, base + 4)
         extra = [(u, v) for v in range(base, n) for u in range(v) if rng.random() < 0.15]
-        fired.clear()
         assert_trial_facts_sound(Graph.from_edges(n, edges + extra), 0, 1)
-        far += "far" in fired
-    assert far >= 5, far
 
 
-def test_one_lone_l4_sweep_reaches_the_fixpoint(corpus7):
-    # After the facts no unknown vertex of the scope has a white neighbor,
-    # and every unknown L4 vertex keeps a non-white L4 neighbor: a second
-    # lone-L4 sweep would whiten nothing.  Unknown L4 vertices are rare in
-    # G(n, p) at n <= 14, so gadgets with random extra vertices join the
-    # corpus: the far-layer gadget, and the same with its fourth-level
-    # vertices 6 and 7 joined, which leaves both unknown.
+def test_trial_facts_leave_no_unknown_beside_a_white(corpus7):
+    # After the facts no unknown vertex of the scope has a white neighbor:
+    # the pair's propagation runs to its fixpoint.  Unknown L4 vertices are
+    # rare in G(n, p) at n <= 14, so gadgets with random extra vertices
+    # join the corpus: the lone-L4 gadget, and the same with its
+    # fourth-level vertices 6 and 7 joined.
     rng = random.Random(2626)
     graphs = list(corpus7)
     for _ in range(1000):
@@ -213,8 +194,6 @@ def test_one_lone_l4_sweep_reaches_the_fixpoint(corpus7):
                     unknown = c.unknown_mask(comp)
                     for v in bits(unknown):
                         assert not g.rows[v] & c.white, (g.edges(), x, y, v)
-                    for v in bits(unknown & l4):
-                        assert g.rows[v] & l4 & ~c.white, (g.edges(), x, y, v)
                     checked += 1
                     with_l4 += bool(unknown & l4)
     assert checked > 2000 and with_l4 > 50, (checked, with_l4)

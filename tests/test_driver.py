@@ -835,13 +835,11 @@ def test_engine_agrees_with_oracle_on_a_live_family():
 # when the root facts came ahead of the search: each is refuted there in 0
 # branches, before the engine runs.  The host91 reason was re-derived when
 # propagation moved to waves of masks, which moves only the contradiction
-# reported first.  The host130 count was re-derived (2 -> 1) when lone-L4
-# whitening moved ahead of the split into pieces: its trial (3, 5) is now
-# refuted before one piece is searched.  The three dim pins were
-# re-derived when the engine came to start from the root facts and the
-# zero-budget search stopped counting the branch it refuses: the matchings
-# stay, host15 needs 2 trials (was 5) and host37 4 (was 8), and no piece
-# search branches any more (branches 2, 3, 3 -> 0).
+# reported first.  The three dim pins were re-derived when the engine came
+# to start from the root facts and the zero-budget search stopped counting
+# the branch it refuses: the matchings stay, host15 needs 2 trials (was 5)
+# and host37 4 (was 8), and no piece search branches any more (branches 2,
+# 3, 3 -> 0).
 IN_CLASS_PINS = [
     ((15, (11, 12), 40, 151),
      '{"status": "dim", "matching": [[0, 1], [6, 8], [10, 20], [30, 34]], "reason": null, '

@@ -51,7 +51,7 @@ def test_traced_routes_of_the_complete_search_and_the_engine():
     assert routes == {"driver.route.complete_search": 1, "driver.route.engine": 1}
 
 
-def test_tracer_finds_only_the_four_known_names_absent(capsys):
+def test_tracer_finds_only_the_five_known_names_absent(capsys):
     # a wrapped function renamed in dimkit reads 0 in every traced run, with
     # only this warning to show it
     import dimkit.cli  # noqa: F401  (load every module before wrapping)
@@ -66,6 +66,7 @@ def test_tracer_finds_only_the_four_known_names_absent(capsys):
     absent = re.findall(r"warning: dimkit\.(\S+) is absent", capsys.readouterr().err)
     assert sorted(absent) == [
         "component_solver.solve_component",
+        "decomposition.apply_initial_facts",
         "decomposition.normalize_T",
         "driver.oracle_dim",
         "patterns.scan_forced_patterns",
