@@ -3,9 +3,10 @@
 Verbs: solve, verify, oracle, check, explain, gen (planted / random /
 corpus), cross-check.  Exit codes: solve and oracle use 0 =
 solution found, 1 = provably none, 2 = undecided; verify uses 0 = valid,
-1 = invalid; explain, which runs the engine's own xy-trial up to its
-pieces, uses 0 = the trial's facts stand, 1 = they refute the edge, 2 =
-the pair survives but some vertex lies past four levels; cross-check
+1 = invalid; explain, which lays out the engine's own xy-trial in
+distance levels up to its pieces, uses 0 = the trial's facts stand, 1 =
+they refute the edge, 2 = the pair survives but some vertex lies past
+four levels; cross-check
 returns 1 on any solver/oracle disagreement;
 every input problem (unreadable file, bad flag, malformed matching, a
 graph header above ``graph.MAX_VERTICES``) exits 3; any other failure,
@@ -180,14 +181,17 @@ def _verts(mask: int) -> list[int]:
 
 
 def explain_report(g: Graph, x: int, y: int) -> dict:
-    """The engine's xy-trial of g up to its pieces, as `dimkit explain`
-    prints it.  It runs the trial's fact stage (`decomposition.trial_facts`)
-    on a fresh coloring and stops where the trial stops:
+    """The engine's xy-trial of g up to its pieces, laid out in distance
+    levels, as `dimkit explain` prints it.  On a fresh coloring it
+    propagates the pair as the trial does, then builds the levels, which
+    the trial does not (`decomposition.trial_facts`):
 
       * the pair's propagation clashes: `status` "infeasible" and the
-        `contradiction` (rule id and witnesses), nothing else;
+        `contradiction` (rule id and witnesses), nothing else; the trial
+        stops there too;
       * the pair survives and some vertex sits farther than four levels
-        from the edge: `status` "radius-exceeded" and that `vertex`;
+        from the edge: `status` "radius-exceeded" and that `vertex`; the
+        trial goes on to search its pieces;
       * otherwise `status` "ok", the BFS levels, the colors and matched
         edges after the facts, the forced edges, the anchors and the L3
         vertices they share, and the leftover pieces the trial would
@@ -379,9 +383,10 @@ def _parser() -> _Parser:
                         "it finished within its budget, P9 found or not ('dimkit check' "
                         "gives the state and witness; the scan decides no verdict)")
     p.add_argument("--budget-branches", type=_int_range(0), default=None, metavar="N",
-                   help="branch cap of the exact search of each component "
+                   help="branch cap of the first, exact search of each component "
                         "[default: max(4096, 8*size)]; at 0 only the root facts run "
-                        "before the engine")
+                        "before the engine, which has its own fixed cap of "
+                        "max(4096, 8*size) branches")
 
     p = verb(verbs, "verify", verify_cmd)
     p.add_argument("graph_path", metavar="GRAPH_PATH")

@@ -17,12 +17,12 @@ structure forces a cascade of facts:
 
 Every fact comes from the root pair's propagation, which needs no levels
 and runs over the whole scope before its leftovers split into pieces.
-A trial builds the levels only when the pair survives; they serve the
-radius guard, the `forced_edges` counter and `dimkit explain`.
+The engine's trial (`component_solver.try_edge`) runs that propagation
+alone and builds no levels; they serve only `dimkit explain` and the
+soundness harness, which show a trial's facts laid out by distance.
 
-`trial_facts` is that stage, written once: the pair, then the levels.
-The engine's trial (`component_solver.try_edge`), `dimkit explain` and
-the soundness harness all run it, so they check one and the same trial.
+`trial_facts` is their stage, written once: the pair, then the levels.
+`dimkit explain` and the soundness harness both run it.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ class RadiusExceeded(Exception):
 def build_levels(g: Graph, scope: int, x: int, y: int) -> list[int]:
     """Masks of the BFS layers of the component from levels[0] = {x, y};
     raises RadiusExceeded when some vertex lies more than four levels out.
-    Callers read that as an undecided trial, never as a refutation: a
-    connected graph of radius r has an induced path on 2r - 1 vertices, so
-    at a central x of a P9-free scope it cannot happen, and elsewhere it
-    proves nothing."""
+    That proves nothing about the trial: a connected graph of radius r has
+    an induced path on 2r - 1 vertices, so at a central x of a P9-free
+    scope it cannot happen, and elsewhere the levels only stop there."""
     levels = [(1 << x) | (1 << y)]
     for layer in bfs_layers(g, levels[0], scope):
         if len(levels) > MAX_RADIUS:

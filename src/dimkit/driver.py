@@ -14,21 +14,23 @@ budget a caller sets.  Only then does the paper's engine run, as the
 backstop, from the same root state: it repeatedly picks a central vertex
 x of a piece of the still-active part (its unknowns and unmated blacks)
 and trials every edge xy at it (`component_solver.try_edge`: the pair's
-propagation, then the levels, one search per leftover piece, capped by
-the piece's size).  A successful trial colors the whole part.  If every
-edge at x is proven infeasible, x is unmatched in any solution, so x
-turns white and the loop continues on the shrunken remainder.  Trials
-that end undecided (budget or radius) make the component inconclusive;
-the engine's verdict is final.
+propagation, then one search per leftover piece).  A successful trial
+colors the whole part.  If every edge at x is proven infeasible, x is
+unmatched in any solution, so x turns white and the loop continues on
+the shrunken remainder.  All of a component's trials share one fixed
+budget of max(4096, 8 * size) branches, the search's default cap.  A
+trial that finds it spent ends undecided and makes the component
+inconclusive: that is the engine's only give-up, and its verdict is
+final.
 
 Verdict soundness: "dim" and "no-dim" are certificates.  Every rule used
-is valid in any graph.  A trial whose levels run deeper than four (the
-paper's bound for graphs without an induced nine-vertex path) only ends
-undecided, so the P9 scan decides nothing: it fills `p9_checked`.  A
-solved component is kept only in the master coloring (each search leaf
-is a contradiction or the solution, see `coloring.search`); `solve`
-reads the matching off it once and checks it once, against the
-definition (`verify_dim`)."""
+is valid in any graph.  The trial builds no distance levels, so it never
+leans on the paper's bound of four on their depth (for graphs without an
+induced nine-vertex path), and the P9 scan decides nothing: it fills
+`p9_checked`.  A solved component is kept
+only in the master coloring (each search leaf is a contradiction or the
+solution, see `coloring.search`); `solve` reads the matching off it
+once and checks it once, against the definition (`verify_dim`)."""
 
 from __future__ import annotations
 
@@ -47,7 +49,8 @@ class SolveConfig:
 
     def __init__(self, check_p9: bool = True, branch_budget: int | None = None):
         self.check_p9 = check_p9
-        # branches of the exact search per component; default max(4096, 8*size)
+        # branches of the exact search per component; default max(4096, 8*size),
+        # which is also the engine's own fixed cap after it
         self.branch_budget = branch_budget
 
 
@@ -190,41 +193,37 @@ def solve_top_component(
         stats["forced_edges"] += 1
         return "dim", None
 
-    budget = cfg.branch_budget
-    if budget is None:
-        budget = max(4096, 8 * comp.bit_count())
+    total = max(4096, 8 * comp.bit_count())
+    budget = total if cfg.branch_budget is None else cfg.branch_budget
     pick = branch_pick(g, comp, by_degree)
     status, reason = _complete_search(master, pick, root_facts(g, by_degree), budget, stats)
     if status != "budget":
         return status, reason
 
-    # the search ran out, so the engine decides from the root state.
-    # Each sub is either colored whole by a successful trial or whitened
-    # at x and split again, so comp ends colored.
+    # the search ran out, so the engine decides from the root state, with
+    # `total` branches for all of its trials.  Each sub is either colored
+    # whole by a successful trial or whitened at x and split again, so
+    # comp ends colored.
+    limit = stats["branches"] + total
     work = connected_components(g, master.active_mask(comp))
     while work:
         sub = work.pop(0)
         x = central_vertex(g, sub)
-        undecided: str | None = None
-        found = False
+        undecided = False
         for y in bits(g.rows[x] & sub):
             stats["edges_tried"] += 1
-            status, detail = try_edge(g, sub, x, y, master, stats)
+            status, _ = try_edge(g, sub, x, y, master, stats, limit - stats["branches"])
             if status == "dim":
-                found = True
                 break
-            if status == "undecided" and undecided is None:
-                undecided = detail
-        if found:
-            continue
-        if undecided is not None:
-            return "inconclusive", undecided
-        # every edge at x is impossible, so x stays unmatched
-        bad = master.extend(white=1 << x)
-        if bad:
-            return "no-dim", f"no matching edge fits at vertex {x}: {bad}"
-        active = master.active_mask(sub)
-        work.extend(connected_components(g, active))
+            undecided |= status == "undecided"
+        else:
+            if undecided:
+                return "inconclusive", f"engine branch budget {total} exhausted"
+            # every edge at x is impossible, so x stays unmatched
+            bad = master.extend(white=1 << x)
+            if bad:
+                return "no-dim", f"no matching edge fits at vertex {x}: {bad}"
+            work.extend(connected_components(g, master.active_mask(sub)))
     return "dim", None
 
 

@@ -11,7 +11,9 @@ bench inputs in a sixth, and every output is hashed:
   engine_only  `solve().to_json()` under ENGINE_ONLY (`SolveConfig(branch_budget=0)`,
                where the root facts, then the paper's engine from them,
                decide every component the K4 test and the dominating-edge
-               test leave);
+               test leave; the engine's trials build no levels and share
+               one budget of max(4096, 8 * size) branches per component,
+               and no input here spends it);
   p9           `classify_p9(g)`, state and witness, as JSON (the solve's
                JSON carries the state but not the witness);
   check        `cli.check_report(g)`, the report `dimkit check --json`

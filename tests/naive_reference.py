@@ -8,8 +8,9 @@ of `Coloring.extend`, which pins the order-dependent parts of its output,
 and `search_chronological_reference`, of `coloring.search`, which holds
 the search to the same status, branch count and colouring.  The third is
 the trial-stage harness, `trial_facts`, which wraps the library's own
-`decomposition.trial_facts` so that what it checks against the oracle is
-the engine's trial itself; only `assert_trial_facts_sound`'s check is
+`decomposition.trial_facts` so that the facts it checks against the
+oracle are the engine's own (the pair's propagation, which the trial
+runs), laid out in levels; only `assert_trial_facts_sound`'s check is
 written from the definition.
 """
 

@@ -15,11 +15,10 @@ from dimkit import cli
 from dimkit.cli import main
 from dimkit.coloring import Coloring, Contradiction, parse_matching
 from dimkit.component_solver import try_edge
-from dimkit.decomposition import RadiusExceeded
 from dimkit.driver import SolveOutcome, solve
 from dimkit.generator import gen_c4_augmented
 from dimkit.graph import MAX_VERTICES, Graph, connected_components, load_graph, save_graph
-from dimkit.oracle import verify_dim
+from dimkit.oracle import enumerate_dims, verify_dim
 from conftest import complete_graph, cubic_no_dim, cycle_graph, path_graph
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -124,13 +123,14 @@ def test_cross_check_negative_count_exit_three(capsys):
 
 def test_budget_branches_caps_the_first_search(graph_file, capsys):
     # a cubic no-instance holding a P9, with no root fact: a cap below the
-    # 8 branches its refutation needs leaves it to the engine, whose trial
-    # ends on the radius, and the count holds only the 7 branches run; at a
-    # cap of 8, the default cap and above, the search refutes it
+    # 8 branches its refutation needs leaves it to the engine, which refutes
+    # it in 4 branches of its own after the 7 the search ran; at a cap of 8,
+    # the default cap and above, the search refutes it
     path = graph_file(cubic_no_dim(40, 1))
-    assert main(["solve", path, "--budget-branches", "7"]) == 2
+    assert main(["solve", path, "--budget-branches", "7"]) == 1
     out = capsys.readouterr().out
-    assert "status: inconclusive" in out and "edges_tried=3 forced_edges=0 branches=7\n" in out
+    assert "reason: no matching edge fits at vertex 1: black-unmatchable at 31\n" in out
+    assert "status: no-dim" in out and "edges_tried=3 forced_edges=0 branches=11\n" in out
     for flags in ([], ["--budget-branches", "8"], ["--budget-branches", "20000"]):
         assert main(["solve", path, *flags]) == 1
         out = capsys.readouterr().out
@@ -143,6 +143,23 @@ def test_budget_branches_caps_the_first_search(graph_file, capsys):
         out = capsys.readouterr().out
         assert "reason: root facts: black-unmatchable at 216" in out
         assert "edges_tried=0 forced_edges=0 branches=0\n" in out
+
+
+def test_solve_inconclusive_exit_two(graph_file, capsys, monkeypatch):
+    # no input on record leaves the engine's budget spent, so a piece
+    # search that always runs out stands in: after the 7 branches of the
+    # first search, the engine's first trial spends its whole budget of
+    # max(4096, 8 * size) and the two after it find nothing left
+    monkeypatch.setattr(dimkit.component_solver, "search",
+                        lambda c, pick, budget: ("budget", budget))
+    path = graph_file(cubic_no_dim(40, 1))
+    assert main(["solve", path, "--budget-branches", "7"]) == 2
+    assert capsys.readouterr().out == (
+        "status: inconclusive\n"
+        "reason: engine branch budget 4096 exhausted\n"
+        "stats: edges_tried=3 forced_edges=0 branches=4103\n"
+        "p9_checked: true\n"
+    )
 
 
 def test_oracle_negative_node_limit_exit_three(graph_file, capsys):
@@ -421,11 +438,13 @@ def test_explain_forced_and_anchors(graph_file, capsys):
 
 
 def test_explain_stops_where_the_trial_stops(corpus7, monkeypatch):
-    # explain runs the engine's own fact stage, so on every edge its status
-    # says how try_edge on a fresh coloring ends: radius-exceeded is the
-    # trial's radius text, infeasible the same contradiction, and ok a trial
-    # that goes on to split its leftovers into pieces.  Corpus7 has no
-    # radius report of its own, so two longer paths join it.
+    # explain propagates the pair as the engine's trial does, so on every
+    # edge its status says how try_edge on a fresh coloring goes on:
+    # infeasible is the same contradiction, and ok or radius-exceeded a
+    # trial that splits its leftovers into pieces.  The trial builds no
+    # levels, so past four levels it decides as well, and agrees with the
+    # oracle (on all six such edges here, dim).  Corpus7 has no radius
+    # report of its own, so two longer paths join it.
     reached = []
     real = dimkit.component_solver.connected_components
     monkeypatch.setattr(dimkit.component_solver, "connected_components",
@@ -437,14 +456,16 @@ def test_explain_stops_where_the_trial_stops(corpus7, monkeypatch):
             scope = next(c for c in connected_components(g) if c >> x & 1)
             stats = {"branches": 0, "forced_edges": 0}
             reached.clear()
-            trial = try_edge(g, scope, x, y, Coloring(g), stats)
+            trial = try_edge(g, scope, x, y, Coloring(g), stats, 4096)
             where = (g.edges(), x, y, rep, trial)
             if rep["status"] == "radius-exceeded":
-                assert trial == ("undecided", str(RadiusExceeded(x, y, rep["vertex"]))), where
+                with_xy = any((x, y) in m for m in enumerate_dims(g))
+                assert trial[0] == ("dim" if with_xy else "infeasible"), where
             elif rep["status"] == "infeasible":
                 bad = Contradiction(rep["contradiction"]["rule"], tuple(rep["contradiction"]["witnesses"]))
                 assert trial == ("infeasible", str(bad)), where
-            assert bool(reached) == (rep["status"] == "ok"), where
+            assert trial[0] != "undecided", where
+            assert bool(reached) == (rep["status"] != "infeasible"), where
             statuses[rep["status"]] += 1
     assert statuses == {"ok": 407, "infeasible": 10_266, "radius-exceeded": 6}, statuses
 

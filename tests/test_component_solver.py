@@ -1,15 +1,15 @@
 """Focused tests for the engine's xy-trial.  End-to-end behavior is
 covered by the driver tests; here we freeze a few instances whose trials
-survive the level facts with real work left, and run them through
+survive the pair's propagation with real work left, and run them through
 `try_edge` or through `search` on the prepared pieces."""
 
-import dimkit.component_solver
 from dimkit.coloring import Coloring, branch_pick, extract_matching, search
 from dimkit.component_solver import try_edge
 from dimkit.decomposition import trial_facts
 from dimkit.graph import Graph, connected_components, degree_classes
 from dimkit.oracle import all_dims
 from conftest import cycle_graph
+from equivalence import deg3_graph
 from naive_reference import coloring_is_complete_dim
 
 # trial (4,5) leaves one undecided component that needs one branch
@@ -45,10 +45,10 @@ def _searched(g, c, piece, budget):
     return search(c, branch_pick(g, piece, degree_classes(g, piece, piece)), budget)
 
 
-def _trial(g, x, y):
+def _trial(g, x, y, budget=4096):
     c = Coloring(g)
     stats = {"branches": 0, "forced_edges": 0}
-    return try_edge(g, g.full_mask(), x, y, c, stats), c, stats
+    return try_edge(g, g.full_mask(), x, y, c, stats, budget), c, stats
 
 
 def test_branching_piece_colored():
@@ -64,17 +64,30 @@ def test_branching_piece_colored():
     assert extract_matching(c) == got
 
 
-def test_branch_budget_reports_budget(monkeypatch):
+def test_branch_budget_reports_budget():
     _, c, pieces = _prepared_trial(BRANCHY, 4, 5)
     assert _searched(BRANCHY, c, pieces[0], 0) == ("budget", 0)
-    # through the trial, whose cap for this 7-vertex piece is 64 branches
-    real_search = dimkit.component_solver.search
-    monkeypatch.setattr(
-        dimkit.component_solver, "search", lambda c, pick, budget: real_search(c, pick, 0)
-    )
-    (status, reason), c, _ = _trial(BRANCHY, 4, 5)
-    assert (status, reason) == ("undecided", "branch budget 64 exhausted")
+    # through the trial, which hands its piece what the caller gave it
+    (status, reason), c, stats = _trial(BRANCHY, 4, 5, budget=0)
+    assert (status, reason) == ("undecided", None)
     assert c.snapshot() == Coloring(BRANCHY).snapshot()
+    assert stats == {"branches": 0, "forced_edges": 0}
+
+
+def test_small_budget_leaves_a_branching_piece_undecided():
+    # deg3_graph(0) (n = 400) at its central vertex 17: the pair (17, 92)
+    # leaves one 394-vertex piece, which the search colours in 8 branches.
+    # Any budget below that gives up, spends no more than it was given,
+    # and restores the master; 8 is enough.
+    g = deg3_graph(0)
+    for budget in (1, 5, 7):
+        (status, reason), c, stats = _trial(g, 17, 92, budget)
+        assert (status, reason) == ("undecided", None)
+        assert stats["branches"] <= budget and stats["forced_edges"] == 0
+        assert c.snapshot() == Coloring(g).snapshot()
+    (status, _), c, stats = _trial(g, 17, 92, 8)
+    assert status == "dim" and stats == {"branches": 8, "forced_edges": 1}
+    assert coloring_is_complete_dim(c, g.full_mask())
 
 
 def test_doomed_piece_reports_infeasible():
@@ -113,8 +126,9 @@ def test_fully_propagated_trial_leaves_no_work():
     assert pieces == []
     assert coloring_is_complete_dim(c, g.full_mask())
     assert extract_matching(c) == ((0, 1), (3, 4), (6, 7))
+    # forced_edges counts the three pairs the pair's propagation mated
     (status, _), _, stats = _trial(g, 0, 1)
-    assert status == "dim" and stats == {"branches": 0, "forced_edges": 1}
+    assert status == "dim" and stats == {"branches": 0, "forced_edges": 3}
 
 
 def _comb(teeth):
@@ -136,6 +150,6 @@ def test_long_l4_path_refuted_without_recursion():
         levels, c, pieces = _prepared_trial(g, 0, 1)
         assert levels[4] == sum(1 << (4 + teeth + i) for i in range(teeth))
         assert len(pieces) == 1
-        assert _searched(g, c, pieces[0], (4 + 2 * teeth) ** 2) == ("infeasible", 2)
+        assert _searched(g, c, pieces[0], 4096) == ("infeasible", 2)
         (status, reason), _, _ = _trial(g, 0, 1)
         assert (status, reason) == ("infeasible", "every branch failed")

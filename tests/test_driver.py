@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dimkit.coloring import Coloring
+from dimkit.coloring import Coloring, extract_matching
 from dimkit.driver import (
     SolveConfig,
     SolveOutcome,
@@ -15,7 +15,7 @@ from dimkit.driver import (
     verify_outcome,
 )
 from dimkit.generator import gen_c4_augmented, gen_planted
-from dimkit.decomposition import build_levels
+from dimkit.decomposition import RadiusExceeded, build_levels
 from dimkit.graph import Graph, bfs_layers, bits, central_vertex, connected_components, degree_classes
 import dimkit.coloring
 import dimkit.component_solver
@@ -182,39 +182,45 @@ def test_long_path_instance_still_decided():
     assert verify_dim(path_graph(8), out.matching).ok
 
 
-def test_try_edge_radius_blowup_is_undecided():
+def test_try_edge_decides_past_four_levels():
+    # the eight-path's levels from (0, 1) run past four, the paper's bound
+    # for graphs without an induced nine-vertex path; the trial's rules hold
+    # in any graph, so it decides the edge as the oracle does
     g = path_graph(8)
+    with pytest.raises(RadiusExceeded):
+        build_levels(g, g.full_mask(), 0, 1)
     stats = {"edges_tried": 0, "forced_edges": 0, "branches": 0}
     c = Coloring(g)
-    status, reason = try_edge(g, g.full_mask(), 0, 1, c, stats)
-    assert status == "undecided"
-    assert "farther than" in reason
-    # the pair's propagation survived; the blow-up restores what it colored
-    assert c.snapshot() == Coloring(g).snapshot()
+    assert try_edge(g, g.full_mask(), 0, 1, c, stats, 4096) == ("dim", None)
+    with_xy = [m for m in enumerate_dims(g) if (0, 1) in m]
+    assert with_xy == [extract_matching(c)] == [((0, 1), (3, 4), (6, 7))]
+    assert stats == {"edges_tried": 0, "forced_edges": 3, "branches": 0}
 
 
-def test_try_edge_probes_the_pair_before_the_levels(monkeypatch):
-    # the square's pair clashes under propagation alone, so no level is built
+def test_try_edge_builds_no_levels(monkeypatch):
+    # the trial decides through the pair's propagation and the piece
+    # searches alone: neither a pair that clashes (the square's) nor one
+    # that survives (the eight-path's, whose levels run past four) has its
+    # levels built
     built = []
     real = dimkit.decomposition.build_levels
-    monkeypatch.setattr(dimkit.decomposition, "build_levels",
-                        lambda *args: built.append(args) or real(*args))
+    for module in (dimkit.decomposition, dimkit.component_solver):
+        monkeypatch.setattr(module, "build_levels",
+                            lambda *args: built.append(args) or real(*args), raising=False)
     g = cycle_graph(4)
     c = Coloring(g)
     stats = {"edges_tried": 0, "forced_edges": 0, "branches": 0}
-    assert try_edge(g, g.full_mask(), 0, 1, c, stats) == ("infeasible", "white-white-edge at 2,3")
-    assert built == [] and c.snapshot() == Coloring(g).snapshot()
-    # a pair that survives has its levels built
+    assert try_edge(g, g.full_mask(), 0, 1, c, stats, 4096) == ("infeasible", "white-white-edge at 2,3")
+    assert c.snapshot() == Coloring(g).snapshot()
     g = path_graph(8)
-    assert try_edge(g, g.full_mask(), 0, 1, Coloring(g), stats)[0] == "undecided"
-    assert built == [(g, g.full_mask(), 0, 1)]
+    assert try_edge(g, g.full_mask(), 0, 1, Coloring(g), stats, 4096) == ("dim", None)
+    assert built == []
 
 
 def test_engine_refutes_a_clashing_pair_beyond_the_radius():
     # a tree with an induced ten-vertex path, plus isolated vertex 7: edge
-    # (5,11) at the central vertex 5 has vertex 10 five levels out, but its
-    # pair clashes under propagation, so the engine rules it out instead of
-    # giving up
+    # (5,11) at the central vertex 5 has vertex 10 five levels out, and its
+    # pair clashes under propagation, so the engine rules the edge out
     g = Graph.from_edges(12, [(0, 2), (0, 4), (1, 11), (2, 11), (3, 6), (3, 9),
                               (5, 9), (5, 11), (6, 8), (8, 10)])
     assert classify_p9(g)[0] == P9_VIOLATED
@@ -248,15 +254,20 @@ def test_complete_search_settles_midsize_reject():
     assert oracle_dim(g).status == "no-dim"
 
 
-def test_complete_search_budget_zero_stays_inconclusive():
+def test_engine_alone_refutes_a_cubic_no_instance_with_a_nine_path():
     # a cubic no-instance (no pendant, no twin, so no root fact): a
-    # nine-path is present, so the levels run deeper than four and the
-    # engine's trial ends undecided; only the complete search refutes
+    # nine-path is present and the levels of the engine's first trial run
+    # deeper than four, but its rules hold in any graph, so the engine
+    # refutes it alone, as the complete search does
     g = cubic_no_dim(40, 1)
     assert classify_p9(g)[0] == P9_VIOLATED
+    with pytest.raises(RadiusExceeded):
+        build_levels(g, g.full_mask(), 1, 10)
     out = solve(g, ENGINE_ONLY)
-    assert out.status == "inconclusive"
-    assert out.reason == "vertex 20 is farther than 4 from edge (1,10)"
+    assert (out.status, out.reason) == (
+        "no-dim", "no matching edge fits at vertex 1: black-unmatchable at 31"
+    )
+    assert out.stats == {"edges_tried": 3, "forced_edges": 0, "branches": 4}
     out = solve(g)
     assert (out.status, out.stats["branches"]) == ("no-dim", 8)
     # a pendant-C4 instance with a nine-path is refuted at the root,
@@ -367,23 +378,34 @@ def test_solve_never_runs_the_pattern_detectors(corpus7, monkeypatch):
     assert "complete subgraph" in dense_out.reason
 
 
+def _planted_pin(k, edges_tried, forced_edges):
+    pairs = ", ".join(f"[{2 * i}, {2 * i + 1}]" for i in range(k))
+    return (
+        f'{{"status": "dim", "matching": [{pairs}], "reason": null, "stats": '
+        f'{{"edges_tried": {edges_tried}, "forced_edges": {forced_edges}, "branches": 0, '
+        f'"millis": 0}}, "p9_checked": true}}'
+    )
+
+
 def test_centre_tie_break_pinned_end_to_end():
-    # The engine's first piece of the root state (16 vertices) has radius 8
-    # with two vertices at that eccentricity, so another tie-break or a
-    # centre one round off names another trial edge in the engine's radius
-    # reason; the expected output was recorded from one BFS per vertex.
-    # Its pendant-C4 twin is refuted by the root facts ahead of the engine.
-    # Most planted graphs leave the engine only small pieces with one
-    # centre (gen_planted(600, 150, 600, 0) does), so this one is picked for
-    # its tie.
+    # Each planted graph leaves the engine a first piece of the root state
+    # with two vertices of least eccentricity, so another tie-break or a
+    # centre one round off trials other edges and moves the counters; the
+    # expected outputs were recorded from one BFS per vertex.  In
+    # gen_planted(300, 75, 300, 4) the piece has 16 vertices, radius 8, and
+    # its tied centres 104 and 105 are one matched pair, so only a centre
+    # one round off moves its output; it went from inconclusive on the
+    # radius to dim when the trial stopped building levels.  In
+    # gen_planted(100, 25, 100, 7) the piece has 13 vertices, radius 5, and
+    # tied centres 38 and 92: the larger id tries 2 edges, one round off
+    # forces 2 pairs in 1 branch.  Most planted graphs leave the engine
+    # only small pieces with one centre (gen_planted(600, 150, 600, 0)
+    # does), so these are picked for their ties.  The pendant-C4 twin is
+    # refuted by the root facts ahead of the engine.
     planted = gen_planted(300, 75, 300, 4)
     augmented = gen_c4_augmented(300, 75, 300, 4)
-    want = (
-        '{"status": "inconclusive", "matching": [], "reason": "vertex 33 is farther than 4 '
-        'from edge (104,105)", "stats": {"edges_tried": 2, "forced_edges": 0, "branches": 0, '
-        '"millis": 0}, "p9_checked": true}'
-    )
-    assert solve(planted.graph, ENGINE_ONLY).to_json() == want
+    assert solve(planted.graph, ENGINE_ONLY).to_json() == _planted_pin(75, 4, 8)
+    assert solve(gen_planted(100, 25, 100, 7).graph, ENGINE_ONLY).to_json() == _planted_pin(25, 1, 4)
     assert solve(augmented, ENGINE_ONLY).to_json() == (
         '{"status": "no-dim", "matching": [], "reason": "root facts: black-unmatchable at 302", '
         '"stats": {"edges_tried": 0, "forced_edges": 0, "branches": 0, "millis": 0}, '
@@ -528,15 +550,62 @@ def test_root_facts_clash_refutes_at_the_root():
     assert out.stats["branches"] == 0 and oracle_dim(g).status == "no-dim"
 
 
-def test_engine_starts_from_the_root_facts():
-    # Under ENGINE_ONLY the engine works on the root state: these equivalence
-    # inputs (`gnp` 1791, n = 21, and 2255, n = 22) each hold a component
-    # whose bare trials end on the radius, while the pieces that the root
-    # facts leave active fit in four levels and decide it.
-    for (i, g), want in zip(inputs("gnp", [1791, 2255]), ["no-dim", "dim"]):
+def test_engine_starts_from_the_root_facts(monkeypatch):
+    # Under ENGINE_ONLY the engine works on the root state: in these
+    # equivalence inputs (`gnp` 1791, n = 21, and 2255, n = 22) the root
+    # facts colour part of the big component (20 and 16 vertices), and the
+    # engine's first trial runs at the centre of the piece they leave
+    # active (19 and 13 vertices), not of the bare component.
+    scopes = []
+    real = dimkit.driver.try_edge
+    monkeypatch.setattr(dimkit.driver, "try_edge",
+                        lambda g, sub, *rest: scopes.append(sub) or real(g, sub, *rest))
+    for (i, g), want, size in zip(inputs("gnp", [1791, 2255]), ["no-dim", "dim"], [19, 13]):
+        scopes.clear()
         out = solve(g, ENGINE_ONLY)
         assert out.stats["edges_tried"] > 0, i
         assert out.status == want == oracle_dim(g).status, (i, out.reason)
+        assert scopes[0].bit_count() == size, i
+
+
+def test_engine_trials_share_one_budget(monkeypatch):
+    # Under ENGINE_ONLY all of a component's trials draw on one budget of
+    # max(4096, 8 * size) branches, the search's default cap: each piece
+    # search gets what the ones before it left, and the engine gives up
+    # only once it is spent.  deg3_graph(29) (n = 120, no root fact) runs
+    # four piece searches, every one of which branches.
+    g = deg3_graph(29)
+    total = max(4096, 8 * g.n)
+    calls = []
+    real = dimkit.component_solver.search
+
+    def recording(c, pick, budget):
+        status, spent = real(c, pick, budget)
+        calls.append((budget, spent))
+        return status, spent
+
+    def costly(c, pick, budget):
+        # the real search, charged 1,500 branches a piece: the third piece
+        # search finds fewer left and runs out
+        if budget < 1500:
+            calls.append((budget, budget))
+            return "budget", budget
+        calls.append((budget, 1500))
+        return real(c, pick, budget)[0], 1500
+
+    for search, want in ((recording, ("dim", None)),
+                         (costly, ("inconclusive", f"engine branch budget {total} exhausted"))):
+        monkeypatch.setattr(dimkit.component_solver, "search", search)
+        calls.clear()
+        out = solve(g, ENGINE_ONLY)
+        assert (out.status, out.reason) == want
+        left = total
+        for budget, spent in calls:
+            assert budget == left
+            left -= spent
+        assert len(calls) >= 3 and all(spent for _, spent in calls[:3])
+        assert sum(spent for _, spent in calls) == out.stats["branches"] <= total
+    assert out.stats["branches"] == total
 
 
 # gen_c4_augmented arguments -> reason of the default solve: the
@@ -839,7 +908,9 @@ def test_engine_agrees_with_oracle_on_a_live_family():
 # to start from the root facts and the zero-budget search stopped counting
 # the branch it refuses: the matchings stay, host15 needs 2 trials (was 5)
 # and host37 4 (was 8), and no piece search branches any more (branches 2,
-# 3, 3 -> 0).
+# 3, 3 -> 0).  host37's forced_edges was re-derived (3 -> 4) when the
+# trial stopped building levels and came to count every pair its pair's
+# propagation mates; its matching stays.
 IN_CLASS_PINS = [
     ((15, (11, 12), 40, 151),
      '{"status": "dim", "matching": [[0, 1], [6, 8], [10, 20], [30, 34]], "reason": null, '
@@ -847,7 +918,7 @@ IN_CLASS_PINS = [
      '"p9_checked": true}'),
     ((37, (8,), 27, 372),
      '{"status": "dim", "matching": [[1, 10], [8, 18], [12, 25], [17, 24]], "reason": null, '
-     '"stats": {"edges_tried": 4, "forced_edges": 3, "branches": 0, "millis": 0}, '
+     '"stats": {"edges_tried": 4, "forced_edges": 4, "branches": 0, "millis": 0}, '
      '"p9_checked": true}'),
     ((98, (9, 13), 20, 983),
      '{"status": "dim", "matching": [[2, 15], [3, 6], [5, 7], [11, 13]], "reason": null, '
@@ -980,8 +1051,9 @@ def _radius_four_graphs(seed, count):
 def test_p9_free_levels_never_run_deeper_than_four(corpus8):
     # A connected graph of radius r has an induced path on 2r - 1 vertices
     # (Erdos, Saks & Sos 1986), so a P9-free piece has radius <= 4 and the
-    # levels of every edge at its central vertex fit in four: the radius
-    # test in try_edge can never fire on verified input.
+    # levels of every edge at its central vertex fit in four.  This guards
+    # the paper's lemma and the levels `dimkit explain` lays out: on
+    # verified input explain never reports radius-exceeded at a centre.
     graphs = [
         *corpus8,
         *(draw[3] for draw in _false_twin_draws()),
