@@ -31,7 +31,9 @@ from pathlib import Path
 from .coloring import Coloring, extract_matching, parse_matching, serialize_matching
 from .decomposition import RadiusExceeded, forced_and_anchors, trial_facts
 from .driver import SolveConfig, solve
-from .graph import MAX_VERTICES, Graph, GraphFormatError, bits, connected_components, load_graph, serialize_graph
+from .graph import (
+    MAX_VERTICES, Graph, GraphFormatError, connected_components, load_graph, members, serialize_graph,
+)
 from .oracle import oracle_dim, verify_dim
 from .patterns import RANDOM_FILTERS, classify_p9, find_k4, iter_butterflies, iter_diamonds
 
@@ -176,10 +178,6 @@ def check_cmd(args) -> int:
 # -- explain ----------------------------------------------------------------
 
 
-def _verts(mask: int) -> list[int]:
-    return list(bits(mask))
-
-
 def explain_report(g: Graph, x: int, y: int) -> dict:
     """The engine's xy-trial of g up to its pieces, laid out in distance
     levels, as `dimkit explain` prints it.  On a fresh coloring it
@@ -208,18 +206,18 @@ def explain_report(g: Graph, x: int, y: int) -> dict:
     forced, anchors = forced_and_anchors(c, levels)
     l3 = levels[3] if len(levels) > 3 else 0
     anchor_mask = sum(1 << v for v in anchors)
-    shared = [v for v in bits(l3) if (g.rows[v] & anchor_mask).bit_count() >= 2]
+    shared = [v for v in members(l3) if (g.rows[v] & anchor_mask).bit_count() >= 2]
     return {
         "edge": [x, y],
         "status": "ok",
-        "levels": [_verts(m) for m in levels],
-        "white": _verts(c.white & scope),
-        "black": _verts(c.black & scope),
+        "levels": [members(m) for m in levels],
+        "white": members(c.white & scope),
+        "black": members(c.black & scope),
         "matched": [list(e) for e in extract_matching(c, scope)],
         "forced": [list(e) for e in forced],
         "anchors": anchors,
         "shared_l3": shared,
-        "pieces": [_verts(m) for m in connected_components(g, c.active_mask(scope))],
+        "pieces": [members(m) for m in connected_components(g, c.active_mask(scope))],
     }
 
 

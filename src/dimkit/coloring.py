@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .graph import Edge, Graph, bits
+from .graph import Edge, Graph, bits, members
 
 
 class Contradiction(NamedTuple):
@@ -284,16 +284,12 @@ def extract_matching(c: Coloring, scope: int | None = None) -> tuple[Edge, ...]:
     coloring left by a contradiction may pair asymmetrically."""
     rows = c.g.rows
     mated = c.mated
-    rest = mated if scope is None else mated & scope
     out = []
-    while rest:  # top-down, so the pairs are reversed at the end
-        v = rest.bit_length() - 1
-        rest ^= 1 << v
+    for v in members(mated if scope is None else mated & scope):
         mates = rows[v] & mated
         u = (mates & -mates).bit_length() - 1
         if u > v:
             out.append((v, u))
-    out.reverse()
     return tuple(out)
 
 

@@ -19,7 +19,7 @@ so "infeasible" is a proof that no completion matches the trial edge and
 from __future__ import annotations
 
 from .coloring import Coloring, branch_pick, search
-from .graph import Graph, connected_components, degree_classes
+from .graph import Graph, connected_components, degree_classes, members
 
 
 def try_edge(
@@ -47,7 +47,7 @@ def try_edge(
     forced = (master.mated & ~mated).bit_count() // 2
 
     for piece in connected_components(g, master.active_mask(scope)):
-        pick = branch_pick(g, piece, degree_classes(g, piece, piece))
+        pick = branch_pick(g, piece, degree_classes(g, members(piece), piece))
         status, branches = search(master, pick, budget)
         stats["branches"] += branches
         budget -= branches

@@ -28,7 +28,7 @@ soundness harness, which show a trial's facts laid out by distance.
 from __future__ import annotations
 
 from .coloring import Coloring, Contradiction
-from .graph import Edge, Graph, bfs_layers, bits
+from .graph import Edge, Graph, bfs_layers, bits, members
 
 MAX_RADIUS = 4
 
@@ -72,11 +72,11 @@ def forced_and_anchors(c: Coloring, levels: list[int]) -> tuple[list[Edge], list
     internal edges) and the anchors (L2's vertices with no L2 neighbor);
     the pair must already be propagated without a clash."""
     rows = c.g.rows
-    x, y = bits(levels[0])
+    x, y = members(levels[0])
     forced = [(x, y)]
     l2 = levels[2] if len(levels) > 2 else 0
     anchors = []
-    for v in bits(l2):
+    for v in members(l2):
         if rows[v] & l2:
             u = c.partner(v)
             if v < u:

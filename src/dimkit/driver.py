@@ -1,7 +1,9 @@
 """Top-level solver: decide whether a graph has a dominating induced matching.
 
-Outline per connected component: one pass sorts its vertices into degree
-classes (`graph.degree_classes`), which the next steps share.
+Outline per connected component: its ids are listed once
+(`graph.members`), and that list is shared by the degree pass, which
+sorts them into degree classes (`graph.degree_classes`) for the next
+steps, and by the root facts.
 Refute on a four-clique (a K4 kills the whole graph) among the vertices
 of degree three or more; look for a single dominating edge; then run a
 complete search that branches on vertex colors and lets propagation
@@ -39,7 +41,7 @@ from typing import Callable
 
 from .coloring import Coloring, branch_pick, extract_matching, search
 from .component_solver import try_edge
-from .graph import Edge, Graph, bits, central_vertex, connected_components, degree_classes
+from .graph import Edge, Graph, bits, central_vertex, connected_components, degree_classes, members
 from .oracle import VerifyResult, verify_dim
 from .patterns import P9_UNCHECKED, classify_p9, find_k4
 
@@ -102,10 +104,11 @@ def trivial_dim(g: Graph, comp: int, by_degree: list[int]) -> Edge | None:
     return None
 
 
-def root_facts(g: Graph, by_degree: list[int]) -> tuple[int, int]:
+def root_facts(g: Graph, verts: list[int]) -> tuple[int, int]:
     """(white, black): colors every d.i.m. of the component gives, read
-    off its degree classes (`degree_classes`) by two facts that hold in
-    any graph.
+    off the rows of its id list `verts` (`members`) in one pass, by two
+    facts that hold in any graph.  A row with one bit is a pendant's (an
+    isolated vertex's empty row adds nothing).
 
     Pendant: the neighbour u of a degree-1 vertex v is matched.  If v is
     unmatched it forces u black; if v is matched, u is its partner.
@@ -117,25 +120,16 @@ def root_facts(g: Graph, by_degree: list[int]) -> tuple[int, int]:
     of a.
     """
     rows = g.rows
-    black = 0
-    if len(by_degree) > 1:
-        rest = by_degree[1]
-        while rest:
-            v = rest.bit_length() - 1
-            rest ^= 1 << v
-            black |= rows[v]
-    classes: dict[int, int] = {}
-    rest = sum(by_degree[2:])  # the classes are disjoint masks
-    while rest:
-        v = rest.bit_length() - 1
-        low = 1 << v
-        rest ^= low
+    white = black = 0
+    first: dict[int, int] = {}  # row -> the first vertex with it
+    for v in verts:
         row = rows[v]
-        classes[row] = classes.get(row, 0) | low
-    white = 0
-    for cls in classes.values():
-        if cls & (cls - 1):  # two or more vertices share the row
-            white |= cls
+        if row & row - 1:
+            u = first.setdefault(row, v)
+            if u != v:
+                white |= 1 << u | 1 << v
+        else:
+            black |= row
     return white, black
 
 
@@ -179,7 +173,8 @@ def solve_top_component(
         master.extend(white=comp)
         return "dim", None
 
-    by_degree = degree_classes(g, comp)
+    verts = members(comp)
+    by_degree = degree_classes(g, verts)
     # a K4 vertex has degree at least three
     hit = find_k4(g, sum(by_degree[3:]))
     if hit is not None:
@@ -196,7 +191,7 @@ def solve_top_component(
     total = max(4096, 8 * comp.bit_count())
     budget = total if cfg.branch_budget is None else cfg.branch_budget
     pick = branch_pick(g, comp, by_degree)
-    status, reason = _complete_search(master, pick, root_facts(g, by_degree), budget, stats)
+    status, reason = _complete_search(master, pick, root_facts(g, verts), budget, stats)
     if status != "budget":
         return status, reason
 

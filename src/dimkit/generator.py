@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 
-from .graph import Edge, Graph, bits, serialize_graph
+from .graph import Edge, Graph, members, serialize_graph
 from .oracle import oracle_dim, verify_dim
 from .patterns import P9_VERIFIED, RANDOM_FILTERS, classify_p9, find_k4, iter_butterflies, iter_diamonds
 
@@ -243,7 +243,7 @@ def _canonical_form(g: Graph) -> tuple[int, ...]:
     their subtrees give the same codes.
     """
     rows = g.rows
-    nbrs = [list(bits(row)) for row in rows]
+    nbrs = [members(row) for row in rows]
 
     def visit(col: list[int]) -> tuple[int, ...]:
         col = _refine(nbrs, col)
@@ -271,7 +271,7 @@ def _canonical_form(g: Graph) -> tuple[int, ...]:
 def _extend(parent: Graph, mask: int) -> Graph:
     edges = parent.edges()
     v_new = parent.n
-    edges.extend((u, v_new) for u in bits(mask))
+    edges.extend((u, v_new) for u in members(mask))
     return Graph.from_edges(parent.n + 1, edges)
 
 

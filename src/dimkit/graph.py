@@ -12,7 +12,10 @@ CPython's ``&`` then works on two's complement digits, so ``x & -x`` and
 3.11).  A subset y of x is dropped as ``x ^ x & y``, or ``x ^ y`` when y
 lies in x; a walk whose order fixes no output takes the top bit,
 ``v = x.bit_length() - 1; x ^= 1 << v``, and a walk in id order takes the
-low bit with ``x & -x``.
+low bit with ``x & -x``.  Those hand walks are kept for narrow masks and
+for walks that may stop early; a pass over a whole component or another
+wide mask lists its ids once with `members`, which reads a dense mask's
+binary text at C speed.
 
 A row is as long as its highest neighbour id, so the rows cost up to
 n**2 / 8 bytes, and about n**2 / 16 even on a sparse graph whose ids are in
@@ -25,6 +28,7 @@ about |scope| * n / 4 bytes while it runs.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -49,6 +53,32 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# maps a mask's binary digits to the bytes 0 and 1, selectors for `compress`
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def members(mask: int) -> list[int]:
+    """The set bit indexes of mask, ascending.
+
+    A mask of at least 64 bits with at least one set bit per 16 positions
+    is read off its binary text, whose bytes select from the ids at C
+    speed: 60 us against 270 us for the bit walk on a full 2,000-bit mask
+    (Python 3.11, 2-core shared host).  That pass costs O(width) whatever
+    the count, so a narrower or sparser mask is walked top bit first, one
+    step per id: a three-vertex component at n = 65,536 is not charged
+    for the other ids."""
+    width = mask.bit_length()
+    if width >= 64 and mask.bit_count() << 4 >= width:
+        return list(compress(range(width), bin(mask)[:1:-1].encode().translate(_DIGITS)))
+    out = []
+    while mask:
+        v = mask.bit_length() - 1
+        out.append(v)
+        mask ^= 1 << v
+    out.reverse()
+    return out
+
+
 class Graph:
     """Immutable undirected graph over vertices 0..n-1."""
 
@@ -64,7 +94,7 @@ class Graph:
                 raise ValueError(f"row {v} mentions vertices >= n")
             if row & (1 << v):
                 raise ValueError(f"self-loop at {v}")
-            for u in bits(row):
+            for u in members(row):
                 if not rows[u] & (1 << v):
                     raise ValueError(f"asymmetric edge ({v},{u})")
             deg_total += row.bit_count()
@@ -87,7 +117,7 @@ class Graph:
     # -- adjacency queries ------------------------------------------------
 
     def neighbors(self, v: int) -> list[int]:
-        return list(bits(self.rows[v]))
+        return members(self.rows[v])
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
@@ -99,7 +129,7 @@ class Graph:
         out = []
         for v in range(self.n):
             row = self.rows[v] >> (v + 1)
-            for off in bits(row):
+            for off in members(row):
                 out.append((v, v + 1 + off))
         return out
 
@@ -229,19 +259,16 @@ def connected_components(g: Graph, within: int | None = None) -> list[int]:
     return comps
 
 
-def degree_classes(g: Graph, verts: int, within: int | None = None) -> list[int]:
-    """Entry d masks the vertices of `verts` with d neighbours in `within`,
-    up to the top degree.  With `within` None whole rows are counted: the
-    induced degree when `verts` is a union of components."""
+def degree_classes(g: Graph, verts: list[int], within: int | None = None) -> list[int]:
+    """Entry d masks the vertices of the id list `verts` (`members`) with d
+    neighbours in `within`, up to the top degree.  With `within` None
+    whole rows are counted: the induced degree when `verts` lists a union
+    of components."""
     rows = g.rows
-    by_degree = [0] * ((verts if within is None else within).bit_count() + 1)
-    rest = verts
-    while rest:
-        v = rest.bit_length() - 1
-        low = 1 << v
-        rest ^= low
+    by_degree = [0] * ((len(verts) if within is None else within.bit_count()) + 1)
+    for v in verts:
         row = rows[v]
-        by_degree[(row if within is None else row & within).bit_count()] |= low
+        by_degree[(row if within is None else row & within).bit_count()] |= 1 << v
     while by_degree and not by_degree[-1]:
         by_degree.pop()
     return by_degree
@@ -263,11 +290,11 @@ def central_vertex(g: Graph, within: int | None = None) -> int:
     scope = g.full_mask() if within is None else within
     if not scope:
         raise ValueError("empty scope has no central vertex")
-    verts = list(bits(scope))
+    verts = members(scope)
     nbrs: list[list[int]] = [[]] * g.n
     ball = [0] * g.n
     for v in verts:
-        nbrs[v] = list(bits(g.rows[v] & scope))
+        nbrs[v] = members(g.rows[v] & scope)
         ball[v] = 1 << v
     grown = ball[:]
     first = verts[0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Sequence
 
-from .graph import Edge, Graph, bits
+from .graph import Edge, Graph, members
 
 Matching = tuple[Edge, ...]
 
@@ -82,7 +82,7 @@ def _search(g: Graph, node_limit: int | None, counter: list[int]) -> Iterator[Ma
     def candidates(u: int, v: int) -> list[Edge]:
         cands = set()
         for a in (u, v):
-            for b in bits(g.rows[a]):
+            for b in members(g.rows[a]):
                 cands.add((a, b) if a < b else (b, a))
         return sorted(cands)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import inf
 from typing import Iterator, NamedTuple
 
-from .graph import Edge, Graph, bits
+from .graph import Edge, Graph, bits, members
 
 # the random generator's filters, one per detector here; `dimkit gen random
 # --filter` takes them as its choices without importing the generator
@@ -123,7 +123,7 @@ def find_induced_path(
     if scope == full:
         rows, label = g.rows, range(g.n)
     else:
-        label = list(bits(within))
+        label = members(within)
         bit = {v: 1 << i for i, v in enumerate(label)}
         rows = []
         for v in label:

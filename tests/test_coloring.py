@@ -12,7 +12,7 @@ from dimkit.coloring import (
     serialize_matching,
 )
 from dimkit.generator import gen_c4_augmented, gen_planted
-from dimkit.graph import Graph, bits, connected_components, degree_classes
+from dimkit.graph import Graph, bits, connected_components, degree_classes, members
 from conftest import cycle_graph, path_graph, star_graph
 from equivalence import deg3_graph
 from naive_reference import (
@@ -372,7 +372,7 @@ def test_search_matches_the_chronological_reference(corpus7):
     # when colored, colors as the frozen reference.
     for g in _search_families(corpus7):
         for comp in connected_components(g):
-            by_degree = degree_classes(g, comp)
+            by_degree = degree_classes(g, members(comp))
             got, want = _both_searches(g, lambda: branch_pick(g, comp, by_degree))
             assert got == want, g.edges()
 
@@ -453,7 +453,7 @@ def test_branch_pick_carries_its_counters_across_restores():
             g = gen_planted(n, k, extra, i).graph
         comp = max(connected_components(g), key=int.bit_count)
         c = Coloring(g)
-        pick = branch_pick(g, comp, degree_classes(g, comp))
+        pick = branch_pick(g, comp, degree_classes(g, members(comp)))
         counted = 0  # mask of the last call that found an unknown vertex
         snaps = [c.snapshot()]
         for _ in range(250):

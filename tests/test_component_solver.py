@@ -6,7 +6,7 @@ survive the pair's propagation with real work left, and run them through
 from dimkit.coloring import Coloring, branch_pick, extract_matching, search
 from dimkit.component_solver import try_edge
 from dimkit.decomposition import trial_facts
-from dimkit.graph import Graph, connected_components, degree_classes
+from dimkit.graph import Graph, connected_components, degree_classes, members
 from dimkit.oracle import all_dims
 from conftest import cycle_graph
 from equivalence import deg3_graph
@@ -42,7 +42,7 @@ def _prepared_trial(g, x, y):
 
 
 def _searched(g, c, piece, budget):
-    return search(c, branch_pick(g, piece, degree_classes(g, piece, piece)), budget)
+    return search(c, branch_pick(g, piece, degree_classes(g, members(piece), piece)), budget)
 
 
 def _trial(g, x, y, budget=4096):

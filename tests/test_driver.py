@@ -16,7 +16,9 @@ from dimkit.driver import (
 )
 from dimkit.generator import gen_c4_augmented, gen_planted
 from dimkit.decomposition import RadiusExceeded, build_levels
-from dimkit.graph import Graph, bfs_layers, bits, central_vertex, connected_components, degree_classes
+from dimkit.graph import (
+    Graph, bfs_layers, bits, central_vertex, connected_components, degree_classes, members,
+)
 import dimkit.coloring
 import dimkit.component_solver
 import dimkit.decomposition
@@ -113,9 +115,9 @@ def test_edgeless_graph():
 
 def test_trivial_dim_helper():
     g = complete_graph(3)
-    assert trivial_dim(g, g.full_mask(), degree_classes(g, g.full_mask())) == (0, 1)
+    assert trivial_dim(g, g.full_mask(), degree_classes(g, members(g.full_mask()))) == (0, 1)
     g = cycle_graph(6)
-    assert trivial_dim(g, g.full_mask(), degree_classes(g, g.full_mask())) is None
+    assert trivial_dim(g, g.full_mask(), degree_classes(g, members(g.full_mask()))) is None
 
 
 def _star_like_draws(rng, count):
@@ -144,7 +146,7 @@ def test_trivial_dim_matches_the_naive_edge():
     found = tight = 0
     for g in _star_like_draws(random.Random(1919), 1500):
         for comp in connected_components(g):
-            got = trivial_dim(g, comp, degree_classes(g, comp))
+            got = trivial_dim(g, comp, degree_classes(g, members(comp)))
             assert got == dominating_edge_naive(g, comp), (g.edges(), comp)
             degs = [(g.rows[v] & comp).bit_count() for v in bits(comp)]
             found += got is not None
@@ -500,7 +502,7 @@ def test_root_facts_hold_in_every_dim(corpus7):
     seen = collections.Counter()
     for g in graphs:
         for comp in connected_components(g):
-            white, black = root_facts(g, degree_classes(g, comp))
+            white, black = root_facts(g, members(comp))
             assert not (white | black) & ~comp
             sub, ids = _induced(g, comp)
             matched = [{ids[v] for e in m for v in e} for m in all_dims(sub)]
@@ -520,9 +522,9 @@ def test_root_facts_of_a_star_and_a_pendant_path():
     # a star's centre is matched and its leaves, all of degree one, are
     # not twins of degree two or more
     g = star_graph(5)
-    assert root_facts(g, degree_classes(g, g.full_mask())) == (0, 1)
+    assert root_facts(g, members(g.full_mask())) == (0, 1)
     g = path_graph(5)
-    assert root_facts(g, degree_classes(g, g.full_mask())) == (0, 1 << 1 | 1 << 3)
+    assert root_facts(g, members(g.full_mask())) == (0, 1 << 1 | 1 << 3)
 
 
 def test_root_facts_of_a_twin_class():
@@ -530,12 +532,12 @@ def test_root_facts_of_a_twin_class():
     # neighbours of the pendants 4 and 5, black; the facts leave only the
     # pendants, which propagation pairs, so the root decides with no branch
     g = Graph.from_edges(6, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)])
-    assert root_facts(g, degree_classes(g, g.full_mask())) == (0b11, 0b1100)
+    assert root_facts(g, members(g.full_mask())) == (0b11, 0b1100)
     out = solve(g)
     assert (out.status, out.matching, out.stats["branches"]) == ("dim", ((2, 4), (3, 5)), 0)
     # a third twin joins the class
     g = Graph.from_edges(7, g.edges() + [(6, 2), (6, 3)])
-    assert root_facts(g, degree_classes(g, g.full_mask())) == (0b1000011, 0b1100)
+    assert root_facts(g, members(g.full_mask())) == (0b1000011, 0b1100)
 
 
 def test_root_facts_clash_refutes_at_the_root():
@@ -995,7 +997,7 @@ def test_in_class_engine_outputs_pinned(case, want):
 def test_cubic_engine_outputs_pinned(case, want):
     g = cubic_no_dim(*case)
     assert classify_p9(g)[0] == P9_VERIFIED
-    assert root_facts(g, degree_classes(g, g.full_mask())) == (0, 0)
+    assert root_facts(g, members(g.full_mask())) == (0, 0)
     assert solve(g, ENGINE_ONLY).to_json() == want
     _assert_agrees_with_oracle(g, solve(g))
 

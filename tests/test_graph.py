@@ -11,9 +11,11 @@ from dimkit.graph import (
     central_vertex,
     connected_components,
     degree_classes,
+    members,
     parse_graph,
     serialize_graph,
 )
+from dimkit.driver import root_facts
 from conftest import cycle_graph, disjoint_union, path_graph, star_graph
 from naive_reference import central_vertex_naive
 
@@ -49,6 +51,37 @@ def test_graph_rejects_malformed_rows(rows, message):
 def test_bits_ascending():
     assert list(bits(0b101001)) == [0, 3, 5]
     assert list(bits(0)) == []
+
+
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 2000])
+def test_members_equal_bits(width):
+    # dense and sparse masks on both sides of one set bit per 16 positions,
+    # the line between reading the binary text and walking the bits
+    rng = random.Random(width)
+    top = 1 << width - 1 if width else 0
+    masks = {0, top, (1 << width) - 1, rng.getrandbits(width) | top}
+    for count in (width // 16 - 1, width // 16, width // 16 + 1):
+        if 0 < count <= width:
+            masks.add(sum(1 << v for v in rng.sample(range(width - 1), count - 1)) | top)
+    for mask in masks:
+        assert members(mask) == list(bits(mask)), bin(mask)
+
+
+def test_members_walks_a_sparse_wide_mask(monkeypatch):
+    # a few ids at a high width are walked, never read off the whole text
+    g = Graph.from_edges(60_002, [(59_998, 59_999)])
+    comp = 1 << 59_998 | 1 << 59_999
+
+    def no_bin(mask):
+        raise AssertionError("binary text of a sparse mask")
+
+    monkeypatch.setattr("dimkit.graph.bin", no_bin, raising=False)
+    assert members(1 | 1 << 60_000) == [0, 60_000]
+    assert members(0b1011) == [0, 1, 3]
+    verts = members(comp)
+    assert verts == [59_998, 59_999]
+    assert degree_classes(g, verts) == [0, comp]
+    assert root_facts(g, verts) == (0, comp)
 
 
 def test_parse_serialize_roundtrip():
@@ -199,10 +232,11 @@ def test_degree_classes_match_naive_degrees():
         )
         comps = connected_components(g)
         union = sum(c for c in comps if rng.random() < 0.5)
-        assert degree_classes(g, union) == _degree_classes_naive(g, union, union), g.edges()
+        assert degree_classes(g, members(union)) == _degree_classes_naive(g, union, union), g.edges()
         verts, within = rng.getrandbits(n), rng.getrandbits(n)
-        assert degree_classes(g, verts, within) == _degree_classes_naive(g, verts, within), g.edges()
-        assert degree_classes(g, verts, verts) == _degree_classes_naive(g, verts, verts), g.edges()
+        ids = members(verts)
+        assert degree_classes(g, ids, within) == _degree_classes_naive(g, verts, within), g.edges()
+        assert degree_classes(g, ids, verts) == _degree_classes_naive(g, verts, verts), g.edges()
 
 
 @pytest.mark.parametrize(
